@@ -9,6 +9,7 @@ trajectories.
 
 from .core import (
     AntisymScalar,
+    CoordFn,
     DiffusionParams,
     Matrix2,
     Point2,
@@ -60,6 +61,7 @@ __all__ = [
     "AodecompError",
     "AsymmetricU",
     "CatalogEntry",
+    "CoordFn",
     "Definition2Report",
     "DiffusionParams",
     "DissipationReport",

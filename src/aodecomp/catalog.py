@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import linear
-from .core import DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, VectorField
+from .core import CoordFn, DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, VectorField
 from .errors import UnknownSystem
 
 HOPF = "hopf_limit_cycle"
@@ -47,17 +47,17 @@ class CatalogEntry:
     expected: ExpectedForms | None = None
 
 
-def _r2(p: Point2) -> float:
-    return p.x1 * p.x1 + p.x2 * p.x2
+def _r2(x1, x2):
+    return x1 * x1 + x2 * x2
 
 
 def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
-    def evaluate(p: Point2) -> Point2:
-        u = 1.0 - _r2(p)
-        return Point2(-p.x2 + p.x1 * u, p.x1 + p.x2 * u)
+    def field(x1, x2):
+        u = 1.0 - _r2(x1, x2)
+        return -x2 + x1 * u, x1 + x2 * u
 
-    def div(p: Point2) -> float:
-        return 2.0 * (1.0 - 2.0 * _r2(p))
+    def div(x1, x2):
+        return 2.0 * (1.0 - 2.0 * _r2(x1, x2))
 
     def jac(p: Point2) -> Matrix2:
         return Matrix2(
@@ -67,28 +67,30 @@ def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
             1.0 - p.x1 * p.x1 - 3.0 * p.x2 * p.x2,
         )
 
-    def phi(p: Point2) -> float:
-        r2 = _r2(p)
+    def phi(x1, x2):
+        r2 = _r2(x1, x2)
         return 0.25 * r2 * (r2 - 2.0)
 
-    def grad(p: Point2) -> Point2:
-        u = 1.0 - _r2(p)
-        return Point2(-p.x1 * u, -p.x2 * u)
+    def grad(x1, x2):
+        u = 1.0 - _r2(x1, x2)
+        return -x1 * u, -x2 * u
 
     system = SystemSpec.analytic(
         HOPF,
-        VectorField(evaluate=evaluate, analytic_divergence=div, analytic_jacobian=jac),
-        potential=ScalarField(evaluate=phi, analytic_gradient=grad),
+        VectorField(
+            evaluate=CoordFn(field, vector=True), analytic_divergence=CoordFn(div), analytic_jacobian=jac
+        ),
+        potential=ScalarField(evaluate=CoordFn(phi), analytic_gradient=CoordFn(grad, vector=True)),
     )
     expected = ExpectedForms(
-        friction=lambda p: (1.0 - _r2(p)) ** 2 / (1.0 + (1.0 - _r2(p)) ** 2),
-        transverse=lambda p: (1.0 - _r2(p)) / (1.0 + (1.0 - _r2(p)) ** 2),
+        friction=lambda p: (1.0 - _r2(p.x1, p.x2)) ** 2 / (1.0 + (1.0 - _r2(p.x1, p.x2)) ** 2),
+        transverse=lambda p: (1.0 - _r2(p.x1, p.x2)) / (1.0 + (1.0 - _r2(p.x1, p.x2)) ** 2),
         diffusion=lambda p: 1.0,
-        gyration=lambda p: -1.0 / (1.0 - _r2(p)),
-        potential=phi,
-        potential_gradient=grad,
-        divergence=div,
-        dissipation_power=lambda p: _r2(p) * (_r2(p) - 1.0) ** 2,
+        gyration=lambda p: -1.0 / (1.0 - _r2(p.x1, p.x2)),
+        potential=system.potential.evaluate,
+        potential_gradient=system.potential.analytic_gradient,
+        divergence=system.field.analytic_divergence,
+        dissipation_power=lambda p: _r2(p.x1, p.x2) * (_r2(p.x1, p.x2) - 1.0) ** 2,
     )
     return system, expected
 

@@ -12,16 +12,13 @@ request, 3 numerical blow-up.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterable
+import numpy as np
 
 from . import catalog, dissipation, dynamics, field, linear
-from .core import DiffusionParams, Matrix2, Point2, SystemSpec
+from .core import DiffusionParams, Matrix2, Point2, SystemSpec, check_finite
 from .errors import (
     AodecompError,
     AsymmetricU,
@@ -46,6 +43,11 @@ QUANTITIES = (
     "criteria_agreement",
 )
 
+# CSV text is built this many rows at a time (see _emit_csv).
+_CSV_BLOCK_ROWS = 2048
+_VERDICT_CELLS = np.array(dissipation.VERDICTS, dtype=object)
+_BOOL_CELLS = np.array(["false", "true"], dtype=object)
+
 
 class _UsageError(Exception):
     """Invalid arguments or input values; mapped to exit code 1."""
@@ -53,33 +55,6 @@ class _UsageError(Exception):
 
 class _InconsistentRequest(Exception):
     """Decomposition request with no valid gyration; mapped to exit code 2."""
-
-
-@dataclass(frozen=True)
-class GridRequest:
-    """Validated rectangular sampling request; rows run y-outer, x-inner."""
-
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-    nx: int
-    ny: int
-    quantity: str | None = None
-
-    def __post_init__(self):
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
-            raise _UsageError(
-                f"grid bounds must satisfy xmin < xmax and ymin < ymax, got "
-                f"{self.xmin},{self.xmax},{self.ymin},{self.ymax}"
-            )
-        if self.nx < 2 or self.ny < 2:
-            raise _UsageError(f"grid needs nx, ny >= 2, got nx={self.nx}, ny={self.ny}")
-
-    def points(self) -> list[Point2]:
-        xs = [self.xmin + (self.xmax - self.xmin) * i / (self.nx - 1) for i in range(self.nx)]
-        ys = [self.ymin + (self.ymax - self.ymin) * j / (self.ny - 1) for j in range(self.ny)]
-        return [Point2(x, y) for y in ys for x in xs]
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -116,7 +91,8 @@ def _parse_diffusion(text: str) -> DiffusionParams:
         raise _UsageError(str(exc)) from None
 
 
-def _parse_grid(text: str, quantity: str | None = None) -> GridRequest:
+def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Points of an xmin,xmax,ymin,ymax,nx,ny grid as x1, x2 columns; rows run y-outer, x-inner."""
     parts = text.split(",")
     if len(parts) != 6:
         raise _UsageError(f"--grid expects xmin,xmax,ymin,ymax,nx,ny, got {text!r}")
@@ -125,7 +101,18 @@ def _parse_grid(text: str, quantity: str | None = None) -> GridRequest:
         nx, ny = int(parts[4]), int(parts[5])
     except ValueError as exc:
         raise _UsageError(f"could not parse --grid {text!r}: {exc}") from None
-    return GridRequest(xmin, xmax, ymin, ymax, nx, ny, quantity)
+    if not (xmin < xmax and ymin < ymax):
+        raise _UsageError(
+            f"grid bounds must satisfy xmin < xmax and ymin < ymax, got {xmin},{xmax},{ymin},{ymax}"
+        )
+    if nx < 2 or ny < 2:
+        raise _UsageError(f"grid needs nx, ny >= 2, got nx={nx}, ny={ny}")
+    with np.errstate(all="ignore"):  # a span that overflows yields inf/nan, rejected below
+        xs = xmin + (xmax - xmin) * np.arange(nx) / (nx - 1)
+        ys = ymin + (ymax - ymin) * np.arange(ny) / (ny - 1)
+    x1, x2 = np.tile(xs, ny), np.repeat(ys, nx)
+    check_finite(x1, x2)
+    return x1, x2
 
 
 def _fold_comma_values(argv: list[str]) -> list[str]:
@@ -147,10 +134,6 @@ def _fold_comma_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _matrix_doc(m: Matrix2) -> list[list[float]]:
-    return m.rows()
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -163,25 +146,35 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _write_output(json.dumps(doc, indent=2) + "\n", out)
 
 
-def _csv_cell(value) -> str:
+def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | None = None) -> None:
+    """Write equal-length columns as CSV.
+
+    A float64 column prints in shortest round-trip form, with -0.0 folded to
+    0.0; any other column holds ready cell strings. The text is built a block
+    of rows at a time, so only one block's cell strings exist at once.
+    """
+    blocks = [",".join(header) + "\n"]
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        cells = []
+        for column in columns:
+            block = column[start:start + _CSV_BLOCK_ROWS]
+            if isinstance(block, np.ndarray) and block.dtype.kind == "f":
+                block = list(map(repr, (block + 0.0).tolist()))
+            cells.append(block)
+        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    if trailer is not None:
+        blocks.append(trailer + "\n")
+    _write_output("".join(blocks), out)
+
+
+def _doc_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        # plain-float repr is the shortest round-trip form (numpy scalars
-        # would otherwise repr as np.float64(...)); adding 0.0 folds -0.0
         return repr(float(value) + 0.0)
     return str(value)
-
-
-def _emit_csv(header: list[str], rows: Iterable[Iterable], out: str | None, trailer: str | None = None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if trailer is not None:
-        text += trailer + "\n"
-    _write_output(text, out)
 
 
 def _flatten_for_csv(doc: dict, prefix: str = "") -> list[tuple[str, str]]:
@@ -191,20 +184,19 @@ def _flatten_for_csv(doc: dict, prefix: str = "") -> list[tuple[str, str]]:
         if isinstance(value, dict):
             rows.extend(_flatten_for_csv(value, prefix=f"{name}."))
         elif isinstance(value, list):
-            flat: list = []
-
-            def _walk(item):
-                if isinstance(item, list):
-                    for sub in item:
-                        _walk(sub)
-                else:
-                    flat.append(item)
-
-            _walk(value)
-            rows.append((name, ";".join(_csv_cell(v) for v in flat)))
+            # a list holds scalars, or rows of scalars for a matrix
+            flat = [v for item in value for v in (item if isinstance(item, list) else [item])]
+            rows.append((name, ";".join(map(_doc_cell, flat))))
         else:
-            rows.append((name, _csv_cell(value)))
+            rows.append((name, _doc_cell(value)))
     return rows
+
+
+def _csv_quoted(text: str) -> str:
+    """One CSV field, quoted where csv.writer's minimal quoting would quote it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _get_system(args) -> catalog.CatalogEntry:
@@ -250,15 +242,15 @@ def _linear_doc(name: str, dec: linear.LinearDecomposition, branch: str, note: s
     return {
         "kind": "linear_decomposition",
         "system": name,
-        "matrix": _matrix_doc(dec.a),
+        "matrix": dec.a.rows(),
         "spectral_class": {"kind": spectral.kind, "values": list(spectral.values)},
         "gyration_branch": branch,
         "gyration_note": note,
-        "diffusion": _matrix_doc(dec.diffusion.matrix()),
+        "diffusion": dec.diffusion.matrix().rows(),
         "gyration": dec.gyration.q,
-        "friction": _matrix_doc(dec.friction),
+        "friction": dec.friction.rows(),
         "transverse": dec.transverse.q,
-        "potential_matrix": _matrix_doc(u),
+        "potential_matrix": u.rows(),
         "potential_coefficients": {
             "x1^2": 0.5 * u.a11,
             "x1*x2": 0.5 * (u.a12 + u.a21),
@@ -319,25 +311,22 @@ def cmd_decompose(args) -> int:
     if args.format == "json":
         _emit_json(doc, args.out)
     else:
-        _emit_csv(["key", "value"], _flatten_for_csv(doc), args.out)
+        keys, cells = zip(*_flatten_for_csv(doc))
+        _emit_csv(["key", "value"], [keys, cells], args.out)
     return 0
 
 
-def _power_at(entry: catalog.CatalogEntry, p: Point2):
-    rep = dissipation.report(
-        entry.system,
-        p,
-        s_matrix=entry.decomposition.friction if entry.decomposition is not None else None,
-    )
-    return rep
+def _s_matrix(entry: catalog.CatalogEntry) -> Matrix2 | None:
+    """The constructed friction matrix of a linear entry; None for pointwise friction."""
+    return entry.decomposition.friction if entry.decomposition is not None else None
 
 
 def cmd_simulate(args) -> int:
     entry = _get_system(args)
     x0 = _parse_point(args.x0, "--x0")
     dt, t_end = args.dt, args.t_end
-    if dt <= 0.0 or t_end < dt:
-        raise _UsageError(f"need dt > 0 and t_end >= dt, got dt={dt!r}, t_end={t_end!r}")
+    if not (dt > 0.0 and math.isfinite(t_end) and t_end >= dt):
+        raise _UsageError(f"need dt > 0 and a finite t_end >= dt, got dt={dt!r}, t_end={t_end!r}")
 
     if args.polar:
         if entry.name != catalog.HOPF:
@@ -345,130 +334,114 @@ def cmd_simulate(args) -> int:
         r0 = x0.norm()
         if r0 <= 0.0:
             raise _UsageError("--polar needs a nonzero initial state")
-        traj = dynamics.integrate_polar(r0, math.atan2(x0.x2, x0.x1), dt=dt, t_end=t_end)
-        rows = ((traj.t[i], traj.x[i, 0], traj.x[i, 1]) for i in range(len(traj)))
-        _emit_csv(["t", "r", "theta"], rows, args.out)
-        return 0
-
-    header = ["t", "x1", "x2", "phi", "phi_rate", "h_p", "div_f"]
-
-    def rows_of(traj: dynamics.Trajectory):
-        for i in range(len(traj)):
-            yield (
-                traj.t[i],
-                traj.x[i, 0],
-                traj.x[i, 1],
-                traj.phi[i] if traj.phi is not None else None,
-                traj.phi_rate[i] if traj.phi_rate is not None else None,
-                traj.h_p[i] if traj.h_p is not None else None,
-                traj.div_f[i],
-            )
-
     try:
-        traj = dynamics.integrate(entry.system, x0, dt=dt, t_end=t_end)
+        if args.polar:
+            traj = dynamics.integrate_polar(r0, math.atan2(x0.x2, x0.x1), dt=dt, t_end=t_end)
+        else:
+            traj = dynamics.integrate(entry.system, x0, dt=dt, t_end=t_end)
+        failure = None
     except NonFinite as exc:
-        partial = exc.trajectory
-        _emit_csv(header, rows_of(partial), args.out, trailer=f"# truncated: {exc}")
-        print(f"aodecomp: {exc}", file=sys.stderr)
-        return 3
-    _emit_csv(header, rows_of(traj), args.out)
-    return 0
+        traj, failure = exc.trajectory, str(exc)
+
+    columns = [traj.t, traj.x[:, 0], traj.x[:, 1]]
+    if args.polar:
+        header = ["t", "r", "theta"]
+    else:
+        header = ["t", "x1", "x2", "phi", "phi_rate", "h_p", "div_f"]
+        samples = (traj.phi, traj.phi_rate, traj.h_p, traj.div_f)
+        columns += [[""] * len(traj) if c is None else c for c in samples]
+    _emit_csv(header, columns, args.out, trailer=None if failure is None else f"# truncated: {failure}")
+    if failure is None:
+        return 0
+    print(f"aodecomp: {failure}", file=sys.stderr)
+    return 3
 
 
-def _report_doc(entry: catalog.CatalogEntry, points: list[Point2]) -> dict:
-    if entry.system.potential is None:
-        raise _UsageError(
-            f"system {entry.name!r} has no potential; dissipation power is unavailable"
+def _report_doc(
+    name: str, tol: float, x1: np.ndarray, x2: np.ndarray, rep: dissipation.ReportColumns
+) -> dict:
+    verdicts = dissipation.VERDICTS
+    docs = [
+        {
+            "at": [a, b],
+            "h_p": h_p,
+            "div_f": div_f,
+            "phi_rate": rate,
+            "identity_gap": gap,
+            "verdict_power": verdicts[power],
+            "verdict_divergence": verdicts[divergence],
+            "agree": agree,
+        }
+        for a, b, h_p, div_f, rate, gap, power, divergence, agree in zip(
+            x1.tolist(), x2.tolist(), rep.h_p.tolist(), rep.div_f.tolist(), rep.phi_rate.tolist(),
+            rep.identity_gap.tolist(), rep.verdict_power.tolist(), rep.verdict_divergence.tolist(),
+            rep.agree.tolist(),
         )
-    docs = []
-    disagreements = 0
-    for p in points:
-        rep = _power_at(entry, p)
-        if rep.agree is False:
-            disagreements += 1
-        docs.append(
-            {
-                "at": [p.x1, p.x2],
-                "h_p": rep.h_p,
-                "div_f": rep.div_f,
-                "phi_rate": rep.phi_rate,
-                "identity_gap": rep.identity_gap,
-                "verdict_power": rep.verdict_power,
-                "verdict_divergence": rep.verdict_divergence,
-                "agree": rep.agree,
-            }
-        )
+    ]
     return {
         "kind": "dissipation_report",
-        "system": entry.name,
-        "zero_tol": master_tol(),
+        "system": name,
+        "zero_tol": tol,
         "points": docs,
-        "summary": {"points": len(docs), "disagreements": disagreements},
+        "summary": {"points": len(docs), "disagreements": len(docs) - int(np.count_nonzero(rep.agree))},
     }
 
 
 def cmd_report(args) -> int:
     entry = _get_system(args)
-    points: list[Point2] = []
-    if args.at:
-        points.extend(_parse_point(text, "--at") for text in args.at)
+    points = [_parse_point(text, "--at") for text in args.at or ()]
+    x1 = np.array([p.x1 for p in points], dtype=float)
+    x2 = np.array([p.x2 for p in points], dtype=float)
     if args.grid is not None:
-        points.extend(_parse_grid(args.grid).points())
-    if not points:
+        grid_x1, grid_x2 = _parse_grid(args.grid)
+        x1, x2 = np.concatenate((x1, grid_x1)), np.concatenate((x2, grid_x2))
+    if len(x1) == 0:
         raise _UsageError("report needs at least one --at x1,x2 or a --grid")
-    doc = _report_doc(entry, points)
+    if entry.system.potential is None:
+        raise _UsageError(
+            f"system {entry.name!r} has no potential; dissipation power is unavailable"
+        )
+    tol = master_tol()
+    rep = dissipation.report_many(entry.system, x1, x2, s_matrix=_s_matrix(entry), zero_tol=tol)
     if args.format == "json":
-        _emit_json(doc, args.out)
+        _emit_json(_report_doc(entry.name, tol, x1, x2, rep), args.out)
         return 0
     header = [
         "x1", "x2", "h_p", "div_f", "phi_rate", "identity_gap",
         "verdict_power", "verdict_divergence", "agree",
     ]
-    rows = (
-        (
-            p["at"][0], p["at"][1], p["h_p"], p["div_f"], p["phi_rate"],
-            p["identity_gap"], p["verdict_power"], p["verdict_divergence"], p["agree"],
-        )
-        for p in doc["points"]
-    )
-    _emit_csv(header, rows, args.out)
+    columns = [
+        x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap,
+        _VERDICT_CELLS[rep.verdict_power], _VERDICT_CELLS[rep.verdict_divergence],
+        _BOOL_CELLS[rep.agree.view(np.int8)],
+    ]
+    _emit_csv(header, columns, args.out)
     return 0
 
 
 def cmd_grid(args) -> int:
     entry = _get_system(args)
-    request = _parse_grid(args.grid, args.quantity)
-    points = request.points()
-    quantity = request.quantity
+    x1, x2 = _parse_grid(args.grid)
+    quantity = args.quantity
+    system = entry.system
     needs_potential = quantity in ("potential", "dissipation_power", "phi_rate", "criteria_agreement")
-    if needs_potential and entry.system.potential is None:
+    if needs_potential and system.potential is None:
         raise _UsageError(f"quantity {quantity!r} needs a potential, which {entry.name!r} lacks")
 
     if quantity == "vector_field":
-        rows = []
-        for p in points:
-            v = entry.system.field.evaluate(p)
-            rows.append((p.x1, p.x2, v.x1, v.x2))
-        _emit_csv(["x1", "x2", "f1", "f2"], rows, args.out)
+        _emit_csv(["x1", "x2", "f1", "f2"], [x1, x2, *system.field.evaluate_many(x1, x2)], args.out)
         return 0
-
-    def value_at(p: Point2) -> float:
-        if quantity == "potential":
-            return entry.system.potential.evaluate(p)
-        if quantity == "divergence":
-            return dissipation.divergence(entry.system, p)
-        if quantity == "phi_rate":
-            return dissipation.phi_rate(entry.system, p)
-        rep = _power_at(entry, p)
-        if quantity == "dissipation_power":
-            return rep.h_p
-        return 1.0 if rep.agree else 0.0  # criteria_agreement
-
-    _emit_csv(
-        ["x1", "x2", "value"],
-        ((p.x1, p.x2, value_at(p)) for p in points),
-        args.out,
-    )
+    if quantity == "potential":
+        value = system.potential.evaluate_many(x1, x2)
+    elif quantity == "divergence":
+        value = system.field.divergence_many(x1, x2)
+    elif quantity == "phi_rate":
+        value = dissipation.phi_rate_many(system, x1, x2)
+    elif quantity == "dissipation_power":
+        value, _ = dissipation.power_many(system, x1, x2, _s_matrix(entry))
+    else:  # criteria_agreement
+        value = dissipation.report_many(system, x1, x2, s_matrix=_s_matrix(entry)).agree.astype(float)
+    _emit_csv(["x1", "x2", "value"], [x1, x2, value], args.out)
     return 0
 
 
@@ -486,12 +459,8 @@ def cmd_catalog(args) -> int:
     if args.format == "json":
         _emit_json({"kind": "catalog", "systems": systems}, args.out)
         return 0
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["name", "kind", "provenance"])
-    for s in systems:
-        writer.writerow([s["name"], s["kind"], s["provenance"]])
-    _write_output(buffer.getvalue(), args.out)
+    header = ["name", "kind", "provenance"]
+    _emit_csv(header, [[_csv_quoted(s[key]) for s in systems] for key in header], args.out)
     return 0
 
 

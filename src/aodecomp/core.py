@@ -3,6 +3,13 @@
 All types are immutable values and all operations are pure functions, so
 everything here can be shared freely between concurrent workers. Non-finite
 entries (NaN/Inf) are rejected at construction.
+
+A field's formulas are written once, as ``CoordFn`` closures over
+coordinates (x1, x2) that take Python floats or float64 arrays and are also
+callable on a Point2. The ``*_many`` methods evaluate N points at once and
+equal the loop over the points bit for bit, because the closures keep the
+scalar expression order. Fields given only as Point2 closures are lifted one
+row at a time.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import SingularMatrix
 from .tolerances import FD_STEP, SINGULAR_DET_TOL
@@ -95,7 +104,11 @@ class Matrix2:
         return math.sqrt(self.a11**2 + self.a12**2 + self.a21**2 + self.a22**2)
 
     def apply(self, p: Point2) -> Point2:
-        return Point2(self.a11 * p.x1 + self.a12 * p.x2, self.a21 * p.x1 + self.a22 * p.x2)
+        return Point2(*self.apply_coords(p.x1, p.x2))
+
+    def apply_coords(self, x1, x2):
+        """A x on coordinates (floats or float64 arrays)."""
+        return self.a11 * x1 + self.a12 * x2, self.a21 * x1 + self.a22 * x2
 
     def __add__(self, other: Matrix2) -> Matrix2:
         return Matrix2(
@@ -241,6 +254,41 @@ def central_jacobian(f: Callable[[Point2], Point2], x: Point2) -> Matrix2:
     )
 
 
+def check_finite(x1: np.ndarray, x2: np.ndarray) -> None:
+    """Raise the ValueError a Point2 of the first non-finite row would raise."""
+    bad = ~(np.isfinite(x1) & np.isfinite(x2))
+    if bad.any():
+        i = int(bad.argmax())
+        Point2(float(x1[i]), float(x2[i]))
+
+
+@dataclass(frozen=True)
+class CoordFn:
+    """A formula over coordinates (x1, x2) that takes floats or float64 arrays.
+
+    Called with a Point2 it returns a float, or a Point2 when ``vector`` is
+    set, so it serves as the Point2 closure of a field.
+    """
+
+    fn: Callable
+    vector: bool = False
+
+    def __call__(self, p: Point2):
+        value = self.fn(p.x1, p.x2)
+        return Point2(*value) if self.vector else float(value)
+
+
+def _many(fn: Callable | None, fallback: Callable, x1: np.ndarray, x2: np.ndarray, pair: bool):
+    """Evaluate a CoordFn on arrays, or lift the Point2 closure ``fallback`` row by row."""
+    if isinstance(fn, CoordFn):
+        with np.errstate(all="ignore"):  # overflow yields inf/nan silently, like Python floats
+            return fn.fn(x1, x2)
+    rows = [fallback(Point2(a, b)) for a, b in zip(x1.tolist(), x2.tolist())]
+    if pair:
+        return np.array([v.x1 for v in rows], dtype=float), np.array([v.x2 for v in rows], dtype=float)
+    return np.array(rows, dtype=float)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar function of the plane with analytic or finite-difference gradient."""
@@ -256,6 +304,16 @@ class ScalarField:
         if self.analytic_gradient is not None:
             return self.analytic_gradient(x)
         return central_gradient(self.evaluate, x)
+
+    def evaluate_many(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """Values at N points; like ``evaluate``, non-finite values pass unchecked."""
+        return _many(self.evaluate, self.evaluate, x1, x2, pair=False)
+
+    def gradient_many(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient components at N points; raises ValueError where not finite."""
+        g1, g2 = _many(self.analytic_gradient, self.gradient, x1, x2, pair=True)
+        check_finite(g1, g2)
+        return g1, g2
 
 
 @dataclass(frozen=True)
@@ -276,6 +334,16 @@ class VectorField:
             return self.analytic_jacobian(x)
         return central_jacobian(self.evaluate, x)
 
+    def evaluate_many(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Field components at N points; raises ValueError where not finite."""
+        f1, f2 = _many(self.evaluate, self.evaluate, x1, x2, pair=True)
+        check_finite(f1, f2)
+        return f1, f2
+
+    def divergence_many(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """Divergence at N points (finite differences where no closed form)."""
+        return _many(self.analytic_divergence, self.divergence, x1, x2, pair=False)
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -293,10 +361,12 @@ class SystemSpec:
 
     @classmethod
     def linear(cls, name: str, a: Matrix2, potential: ScalarField | None = None) -> SystemSpec:
+        trace = a.trace
         field = VectorField(
-            evaluate=a.apply,
-            analytic_divergence=lambda _x, _tr=a.trace: _tr,
-            analytic_jacobian=lambda _x, _a=a: _a,
+            evaluate=CoordFn(a.apply_coords, vector=True),
+            # np.full keeps the sign of a -0.0 trace, which trace + 0 * x1 would lose
+            analytic_divergence=CoordFn(lambda x1, _x2: np.full(np.shape(x1), trace)),
+            analytic_jacobian=lambda _x: a,
         )
         return cls(name=name, field=field, potential=potential, matrix=a)
 

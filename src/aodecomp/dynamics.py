@@ -1,10 +1,12 @@
 """Trajectory integration and trajectory-level checks.
 
 Fixed-step classical Runge-Kutta keeps runs bit-reproducible, which the
-command-line layer relies on for golden files. Along a trajectory the
-sampled columns carry the potential, its rate of change, the dissipation
-power and the divergence, so the dissipation criteria can be audited
-against time series as well as closed forms.
+command-line layer relies on for golden files. The stepper calls the field's
+coordinate closure on plain floats, one trajectory at a time. Along a
+trajectory the sampled columns carry the potential, its rate of change, the
+dissipation power and the divergence, so the dissipation criteria can be
+audited against time series as well as closed forms; they are computed on
+all states at once by the batched functions of ``dissipation``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, dissipation
-from .core import Point2, SystemSpec
+from .core import CoordFn, Point2, SystemSpec, check_finite
 from .errors import MissingPotential, NonFinite
-from .tolerances import BLOWUP_LIMIT, EQUILIBRIUM_TOL, master_tol
-from .field import friction_scalar
+from .tolerances import BLOWUP_LIMIT, master_tol
 
 DEFAULT_DT = 1e-3
 
@@ -75,17 +76,32 @@ def _rk4(
 
 
 def _steps(dt: float, t_end: float) -> int:
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    if t_end < dt:
+    if not t_end >= dt:
         raise ValueError(f"t_end must be at least dt, got t_end={t_end!r}, dt={dt!r}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt must be finite, got t_end={t_end!r}, dt={dt!r}")
     return int(round(t_end / dt))
 
 
-def _pointwise_power(sys: SystemSpec, p: Point2, f_val: Point2, grad: Point2) -> float:
-    if f_val.norm() <= EQUILIBRIUM_TOL * (1.0 + p.norm()):
-        return 0.0
-    return friction_scalar(f_val, grad) * f_val.dot(f_val)
+def _stepped(deriv, a: float, b: float, dt: float, n: int, label: str, build) -> Trajectory:
+    """``build(x1s, x2s)`` of n RK4 steps from (a, b).
+
+    Raises NonFinite with the partial trajectory once a coordinate overflows,
+    stops being finite or leaves [-1e12, 1e12].
+    """
+    x1s, x2s = [a], [b]
+    for i in range(1, n + 1):
+        try:
+            a, b = _rk4(deriv, a, b, dt)
+        except OverflowError:  # a float power out of range, e.g. r**3
+            a = math.inf
+        if not (math.isfinite(a) and math.isfinite(b)) or abs(a) > BLOWUP_LIMIT or abs(b) > BLOWUP_LIMIT:
+            raise NonFinite(f"state blew up at t={i * dt!r} integrating {label}", trajectory=build(x1s, x2s))
+        x1s.append(a)
+        x2s.append(b)
+    return build(x1s, x2s)
 
 
 def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float = 10.0) -> Trajectory:
@@ -96,59 +112,29 @@ def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float 
     partial trajectory) once any coordinate leaves [-1e12, 1e12].
     """
     n = _steps(dt, t_end)
-    f = sys.field.evaluate
 
-    def deriv(a: float, b: float) -> tuple[float, float]:
-        v = f(Point2(a, b))
-        return v.x1, v.x2
-
-    has_phi = sys.potential is not None
-    ts: list[float] = []
-    xs: list[tuple[float, float]] = []
-    phis: list[float] = []
-    rates: list[float] = []
-    powers: list[float] = []
-    divs: list[float] = []
-
-    def record(i: int, a: float, b: float) -> None:
-        p = Point2(a, b)
-        ts.append(i * dt)
-        xs.append((a, b))
-        divs.append(dissipation.divergence(sys, p))
-        if has_phi:
-            f_val = f(p)
-            grad = sys.potential.gradient(p)
-            phis.append(sys.potential.evaluate(p))
-            rates.append(grad.dot(f_val))
-            powers.append(_pointwise_power(sys, p, f_val, grad))
-
-    def build() -> Trajectory:
+    def sampled(x1s: list[float], x2s: list[float]) -> Trajectory:
+        x1, x2 = np.array(x1s, dtype=float), np.array(x2s, dtype=float)
+        phi = rate = h_p = None
+        if sys.potential is not None:
+            h_p, rate = dissipation.power_many(sys, x1, x2)
+            phi = sys.potential.evaluate_many(x1, x2)
         return Trajectory(
-            t=np.array(ts),
-            x=np.array(xs).reshape(len(ts), 2),
-            dt=dt,
-            method="rk4",
-            phi=np.array(phis) if has_phi else None,
-            phi_rate=np.array(rates) if has_phi else None,
-            h_p=np.array(powers) if has_phi else None,
-            div_f=np.array(divs),
+            t=np.arange(len(x1)) * dt, x=np.column_stack((x1, x2)), dt=dt, method="rk4",
+            phi=phi, phi_rate=rate, h_p=h_p, div_f=sys.field.divergence_many(x1, x2),
         )
 
-    x1, x2 = x0.x1, x0.x2
-    record(0, x1, x2)
-    for i in range(1, n + 1):
-        x1, x2 = _rk4(deriv, x1, x2, dt)
-        if not (math.isfinite(x1) and math.isfinite(x2)) or abs(x1) > BLOWUP_LIMIT or abs(x2) > BLOWUP_LIMIT:
-            raise NonFinite(
-                f"state blew up at t={i * dt!r} integrating {sys.name!r}",
-                trajectory=build(),
-            )
-        record(i, x1, x2)
-    return build()
+    f = sys.field.evaluate
+    deriv = f.fn if isinstance(f, CoordFn) else lambda a, b: f(Point2(a, b)).as_tuple()
+    return _stepped(deriv, x0.x1, x0.x2, dt, n, repr(sys.name), sampled)
 
 
 def integrate_polar(r0: float, theta0: float, dt: float = DEFAULT_DT, t_end: float = 10.0) -> Trajectory:
-    """Integrate the builtin oscillator in polar form: dr/dt = r - r^3, dtheta/dt = 1."""
+    """Integrate the builtin oscillator in polar form: dr/dt = r - r^3, dtheta/dt = 1.
+
+    Raises NonFinite (carrying the partial trajectory) once r overflows or
+    leaves [-1e12, 1e12].
+    """
     if r0 <= 0.0:
         raise ValueError(f"r0 must be positive, got {r0!r}")
     n = _steps(dt, t_end)
@@ -156,14 +142,10 @@ def integrate_polar(r0: float, theta0: float, dt: float = DEFAULT_DT, t_end: flo
     def deriv(r: float, theta: float) -> tuple[float, float]:
         return r - r**3, 1.0
 
-    ts = [0.0]
-    xs = [(r0, theta0)]
-    r, theta = r0, theta0
-    for i in range(1, n + 1):
-        r, theta = _rk4(deriv, r, theta, dt)
-        ts.append(i * dt)
-        xs.append((r, theta))
-    return Trajectory(t=np.array(ts), x=np.array(xs), dt=dt, method="rk4_polar")
+    def sampled(rs: list[float], thetas: list[float]) -> Trajectory:
+        return Trajectory(t=np.arange(len(rs)) * dt, x=np.column_stack((rs, thetas)), dt=dt, method="rk4_polar")
+
+    return _stepped(deriv, r0, theta0, dt, n, "the polar form", sampled)
 
 
 def check_monotonicity(traj: Trajectory) -> float:
@@ -219,15 +201,14 @@ def definition2_check(
 
     xs = np.linspace(xmin, xmax, samples_per_axis)
     ys = np.linspace(ymin, ymax, samples_per_axis)
-    violations: list[tuple[Point2, float]] = []
-    infimum = math.inf
-    for y in ys:
-        for x in xs:
-            p = Point2(float(x), float(y))
-            rate = sys.potential.gradient(p).dot(sys.field.evaluate(p))
-            if rate > tol:
-                violations.append((p, rate))
-            infimum = min(infimum, sys.potential.evaluate(p))
+    x1, x2 = np.tile(xs, samples_per_axis), np.repeat(ys, samples_per_axis)
+    check_finite(x1, x2)
+    rates = dissipation.phi_rate_many(sys, x1, x2)
+    violations = [
+        (Point2(x1[i].item(), x2[i].item()), rates[i].item()) for i in np.flatnonzero(rates > tol).tolist()
+    ]
+    # fmin skips NaN, as the running min(infimum, value) of a sample loop does
+    infimum = float(np.fmin.reduce(sys.potential.evaluate_many(x1, x2), initial=math.inf))
 
     radial_ok = True
     for radius in (10.0, 100.0, 1000.0):

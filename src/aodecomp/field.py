@@ -18,7 +18,10 @@ decomposition is marked singular instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Point2, SystemSpec
 from .errors import EquilibriumPoint, MissingPotential
@@ -47,10 +50,34 @@ def _check_not_equilibrium(f_val: Point2) -> None:
         )
 
 
+def _equilibrium(f_norm, x_norm):
+    """The equilibrium rule on norms: |f| <= EQUILIBRIUM_TOL * (1 + |x|)."""
+    return f_norm <= EQUILIBRIUM_TOL * (1.0 + x_norm)
+
+
+def equilibrium_mask(x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Rows that are equilibria, decided with math.hypot norms as the scalar path does.
+
+    np.hypot can differ from math.hypot by 1 ulp, so rows whose decision
+    flips within a 1e-12 relative change of |f| are decided again with math.hypot.
+    """
+    f_norm, x_norm = np.hypot(f1, f2), np.hypot(x1, x2)
+    mask = _equilibrium(f_norm, x_norm)
+    near = _equilibrium(f_norm * (1.0 - 1e-12), x_norm) != _equilibrium(f_norm * (1.0 + 1e-12), x_norm)
+    for i in np.flatnonzero(near).tolist():
+        mask[i] = _equilibrium(math.hypot(f1[i], f2[i]), math.hypot(x1[i], x2[i]))
+    return mask
+
+
+def friction_at(f1, f2, g1, g2):
+    """s = -(grad(phi) . f) / (f . f) on coordinates (floats or float64 arrays)."""
+    return -(g1 * f1 + g2 * f2) / (f1 * f1 + f2 * f2)
+
+
 def friction_scalar(f_val: Point2, grad_phi: Point2) -> float:
     """Friction coefficient s = -(grad(phi) . f) / (f . f)."""
     _check_not_equilibrium(f_val)
-    return -grad_phi.dot(f_val) / f_val.dot(f_val)
+    return friction_at(f_val.x1, f_val.x2, grad_phi.x1, grad_phi.x2)
 
 
 def transverse_scalar(f_val: Point2, grad_phi: Point2) -> float:
@@ -64,7 +91,7 @@ def point_decomposition(sys: SystemSpec, x: Point2) -> PointDecomposition:
     if sys.potential is None:
         raise MissingPotential(f"system {sys.name!r} has no potential")
     f_val = sys.field.evaluate(x)
-    if f_val.norm() <= EQUILIBRIUM_TOL * (1.0 + x.norm()):
+    if _equilibrium(f_val.norm(), x.norm()):
         raise EquilibriumPoint(f"{x.as_tuple()} is an equilibrium of {sys.name!r}")
     grad_phi = sys.potential.gradient(x)
     s = friction_scalar(f_val, grad_phi)

@@ -24,7 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, invert2, sym_antisym_split
+from .core import (
+    AntisymScalar, CoordFn, DiffusionParams, Matrix2, Point2, ScalarField, invert2, sym_antisym_split,
+)
 from .errors import AsymmetricU
 from .tolerances import POTENTIAL_SYMMETRY_TOL, SPECTRUM_TOL, TRACE_ZERO_TOL
 
@@ -196,10 +198,10 @@ def quadratic_potential(u: Matrix2) -> ScalarField:
     """
     off = 0.5 * (u.a12 + u.a21)
 
-    def evaluate(p: Point2) -> float:
-        return 0.5 * (u.a11 * p.x1 * p.x1 + u.a22 * p.x2 * p.x2) + off * p.x1 * p.x2
+    def value(x1, x2):
+        return 0.5 * (u.a11 * x1 * x1 + u.a22 * x2 * x2) + off * x1 * x2
 
-    return ScalarField(evaluate=evaluate, analytic_gradient=u.apply)
+    return ScalarField(evaluate=CoordFn(value), analytic_gradient=CoordFn(u.apply_coords, vector=True))
 
 
 def lyapunov_equation_residual(

@@ -8,6 +8,7 @@ explicitly to the functions that accept a ``zero_tol`` argument.
 
 from __future__ import annotations
 
+import math
 import os
 
 MASTER_TOL_ENV = "AODECOMP_TOL"
@@ -47,10 +48,18 @@ BLOWUP_LIMIT = 1e12
 
 
 def master_tol(override: float | None = None) -> float:
-    """Resolve the master tolerance: explicit override, env var, default."""
+    """Resolve the master tolerance: explicit override, env var, default.
+
+    Raises ValueError for a NaN, infinite or negative tolerance, which would
+    turn every zero verdict into a wrong one.
+    """
     if override is not None:
-        return float(override)
-    raw = os.environ.get(MASTER_TOL_ENV)
-    if raw:
-        return float(raw)
-    return DEFAULT_MASTER_TOL
+        tol, source = float(override), "zero_tol"
+    else:
+        raw = os.environ.get(MASTER_TOL_ENV)
+        if not raw:
+            return DEFAULT_MASTER_TOL
+        tol, source = float(raw), MASTER_TOL_ENV
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{source} must be a finite nonnegative tolerance, got {tol!r}")
+    return tol

@@ -341,3 +341,32 @@ def test_help_exits_zero(capsys):
 def test_unknown_arguments_exit_one(capsys):
     assert run(capsys, "simulate", "--system", "hopf_limit_cycle", "--x0", "1,0", "--format", "json")[0] == 1
     assert run(capsys)[0] == 1
+
+
+@pytest.mark.parametrize("flags", [("--t-end", "inf"), ("--dt", "nan"), ("--dt", "1e-300", "--t-end", "1e300")])
+def test_simulate_non_finite_time_exits_1(capsys, flags):
+    code, out, err = run(capsys, "simulate", "--system", "hopf_limit_cycle", "--x0", "0.5,0", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aodecomp:")
+
+
+def test_simulate_polar_blowup_exit_3_with_marker(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--system", "hopf_limit_cycle", "--x0", "1e6,0", "--t-end", "0.01", "--polar",
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "t,r,theta"
+    assert lines[1] == "0.0,1000000.0,0.0"
+    assert lines[-1].startswith("# truncated:")
+    assert err.startswith("aodecomp:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_master_tol_rejects_invalid_env_values(capsys, monkeypatch, value):
+    monkeypatch.setenv("AODECOMP_TOL", value)
+    code, out, err = run(capsys, "report", "--system", "hopf_limit_cycle", "--at", "1,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aodecomp: AODECOMP_TOL must be a finite nonnegative tolerance")

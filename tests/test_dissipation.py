@@ -192,3 +192,9 @@ def test_expanding_region_never_agrees(hopf):
     rep = report(hopf.system, Point2(0.5, 0.0))
     assert rep.verdict_divergence == EXPANDING
     assert rep.agree is False
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+def test_master_tol_rejects_invalid_overrides(hopf, value):
+    with pytest.raises(ValueError):
+        report(hopf.system, Point2(1.0, 0.0), zero_tol=value)

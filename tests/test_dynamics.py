@@ -201,3 +201,23 @@ def test_definition2_center_radial_probe_flags_unbounded_potential():
     assert rep.violations == []
     assert not rep.radial_growth_ok
     assert "drops below" in rep.note
+
+
+def test_integrate_polar_overflow_carries_partial_trajectory():
+    # r**3 overflows in the fourth RK4 stage of the first step
+    with pytest.raises(NonFinite) as excinfo:
+        integrate_polar(1e6, 0.0, dt=1e-3, t_end=0.01)
+    partial = excinfo.value.trajectory
+    assert len(partial) == 1
+    assert partial.x.tolist() == [[1e6, 0.0]]
+
+
+def test_integrate_polar_radius_over_limit_is_a_blowup():
+    with pytest.raises(NonFinite):
+        integrate_polar(2e12, 0.0, dt=1e-9, t_end=1e-9)
+
+
+@pytest.mark.parametrize("dt, t_end", [(float("nan"), 1.0), (1e-3, float("inf")), (1e-300, 1e300)])
+def test_integrate_rejects_non_finite_step_counts(hopf, dt, t_end):
+    with pytest.raises(ValueError):
+        integrate(hopf.system, Point2(0.1, 0.0), dt=dt, t_end=t_end)
