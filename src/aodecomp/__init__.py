@@ -9,7 +9,6 @@ trajectories.
 
 from .core import (
     AntisymScalar,
-    CoordFn,
     DiffusionParams,
     Matrix2,
     Point2,
@@ -61,7 +60,6 @@ __all__ = [
     "AodecompError",
     "AsymmetricU",
     "CatalogEntry",
-    "CoordFn",
     "Definition2Report",
     "DiffusionParams",
     "DissipationReport",

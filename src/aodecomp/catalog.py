@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import linear
-from .core import CoordFn, DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, VectorField
+from .core import DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, VectorField
 from .errors import UnknownSystem
 
 HOPF = "hopf_limit_cycle"
@@ -59,12 +59,12 @@ def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
     def div(x1, x2):
         return 2.0 * (1.0 - 2.0 * _r2(x1, x2))
 
-    def jac(p: Point2) -> Matrix2:
-        return Matrix2(
-            1.0 - 3.0 * p.x1 * p.x1 - p.x2 * p.x2,
-            -1.0 - 2.0 * p.x1 * p.x2,
-            1.0 - 2.0 * p.x1 * p.x2,
-            1.0 - p.x1 * p.x1 - 3.0 * p.x2 * p.x2,
+    def jac(x1, x2):
+        return (
+            1.0 - 3.0 * x1 * x1 - x2 * x2,
+            -1.0 - 2.0 * x1 * x2,
+            1.0 - 2.0 * x1 * x2,
+            1.0 - x1 * x1 - 3.0 * x2 * x2,
         )
 
     def phi(x1, x2):
@@ -77,10 +77,8 @@ def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
 
     system = SystemSpec.analytic(
         HOPF,
-        VectorField(
-            evaluate=CoordFn(field, vector=True), analytic_divergence=CoordFn(div), analytic_jacobian=jac
-        ),
-        potential=ScalarField(evaluate=CoordFn(phi), analytic_gradient=CoordFn(grad, vector=True)),
+        VectorField(field, divergence_fn=div, jacobian_fn=jac),
+        potential=ScalarField(phi, gradient_fn=grad),
     )
     expected = ExpectedForms(
         friction=lambda p: (1.0 - _r2(p.x1, p.x2)) ** 2 / (1.0 + (1.0 - _r2(p.x1, p.x2)) ** 2),
@@ -88,8 +86,8 @@ def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
         diffusion=lambda p: 1.0,
         gyration=lambda p: -1.0 / (1.0 - _r2(p.x1, p.x2)),
         potential=system.potential.evaluate,
-        potential_gradient=system.potential.analytic_gradient,
-        divergence=system.field.analytic_divergence,
+        potential_gradient=system.potential.gradient,
+        divergence=system.field.divergence,
         dissipation_power=lambda p: _r2(p.x1, p.x2) * (_r2(p.x1, p.x2) - 1.0) ** 2,
     )
     return system, expected

@@ -4,12 +4,12 @@ All types are immutable values and all operations are pure functions, so
 everything here can be shared freely between concurrent workers. Non-finite
 entries (NaN/Inf) are rejected at construction.
 
-A field's formulas are written once, as ``CoordFn`` closures over
-coordinates (x1, x2) that take Python floats or float64 arrays and are also
-callable on a Point2. The ``*_many`` methods evaluate N points at once and
-equal the loop over the points bit for bit, because the closures keep the
-scalar expression order. Fields given only as Point2 closures are lifted one
-row at a time.
+A field's formulas are written once, as plain closures over coordinates
+(x1, x2) that take Python floats or float64 arrays; a closure may return a
+constant. The Point2 methods (``evaluate``, ``gradient``, ``divergence``,
+``jacobian``) call them on floats, and the ``*_many`` methods call the same
+closures on arrays of N points. The two agree bit for bit, because numpy
+rounds each elementwise operation like Python floats do.
 """
 
 from __future__ import annotations
@@ -222,35 +222,33 @@ def invert2(m: Matrix2) -> Matrix2:
     return Matrix2(m.a22 * inv, -m.a12 * inv, -m.a21 * inv, m.a11 * inv)
 
 
-def central_gradient(f: Callable[[Point2], float], x: Point2) -> Point2:
-    """Central finite-difference gradient with step FD_STEP * (1 + |x_i|)."""
-    h1 = FD_STEP * (1.0 + abs(x.x1))
-    h2 = FD_STEP * (1.0 + abs(x.x2))
-    g1 = (f(Point2(x.x1 + h1, x.x2)) - f(Point2(x.x1 - h1, x.x2))) / (2.0 * h1)
-    g2 = (f(Point2(x.x1, x.x2 + h2)) - f(Point2(x.x1, x.x2 - h2))) / (2.0 * h2)
-    return Point2(g1, g2)
+def central_gradient(f: Callable, x1, x2):
+    """Central finite-difference gradient (d1 f, d2 f) of f(x1, x2), step FD_STEP * (1 + |x_i|)."""
+    h1 = FD_STEP * (1.0 + abs(x1))
+    h2 = FD_STEP * (1.0 + abs(x2))
+    g1 = (f(x1 + h1, x2) - f(x1 - h1, x2)) / (2.0 * h1)
+    g2 = (f(x1, x2 + h2) - f(x1, x2 - h2)) / (2.0 * h2)
+    return g1, g2
 
 
-def central_divergence(f: Callable[[Point2], Point2], x: Point2) -> float:
-    """Central finite-difference divergence of a planar vector field."""
-    h1 = FD_STEP * (1.0 + abs(x.x1))
-    h2 = FD_STEP * (1.0 + abs(x.x2))
-    d1 = (f(Point2(x.x1 + h1, x.x2)).x1 - f(Point2(x.x1 - h1, x.x2)).x1) / (2.0 * h1)
-    d2 = (f(Point2(x.x1, x.x2 + h2)).x2 - f(Point2(x.x1, x.x2 - h2)).x2) / (2.0 * h2)
+def central_divergence(f: Callable, x1, x2):
+    """Central finite-difference divergence of a planar field f(x1, x2) -> (f1, f2)."""
+    h1 = FD_STEP * (1.0 + abs(x1))
+    h2 = FD_STEP * (1.0 + abs(x2))
+    d1 = (f(x1 + h1, x2)[0] - f(x1 - h1, x2)[0]) / (2.0 * h1)
+    d2 = (f(x1, x2 + h2)[1] - f(x1, x2 - h2)[1]) / (2.0 * h2)
     return d1 + d2
 
 
-def central_jacobian(f: Callable[[Point2], Point2], x: Point2) -> Matrix2:
-    """Central finite-difference Jacobian of a planar vector field."""
-    h1 = FD_STEP * (1.0 + abs(x.x1))
-    h2 = FD_STEP * (1.0 + abs(x.x2))
-    fp1 = f(Point2(x.x1 + h1, x.x2))
-    fm1 = f(Point2(x.x1 - h1, x.x2))
-    fp2 = f(Point2(x.x1, x.x2 + h2))
-    fm2 = f(Point2(x.x1, x.x2 - h2))
-    return Matrix2(
-        (fp1.x1 - fm1.x1) / (2.0 * h1), (fp2.x1 - fm2.x1) / (2.0 * h2),
-        (fp1.x2 - fm1.x2) / (2.0 * h1), (fp2.x2 - fm2.x2) / (2.0 * h2),
+def central_jacobian(f: Callable, x1, x2):
+    """Central finite-difference Jacobian of f(x1, x2) -> (f1, f2), row-major (j11, j12, j21, j22)."""
+    h1 = FD_STEP * (1.0 + abs(x1))
+    h2 = FD_STEP * (1.0 + abs(x2))
+    fp1, fm1 = f(x1 + h1, x2), f(x1 - h1, x2)
+    fp2, fm2 = f(x1, x2 + h2), f(x1, x2 - h2)
+    return (
+        (fp1[0] - fm1[0]) / (2.0 * h1), (fp2[0] - fm2[0]) / (2.0 * h2),
+        (fp1[1] - fm1[1]) / (2.0 * h1), (fp2[1] - fm2[1]) / (2.0 * h2),
     )
 
 
@@ -262,87 +260,92 @@ def check_finite(x1: np.ndarray, x2: np.ndarray) -> None:
         Point2(float(x1[i]), float(x2[i]))
 
 
-@dataclass(frozen=True)
-class CoordFn:
-    """A formula over coordinates (x1, x2) that takes floats or float64 arrays.
+def _many(fn: Callable, x1: np.ndarray, x2: np.ndarray, pair: bool = False):
+    """A coordinate closure on arrays, as float64 columns shaped like x1.
 
-    Called with a Point2 it returns a float, or a Point2 when ``vector`` is
-    set, so it serves as the Point2 closure of a field.
+    A constant return is broadcast, which keeps the sign of a -0.0.
     """
-
-    fn: Callable
-    vector: bool = False
-
-    def __call__(self, p: Point2):
-        value = self.fn(p.x1, p.x2)
-        return Point2(*value) if self.vector else float(value)
-
-
-def _many(fn: Callable | None, fallback: Callable, x1: np.ndarray, x2: np.ndarray, pair: bool):
-    """Evaluate a CoordFn on arrays, or lift the Point2 closure ``fallback`` row by row."""
-    if isinstance(fn, CoordFn):
-        with np.errstate(all="ignore"):  # overflow yields inf/nan silently, like Python floats
-            return fn.fn(x1, x2)
-    rows = [fallback(Point2(a, b)) for a, b in zip(x1.tolist(), x2.tolist())]
+    with np.errstate(all="ignore"):  # overflow yields inf/nan silently, like Python floats
+        value = fn(x1, x2)
     if pair:
-        return np.array([v.x1 for v in rows], dtype=float), np.array([v.x2 for v in rows], dtype=float)
-    return np.array(rows, dtype=float)
+        return tuple(np.broadcast_to(np.asarray(v, dtype=float), np.shape(x1)) for v in value)
+    return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x1))
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function of the plane with analytic or finite-difference gradient."""
+    """Scalar function of the plane with analytic or finite-difference gradient.
 
-    evaluate: Callable[[Point2], float]
-    analytic_gradient: Callable[[Point2], Point2] | None = None
+    ``fn(x1, x2)`` returns the value and ``gradient_fn(x1, x2)`` the pair
+    (d1 phi, d2 phi).
+    """
+
+    fn: Callable
+    gradient_fn: Callable | None = None
 
     @property
     def has_analytic_gradient(self) -> bool:
-        return self.analytic_gradient is not None
+        return self.gradient_fn is not None
+
+    def _gradient(self, x1, x2):
+        if self.gradient_fn is not None:
+            return self.gradient_fn(x1, x2)
+        return central_gradient(self.fn, x1, x2)
+
+    def evaluate(self, x: Point2) -> float:
+        return float(self.fn(x.x1, x.x2))
 
     def gradient(self, x: Point2) -> Point2:
-        if self.analytic_gradient is not None:
-            return self.analytic_gradient(x)
-        return central_gradient(self.evaluate, x)
+        return Point2(*self._gradient(x.x1, x.x2))
 
     def evaluate_many(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Values at N points; like ``evaluate``, non-finite values pass unchecked."""
-        return _many(self.evaluate, self.evaluate, x1, x2, pair=False)
+        return _many(self.fn, x1, x2)
 
     def gradient_many(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient components at N points; raises ValueError where not finite."""
-        g1, g2 = _many(self.analytic_gradient, self.gradient, x1, x2, pair=True)
+        g1, g2 = _many(self._gradient, x1, x2, pair=True)
         check_finite(g1, g2)
         return g1, g2
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Planar vector field with optional analytic divergence and Jacobian."""
+    """Planar vector field with optional analytic divergence and Jacobian.
 
-    evaluate: Callable[[Point2], Point2]
-    analytic_divergence: Callable[[Point2], float] | None = None
-    analytic_jacobian: Callable[[Point2], Matrix2] | None = None
+    ``fn(x1, x2)`` returns the pair (f1, f2), ``divergence_fn(x1, x2)`` the
+    divergence and ``jacobian_fn(x1, x2)`` the row-major (j11, j12, j21, j22).
+    """
+
+    fn: Callable
+    divergence_fn: Callable | None = None
+    jacobian_fn: Callable | None = None
+
+    def _divergence(self, x1, x2):
+        if self.divergence_fn is not None:
+            return self.divergence_fn(x1, x2)
+        return central_divergence(self.fn, x1, x2)
+
+    def evaluate(self, x: Point2) -> Point2:
+        return Point2(*self.fn(x.x1, x.x2))
 
     def divergence(self, x: Point2) -> float:
-        if self.analytic_divergence is not None:
-            return self.analytic_divergence(x)
-        return central_divergence(self.evaluate, x)
+        return float(self._divergence(x.x1, x.x2))
 
     def jacobian(self, x: Point2) -> Matrix2:
-        if self.analytic_jacobian is not None:
-            return self.analytic_jacobian(x)
-        return central_jacobian(self.evaluate, x)
+        if self.jacobian_fn is not None:
+            return Matrix2(*self.jacobian_fn(x.x1, x.x2))
+        return Matrix2(*central_jacobian(self.fn, x.x1, x.x2))
 
     def evaluate_many(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Field components at N points; raises ValueError where not finite."""
-        f1, f2 = _many(self.evaluate, self.evaluate, x1, x2, pair=True)
+        f1, f2 = _many(self.fn, x1, x2, pair=True)
         check_finite(f1, f2)
         return f1, f2
 
     def divergence_many(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Divergence at N points (finite differences where no closed form)."""
-        return _many(self.analytic_divergence, self.divergence, x1, x2, pair=False)
+        return _many(self._divergence, x1, x2)
 
 
 @dataclass(frozen=True)
@@ -363,10 +366,9 @@ class SystemSpec:
     def linear(cls, name: str, a: Matrix2, potential: ScalarField | None = None) -> SystemSpec:
         trace = a.trace
         field = VectorField(
-            evaluate=CoordFn(a.apply_coords, vector=True),
-            # np.full keeps the sign of a -0.0 trace, which trace + 0 * x1 would lose
-            analytic_divergence=CoordFn(lambda x1, _x2: np.full(np.shape(x1), trace)),
-            analytic_jacobian=lambda _x: a,
+            a.apply_coords,
+            divergence_fn=lambda _x1, _x2: trace,
+            jacobian_fn=lambda _x1, _x2: (a.a11, a.a12, a.a21, a.a22),
         )
         return cls(name=name, field=field, potential=potential, matrix=a)
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, dissipation
-from .core import CoordFn, Point2, SystemSpec, check_finite
+from .core import Point2, SystemSpec, check_finite
 from .errors import MissingPotential, NonFinite
 from .tolerances import BLOWUP_LIMIT, master_tol
 
@@ -124,9 +124,7 @@ def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float 
             phi=phi, phi_rate=rate, h_p=h_p, div_f=sys.field.divergence_many(x1, x2),
         )
 
-    f = sys.field.evaluate
-    deriv = f.fn if isinstance(f, CoordFn) else lambda a, b: f(Point2(a, b)).as_tuple()
-    return _stepped(deriv, x0.x1, x0.x2, dt, n, repr(sys.name), sampled)
+    return _stepped(sys.field.fn, x0.x1, x0.x2, dt, n, repr(sys.name), sampled)
 
 
 def integrate_polar(r0: float, theta0: float, dt: float = DEFAULT_DT, t_end: float = 10.0) -> Trajectory:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    AntisymScalar, CoordFn, DiffusionParams, Matrix2, Point2, ScalarField, invert2, sym_antisym_split,
+    AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, invert2, sym_antisym_split,
 )
 from .errors import AsymmetricU
 from .tolerances import POTENTIAL_SYMMETRY_TOL, SPECTRUM_TOL, TRACE_ZERO_TOL
@@ -201,7 +201,7 @@ def quadratic_potential(u: Matrix2) -> ScalarField:
     def value(x1, x2):
         return 0.5 * (u.a11 * x1 * x1 + u.a22 * x2 * x2) + off * x1 * x2
 
-    return ScalarField(evaluate=CoordFn(value), analytic_gradient=CoordFn(u.apply_coords, vector=True))
+    return ScalarField(value, gradient_fn=u.apply_coords)
 
 
 def lyapunov_equation_residual(

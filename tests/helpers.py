@@ -31,22 +31,20 @@ def random_point(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.0) ->
 
 def reversed_system(sys: SystemSpec) -> SystemSpec:
     """Time-reversed copy (negated field), used as a sanity inversion."""
-    f = sys.field.evaluate
-    return SystemSpec.analytic(
-        f"{sys.name}_reversed",
-        VectorField(evaluate=lambda p: -f(p)),
-        potential=sys.potential,
-    )
+    f = sys.field.fn
+
+    def negated(x1, x2):
+        f1, f2 = f(x1, x2)
+        return -f1, -f2
+
+    return SystemSpec.analytic(f"{sys.name}_reversed", VectorField(negated), potential=sys.potential)
 
 
 def gradient_flow_system() -> SystemSpec:
     """Pure gradient descent on phi = ||x||^2 / 2; identity decomposition."""
-    phi = ScalarField(
-        evaluate=lambda p: 0.5 * (p.x1 * p.x1 + p.x2 * p.x2),
-        analytic_gradient=lambda p: p,
-    )
+    phi = ScalarField(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), gradient_fn=lambda x1, x2: (x1, x2))
     return SystemSpec.analytic(
         "gradient_flow",
-        VectorField(evaluate=lambda p: -p, analytic_divergence=lambda p: -2.0),
+        VectorField(lambda x1, x2: (-x1, -x2), divergence_fn=lambda x1, x2: -2.0),
         potential=phi,
     )

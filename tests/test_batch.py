@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aodecomp import Matrix2, NonFinite, Point2, SystemSpec, get, integrate, list_systems
+from aodecomp import Matrix2, NonFinite, Point2, ScalarField, SystemSpec, get, integrate, list_systems
 from aodecomp.dissipation import VERDICTS, phi_rate_many, power_many, report_many
 from aodecomp.field import equilibrium_mask, friction_scalar
 from aodecomp.tolerances import EQUILIBRIUM_TOL, master_tol
@@ -27,7 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _systems() -> dict[str, tuple[SystemSpec, Matrix2 | None]]:
-    """Every catalog system, plus the Point2-only test fields (lifted row by row)."""
+    """Every catalog system, plus test fields whose divergence or gradient is a finite difference."""
     systems = {}
     for name in list_systems():
         entry = get(name)
@@ -36,6 +36,8 @@ def _systems() -> dict[str, tuple[SystemSpec, Matrix2 | None]]:
     hopf = get("hopf_limit_cycle").system
     systems["reversed_hopf"] = (reversed_system(hopf), None)
     systems["gradient_flow"] = (gradient_flow_system(), None)
+    fd_potential = ScalarField(hopf.potential.fn)
+    systems["hopf_fd_gradient"] = (SystemSpec.analytic("hopf_fd_gradient", hopf.field, fd_potential), None)
     return systems
 
 

@@ -107,23 +107,23 @@ def test_nonfinite_rejected(bad):
 
 def test_central_gradient_matches_analytic():
     phi = ScalarField(
-        evaluate=lambda p: math.sin(p.x1) * math.cos(p.x2) + p.x1 * p.x2**2,
-        analytic_gradient=lambda p: Point2(
-            math.cos(p.x1) * math.cos(p.x2) + p.x2**2,
-            -math.sin(p.x1) * math.sin(p.x2) + 2.0 * p.x1 * p.x2,
+        lambda x1, x2: math.sin(x1) * math.cos(x2) + x1 * x2**2,
+        gradient_fn=lambda x1, x2: (
+            math.cos(x1) * math.cos(x2) + x2**2,
+            -math.sin(x1) * math.sin(x2) + 2.0 * x1 * x2,
         ),
     )
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = Point2(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-        exact = phi.analytic_gradient(x)
-        approx = central_gradient(phi.evaluate, x)
+        exact = phi.gradient(x)
+        approx = Point2(*central_gradient(phi.fn, x.x1, x.x2))
         assert (approx - exact).norm() <= 1e-5 * (1.0 + exact.norm())
 
 
 def test_scalar_field_fallback_flag():
-    with_grad = ScalarField(evaluate=lambda p: p.x1, analytic_gradient=lambda p: Point2(1.0, 0.0))
-    without = ScalarField(evaluate=lambda p: p.x1)
+    with_grad = ScalarField(lambda x1, x2: x1, gradient_fn=lambda x1, x2: (1.0, 0.0))
+    without = ScalarField(lambda x1, x2: x1)
     assert with_grad.has_analytic_gradient
     assert not without.has_analytic_gradient
     g = without.gradient(Point2(0.3, -0.7))
@@ -131,13 +131,13 @@ def test_scalar_field_fallback_flag():
 
 
 def test_vector_field_divergence_fallback():
-    field = VectorField(evaluate=lambda p: Point2(p.x1**2, -3.0 * p.x2))
+    field = VectorField(lambda x1, x2: (x1**2, -3.0 * x2))
     x = Point2(0.8, -1.1)
     assert abs(field.divergence(x) - (2.0 * x.x1 - 3.0)) <= 1e-6
 
 
 def test_vector_field_jacobian_fallback():
-    field = VectorField(evaluate=lambda p: Point2(p.x1 * p.x2, p.x1 - p.x2))
+    field = VectorField(lambda x1, x2: (x1 * x2, x1 - x2))
     x = Point2(0.4, 1.5)
     jac = field.jacobian(x)
     expected = Matrix2(x.x2, x.x1, 1.0, -1.0)

@@ -90,7 +90,7 @@ def test_divergence_of_linear_is_exact_trace(saddle):
 
 
 def test_divergence_finite_difference_fallback(hopf):
-    bare = VectorField(evaluate=hopf.system.field.evaluate)
+    bare = VectorField(hopf.system.field.fn)
     sys = SystemSpec.analytic("hopf_no_analytic", bare)
     rng = np.random.default_rng(79)
     for _ in range(20):
@@ -105,7 +105,7 @@ def test_phi_rate_fixtures(hopf, saddle):
 
 
 def test_phi_rate_requires_potential():
-    bare = SystemSpec.analytic("bare", VectorField(evaluate=lambda p: Point2(1.0, 0.0)))
+    bare = SystemSpec.analytic("bare", VectorField(lambda x1, x2: (1.0, 0.0)))
     with pytest.raises(MissingPotential):
         phi_rate(bare, Point2(0.0, 0.0))
 
@@ -141,7 +141,7 @@ def test_report_center_grid_agrees():
 
 def test_report_divergence_only_without_potential():
     bare = SystemSpec.analytic(
-        "bare", VectorField(evaluate=lambda p: Point2(-p.x1, -p.x2), analytic_divergence=lambda p: -2.0)
+        "bare", VectorField(lambda x1, x2: (-x1, -x2), divergence_fn=lambda x1, x2: -2.0)
     )
     rep = report(bare, Point2(1.0, 1.0))
     assert rep.h_p is None and rep.phi_rate is None and rep.agree is None
