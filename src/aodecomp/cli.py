@@ -19,15 +19,7 @@ import numpy as np
 
 from . import catalog, dissipation, dynamics, field, linear
 from .core import DiffusionParams, Matrix2, Point2, SystemSpec, check_finite
-from .errors import (
-    AodecompError,
-    AsymmetricU,
-    EquilibriumPoint,
-    MissingPotential,
-    NonFinite,
-    SingularMatrix,
-    UnknownSystem,
-)
+from .errors import AodecompError, NonFinite
 from .tolerances import LYAPUNOV_RESIDUAL_TOL, master_tol
 
 # Flags whose value is a comma list that may begin with a negative number;
@@ -68,27 +60,15 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 
 def _parse_matrix(text: str) -> Matrix2:
-    a11, a12, a21, a22 = _parse_floats(text, 4, "--matrix")
-    try:
-        return Matrix2(a11, a12, a21, a22)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return Matrix2(*_parse_floats(text, 4, "--matrix"))
 
 
 def _parse_point(text: str, what: str) -> Point2:
-    x1, x2 = _parse_floats(text, 2, what)
-    try:
-        return Point2(x1, x2)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return Point2(*_parse_floats(text, 2, what))
 
 
 def _parse_diffusion(text: str) -> DiffusionParams:
-    d11, d12, d22 = _parse_floats(text, 3, "--d")
-    try:
-        return DiffusionParams(d11, d12, d22)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return DiffusionParams(*_parse_floats(text, 3, "--d"))
 
 
 def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -199,18 +179,8 @@ def _csv_quoted(text: str) -> str:
     return text
 
 
-def _get_system(args) -> catalog.CatalogEntry:
-    try:
-        return catalog.get(args.system)
-    except UnknownSystem as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _pointwise_doc(system: SystemSpec, at: Point2, name: str) -> dict:
-    try:
-        pd = field.point_decomposition(system, at)
-    except (MissingPotential, EquilibriumPoint) as exc:
-        raise _UsageError(str(exc)) from None
+    pd = field.point_decomposition(system, at)
     s, t = pd.friction, pd.transverse
     fv, gv = pd.drift, pd.potential_gradient
     frame_residual = max(
@@ -271,7 +241,7 @@ def cmd_decompose(args) -> int:
         raise _UsageError("decompose needs --system NAME or --matrix a11,a12,a21,a22")
 
     if args.system is not None:
-        entry = _get_system(args)
+        entry = catalog.get(args.system)
         if args.at is not None:
             doc = _pointwise_doc(entry.system, _parse_point(args.at, "--at"), entry.name)
         elif entry.decomposition is not None:
@@ -299,10 +269,7 @@ def cmd_decompose(args) -> int:
                     f"--q {args.q} violates the gyration constraint "
                     f"(residual {residual!r}); the {sol.branch} solution is {sol.q!r}"
                 )
-        try:
-            dec = linear.assemble_decomposition(a, d, q)
-        except (SingularMatrix, AsymmetricU) as exc:
-            raise _UsageError(str(exc)) from None
+        dec = linear.assemble_decomposition(a, d, q)
         doc = _linear_doc("custom", dec, sol.branch, sol.note)
         if args.at is not None:
             system = SystemSpec.linear("custom", a, potential=dec.potential())
@@ -322,7 +289,7 @@ def _s_matrix(entry: catalog.CatalogEntry) -> Matrix2 | None:
 
 
 def cmd_simulate(args) -> int:
-    entry = _get_system(args)
+    entry = catalog.get(args.system)
     x0 = _parse_point(args.x0, "--x0")
     dt, t_end = args.dt, args.t_end
     if not (dt > 0.0 and math.isfinite(t_end) and t_end >= dt):
@@ -388,7 +355,7 @@ def _report_doc(
 
 
 def cmd_report(args) -> int:
-    entry = _get_system(args)
+    entry = catalog.get(args.system)
     points = [_parse_point(text, "--at") for text in args.at or ()]
     x1 = np.array([p.x1 for p in points], dtype=float)
     x2 = np.array([p.x2 for p in points], dtype=float)
@@ -420,7 +387,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    entry = _get_system(args)
+    entry = catalog.get(args.system)
     x1, x2 = _parse_grid(args.grid)
     quantity = args.quantity
     system = entry.system
@@ -525,16 +492,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"aodecomp: {exc}", file=sys.stderr)
-        return 1
     except _InconsistentRequest as exc:
         print(f"aodecomp: {exc}", file=sys.stderr)
         return 2
-    except AodecompError as exc:
-        print(f"aodecomp: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, AodecompError, ValueError, OverflowError) as exc:
         print(f"aodecomp: {exc}", file=sys.stderr)
         return 1
 

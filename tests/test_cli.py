@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aodecomp.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -370,3 +375,14 @@ def test_master_tol_rejects_invalid_env_values(capsys, monkeypatch, value):
     assert code == 1
     assert out == ""
     assert err.startswith("aodecomp: AODECOMP_TOL must be a finite nonnegative tolerance")
+
+
+def test_overflowing_matrix_exits_1_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "aodecomp.cli", "decompose", "--matrix", "1e200,0,0,1e200"],
+        capture_output=True, text=True, env={"PYTHONPATH": str(SRC)}, timeout=60, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("aodecomp:")
+    assert "Traceback" not in proc.stderr
