@@ -123,7 +123,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    _write_output(json.dumps(doc, indent=2) + "\n", out)
+    # NaN and Infinity are not JSON: dumps raises ValueError, which exits 1
+    _write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", out)
 
 
 def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | None = None) -> None:
