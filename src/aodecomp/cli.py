@@ -164,12 +164,14 @@ def _flatten_for_csv(doc: dict, prefix: str = "") -> list[tuple[str, str]]:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             rows.extend(_flatten_for_csv(value, prefix=f"{name}."))
-        elif isinstance(value, list):
+            continue
+        if isinstance(value, list):
             # a list holds scalars, or rows of scalars for a matrix
             flat = [v for item in value for v in (item if isinstance(item, list) else [item])]
-            rows.append((name, ";".join(map(_doc_cell, flat))))
+            cell = ";".join(map(_doc_cell, flat))
         else:
-            rows.append((name, _doc_cell(value)))
+            cell = _doc_cell(value)
+        rows.append((name, _csv_quoted(cell)))
     return rows
 
 
