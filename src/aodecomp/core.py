@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularMatrix
-from .tolerances import FD_STEP, SINGULAR_DET_TOL
+from .tolerances import FD_STEP, PSD_SLACK, SINGULAR_DET_TOL
 
 
 def _require_finite(type_name: str, *values: float) -> None:
@@ -158,7 +158,9 @@ class DiffusionParams:
     """Symmetric positive-semidefinite diffusion matrix [[d11,d12],[d12,d22]].
 
     Construction rejects any triple violating d11 >= 0, d22 >= 0 or
-    d11*d22 - d12^2 >= 0; a violation is an invalid value, not a warning.
+    d11*d22 - d12^2 >= -PSD_SLACK * (1 + max|entry|)^2, the slack that
+    absorbs the round-off of an exactly rank-1 matrix; a violation is an
+    invalid value, not a warning.
     """
 
     d11: float
@@ -171,11 +173,9 @@ class DiffusionParams:
             raise ValueError(
                 f"diffusion diagonal must be nonnegative, got d11={self.d11!r}, d22={self.d22!r}"
             )
-        if self.d11 * self.d22 - self.d12**2 < 0.0:
-            raise ValueError(
-                f"diffusion must be positive semidefinite: d11*d22 - d12^2 = "
-                f"{self.d11 * self.d22 - self.d12**2!r} < 0"
-            )
+        scale = 1.0 + self.max_abs()
+        if self.det < -PSD_SLACK * scale * scale:
+            raise ValueError(f"diffusion must be positive semidefinite: d11*d22 - d12^2 = {self.det!r} < 0")
 
     @classmethod
     def identity(cls) -> DiffusionParams:

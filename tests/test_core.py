@@ -86,6 +86,13 @@ def test_diffusion_accepts_boundary():
     DiffusionParams(2.0, -1.0, 1.0)
 
 
+def test_diffusion_accepts_rank_one_outer_products():
+    # d11*d22 - d12^2 of outer(v, v) rounds below zero for about 28% of these draws
+    v = np.random.default_rng(20261018).standard_normal((10000, 2))
+    for a, b in v.tolist():
+        DiffusionParams(a * a, a * b, b * b)
+
+
 @pytest.mark.parametrize(
     "triple",
     [(-1.0, 0.0, 1.0), (1.0, 0.0, -1.0), (1.0, 2.0, 1.0), (0.0, 0.1, 0.0), (-1e-300, 0.0, 1.0)],
