@@ -386,12 +386,3 @@ def test_overflowing_matrix_exits_1_without_traceback():
     assert proc.stdout == ""
     assert proc.stderr.startswith("aodecomp:")
     assert "Traceback" not in proc.stderr
-
-
-def test_report_json_with_non_finite_values_exits_1(capsys):
-    code, out, err = run(
-        capsys, "report", "--system", "stable_node", "--grid", "-1e200,1e200,-1e200,1e200,7,5", "--format", "json"
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("aodecomp: Out of range float values are not JSON compliant")
