@@ -75,7 +75,7 @@ def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
         u = 1.0 - _r2(x1, x2)
         return -x1 * u, -x2 * u
 
-    system = SystemSpec.analytic(
+    system = SystemSpec(
         HOPF,
         VectorField(field, divergence_fn=div, jacobian_fn=jac),
         potential=ScalarField(phi, gradient_fn=grad),
@@ -101,7 +101,7 @@ def _linear_entry(
     provenance: str,
 ) -> CatalogEntry:
     dec = linear.assemble_decomposition(a, d, q)
-    system = SystemSpec.linear(name, a, potential=dec.potential())
+    system = SystemSpec.linear(name, a, potential=dec.potential(), friction=dec.friction)
     return CatalogEntry(name=name, system=system, provenance=provenance, decomposition=dec)
 
 

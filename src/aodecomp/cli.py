@@ -275,7 +275,7 @@ def cmd_decompose(args) -> int:
         dec = linear.assemble_decomposition(a, d, q)
         doc = _linear_doc("custom", dec, sol.branch, sol.note)
         if args.at is not None:
-            system = SystemSpec.linear("custom", a, potential=dec.potential())
+            system = SystemSpec.linear("custom", a, potential=dec.potential(), friction=dec.friction)
             doc = _pointwise_doc(system, _parse_point(args.at, "--at"), "custom")
 
     if args.format == "json":
@@ -284,11 +284,6 @@ def cmd_decompose(args) -> int:
         keys, cells = zip(*_flatten_for_csv(doc))
         _emit_csv(["key", "value"], [keys, cells], args.out)
     return 0
-
-
-def _s_matrix(entry: catalog.CatalogEntry) -> Matrix2 | None:
-    """The constructed friction matrix of a linear entry; None for pointwise friction."""
-    return entry.decomposition.friction if entry.decomposition is not None else None
 
 
 def cmd_simulate(args) -> int:
@@ -372,7 +367,7 @@ def cmd_report(args) -> int:
             f"system {entry.name!r} has no potential; dissipation power is unavailable"
         )
     tol = master_tol()
-    rep = dissipation.report_many(entry.system, x1, x2, s_matrix=_s_matrix(entry), zero_tol=tol)
+    rep = dissipation.report_many(entry.system, x1, x2, zero_tol=tol)
     if args.format == "json":
         _emit_json(_report_doc(entry.name, tol, x1, x2, rep), args.out)
         return 0
@@ -408,9 +403,9 @@ def cmd_grid(args) -> int:
     elif quantity == "phi_rate":
         value = dissipation.phi_rate_many(system, x1, x2)
     elif quantity == "dissipation_power":
-        value, _ = dissipation.power_many(system, x1, x2, _s_matrix(entry))
+        value, _ = dissipation.power_many(system, x1, x2)
     else:  # criteria_agreement
-        value = dissipation.report_many(system, x1, x2, s_matrix=_s_matrix(entry)).agree.astype(float)
+        value = dissipation.report_many(system, x1, x2).agree.astype(float)
     _emit_csv(["x1", "x2", "value"], [x1, x2, value], args.out)
     return 0
 
@@ -422,7 +417,7 @@ def cmd_catalog(args) -> int:
         systems.append(
             {
                 "name": name,
-                "kind": "linear" if entry.system.is_linear else "analytic",
+                "kind": "linear" if entry.decomposition is not None else "analytic",
                 "provenance": entry.provenance,
             }
         )

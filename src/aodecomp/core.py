@@ -350,32 +350,30 @@ class VectorField:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A named planar system: its field, and optionally a potential and drift matrix.
+    """A named planar system: its field, and optionally a potential and friction matrix.
 
-    ``matrix`` is set for linear systems x' = A x and None otherwise. Systems
-    without a potential support only divergence and trajectory operations;
+    ``friction`` is the symmetric matrix S of the system's decomposition
+    (S + T) f = -grad(phi), set for linear systems built from a constructed
+    decomposition. A system with it computes the dissipation power from S,
+    one without it from the pointwise friction scalar. Systems without a
+    potential support only divergence and trajectory operations;
     decomposition operations reject them.
     """
 
     name: str
     field: VectorField
     potential: ScalarField | None = None
-    matrix: Matrix2 | None = None
+    friction: Matrix2 | None = None
 
     @classmethod
-    def linear(cls, name: str, a: Matrix2, potential: ScalarField | None = None) -> SystemSpec:
+    def linear(
+        cls, name: str, a: Matrix2, potential: ScalarField | None = None, friction: Matrix2 | None = None
+    ) -> SystemSpec:
+        """The linear system x' = A x, with its divergence and Jacobian in closed form."""
         trace = a.trace
         field = VectorField(
             a.apply_coords,
             divergence_fn=lambda _x1, _x2: trace,
             jacobian_fn=lambda _x1, _x2: (a.a11, a.a12, a.a21, a.a22),
         )
-        return cls(name=name, field=field, potential=potential, matrix=a)
-
-    @classmethod
-    def analytic(cls, name: str, field: VectorField, potential: ScalarField | None = None) -> SystemSpec:
-        return cls(name=name, field=field, potential=potential, matrix=None)
-
-    @property
-    def is_linear(self) -> bool:
-        return self.matrix is not None
+        return cls(name=name, field=field, potential=potential, friction=friction)

@@ -1,7 +1,10 @@
 """The two dissipation criteria and their pointwise comparison.
 
 Criterion 1 (physics): dissipation power H_P = xdot^T S xdot, nonnegative
-for positive-semidefinite friction S.  Criterion 2 (phase volume): the
+for positive-semidefinite friction S.  S is the system's own friction matrix
+(``SystemSpec.friction``) where it has one, otherwise the pointwise friction
+scalar s * I, so a system has one H_P wherever it is evaluated: on a grid,
+in a report or along a trajectory.  Criterion 2 (phase volume): the
 divergence of the field.  Along any decomposition built by this library the
 identity |d(phi)/dt| = H_P holds, because the transverse part does no work.
 The two criteria need not agree: a report carries both verdicts and never
@@ -71,25 +74,25 @@ def _single(x: Point2) -> tuple[np.ndarray, np.ndarray]:
     return np.array([x.x1]), np.array([x.x2])
 
 
-def _friction_power(s_matrix: Matrix2, f1, f2):
+def _friction_power(s: Matrix2, f1, f2):
     """xdot^T S xdot on coordinates, after the symmetry and PSD checks on S."""
-    scale = 1.0 + s_matrix.max_abs()
-    if abs(s_matrix.a12 - s_matrix.a21) > PSD_SLACK * scale:
-        raise NotPSD(f"friction matrix is not symmetric: {s_matrix.rows()}")
-    if s_matrix.trace < -PSD_SLACK * scale or s_matrix.det < -PSD_SLACK * scale * scale:
+    scale = 1.0 + s.max_abs()
+    if abs(s.a12 - s.a21) > PSD_SLACK * scale:
+        raise NotPSD(f"friction matrix is not symmetric: {s.rows()}")
+    if s.trace < -PSD_SLACK * scale or s.det < -PSD_SLACK * scale * scale:
         raise NotPSD(
-            f"friction matrix is not positive semidefinite: trace={s_matrix.trace!r}, "
-            f"det={s_matrix.det!r}"
+            f"friction matrix is not positive semidefinite: trace={s.trace!r}, "
+            f"det={s.det!r}"
         )
-    return s_matrix.a11 * f1 * f1 + (s_matrix.a12 + s_matrix.a21) * f1 * f2 + s_matrix.a22 * f2 * f2
+    return s.a11 * f1 * f1 + (s.a12 + s.a21) * f1 * f2 + s.a22 * f2 * f2
 
 
-def dissipation_power(s_matrix: Matrix2, xdot: Point2) -> float:
+def dissipation_power(s: Matrix2, xdot: Point2) -> float:
     """Quadratic form xdot^T S xdot for a symmetric PSD friction matrix.
 
     Raises NotPSD when S fails symmetry or semidefiniteness beyond slack.
     """
-    return _friction_power(s_matrix, xdot.x1, xdot.x2)
+    return _friction_power(s, xdot.x1, xdot.x2)
 
 
 def divergence(sys: SystemSpec, x: Point2) -> float:
@@ -116,45 +119,38 @@ def phi_rate(sys: SystemSpec, x: Point2) -> float:
     return float(phi_rate_many(sys, *_single(x))[0])
 
 
-def power_many(
-    sys: SystemSpec, x1: np.ndarray, x2: np.ndarray, s_matrix: Matrix2 | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def power_many(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """H_P and d(phi)/dt at N points.
 
-    H_P uses the explicit friction matrix when one is supplied, otherwise the
-    pointwise friction scalar, with H_P = 0 at equilibria (xdot = 0). The
-    rate is None for a system without a potential.
+    H_P is xdot^T S xdot with the system's friction matrix S when it has one,
+    otherwise the pointwise friction scalar times |xdot|^2, with H_P = 0 at
+    equilibria (xdot = 0). The rate is None for a system without a potential.
     """
-    if s_matrix is None and sys.potential is None:
+    if sys.friction is None and sys.potential is None:
         raise MissingPotential(f"system {sys.name!r} has no potential")
     f1, f2 = sys.field.evaluate_many(x1, x2)
     with np.errstate(all="ignore"):
-        if s_matrix is not None:
-            h_p = _friction_power(s_matrix, f1, f2)
+        if sys.friction is not None:
+            h_p = _friction_power(sys.friction, f1, f2)
             if sys.potential is None:
                 return h_p, None
         g1, g2 = sys.potential.gradient_many(x1, x2)
-        if s_matrix is None:
+        if sys.friction is None:
             ff = f1 * f1 + f2 * f2
             h_p = np.where(equilibrium_mask(x1, x2, f1, f2), 0.0, friction_at(f1, f2, g1, g2) * ff)
         return h_p, _rate(f1, f2, g1, g2)
 
 
 def report_many(
-    sys: SystemSpec,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    *,
-    s_matrix: Matrix2 | None = None,
-    zero_tol: float | None = None,
+    sys: SystemSpec, x1: np.ndarray, x2: np.ndarray, *, zero_tol: float | None = None
 ) -> ReportColumns:
     """``report`` at N points, as columns."""
     tol = master_tol(zero_tol)
     div = sys.field.divergence_many(x1, x2)
     verdict_div = np.where(np.abs(div) <= tol, 0, np.where(div < 0.0, 1, 2)).astype(np.int8)
-    if s_matrix is None and sys.potential is None:
+    if sys.friction is None and sys.potential is None:
         return ReportColumns(div_f=div, verdict_divergence=verdict_div)
-    h_p, rate = power_many(sys, x1, x2, s_matrix)
+    h_p, rate = power_many(sys, x1, x2)
     with np.errstate(all="ignore"):
         gap = np.abs(np.abs(rate) - h_p) if rate is not None else None
     verdict_power = np.where(np.abs(h_p) <= tol, 0, 1).astype(np.int8)
@@ -169,21 +165,14 @@ def report_many(
     )
 
 
-def report(
-    sys: SystemSpec,
-    x: Point2,
-    *,
-    s_matrix: Matrix2 | None = None,
-    zero_tol: float | None = None,
-) -> DissipationReport:
+def report(sys: SystemSpec, x: Point2, *, zero_tol: float | None = None) -> DissipationReport:
     """Evaluate both criteria at x and compare their verdicts.
 
-    The power side uses the explicit friction matrix when one is supplied
-    (linear decompositions), otherwise the pointwise friction construction
-    from the system's potential.  Without either, a divergence-only report
-    is returned.
+    The power side uses the system's friction matrix when it has one (linear
+    decompositions), otherwise the pointwise friction construction from its
+    potential. Without either, a divergence-only report is returned.
     """
-    cols = vars(report_many(sys, *_single(x), s_matrix=s_matrix, zero_tol=zero_tol))
+    cols = vars(report_many(sys, *_single(x), zero_tol=zero_tol))
     row = {name: None if col is None else col[0].item() for name, col in cols.items()}
     for name in ("verdict_divergence", "verdict_power"):
         if row[name] is not None:

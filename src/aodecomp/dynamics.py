@@ -32,7 +32,6 @@ class Trajectory:
     t: np.ndarray
     x: np.ndarray
     dt: float
-    method: str
     phi: np.ndarray | None = None
     phi_rate: np.ndarray | None = None
     h_p: np.ndarray | None = None
@@ -120,7 +119,7 @@ def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float 
             h_p, rate = dissipation.power_many(sys, x1, x2)
             phi = sys.potential.evaluate_many(x1, x2)
         return Trajectory(
-            t=np.arange(len(x1)) * dt, x=np.column_stack((x1, x2)), dt=dt, method="rk4",
+            t=np.arange(len(x1)) * dt, x=np.column_stack((x1, x2)), dt=dt,
             phi=phi, phi_rate=rate, h_p=h_p, div_f=sys.field.divergence_many(x1, x2),
         )
 
@@ -141,7 +140,7 @@ def integrate_polar(r0: float, theta0: float, dt: float = DEFAULT_DT, t_end: flo
         return r - r**3, 1.0
 
     def sampled(rs: list[float], thetas: list[float]) -> Trajectory:
-        return Trajectory(t=np.arange(len(rs)) * dt, x=np.column_stack((rs, thetas)), dt=dt, method="rk4_polar")
+        return Trajectory(t=np.arange(len(rs)) * dt, x=np.column_stack((rs, thetas)), dt=dt)
 
     return _stepped(deriv, r0, theta0, dt, n, "the polar form", sampled)
 

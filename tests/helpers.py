@@ -37,13 +37,13 @@ def reversed_system(sys: SystemSpec) -> SystemSpec:
         f1, f2 = f(x1, x2)
         return -f1, -f2
 
-    return SystemSpec.analytic(f"{sys.name}_reversed", VectorField(negated), potential=sys.potential)
+    return SystemSpec(f"{sys.name}_reversed", VectorField(negated), potential=sys.potential)
 
 
 def gradient_flow_system() -> SystemSpec:
     """Pure gradient descent on phi = ||x||^2 / 2; identity decomposition."""
     phi = ScalarField(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), gradient_fn=lambda x1, x2: (x1, x2))
-    return SystemSpec.analytic(
+    return SystemSpec(
         "gradient_flow",
         VectorField(lambda x1, x2: (-x1, -x2), divergence_fn=lambda x1, x2: -2.0),
         potential=phi,

@@ -107,7 +107,7 @@ def test_criterion_03_criteria_disagreement(tmp_path):
         if x.norm() == 0.0:
             continue
         count += 1
-        rep = report(saddle.system, x, s_matrix=saddle.decomposition.friction)
+        rep = report(saddle.system, x)
         assert rep.div_f == 0.0
         assert rep.h_p > 0.0
         assert rep.agree is False
@@ -242,10 +242,9 @@ def test_criterion_10_conservative_fixtures():
     rng = np.random.default_rng(239)
     for name in ("center_conservative", "defective_nilpotent"):
         entry = get(name)
-        dec = entry.decomposition
         for _ in range(500):
             x = random_point(rng, -3.0, 3.0)
-            rep = report(entry.system, x, s_matrix=dec.friction)
+            rep = report(entry.system, x)
             assert rep.h_p <= 1e-12
             assert abs(rep.div_f) <= 1e-12
     print(

@@ -7,6 +7,7 @@ including the sign of zero.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -26,18 +27,13 @@ from helpers import gradient_flow_system, reversed_system
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _systems() -> dict[str, tuple[SystemSpec, Matrix2 | None]]:
+def _systems() -> dict[str, SystemSpec]:
     """Every catalog system, plus test fields whose divergence or gradient is a finite difference."""
-    systems = {}
-    for name in list_systems():
-        entry = get(name)
-        friction = entry.decomposition.friction if entry.decomposition is not None else None
-        systems[name] = (entry.system, friction)
-    hopf = get("hopf_limit_cycle").system
-    systems["reversed_hopf"] = (reversed_system(hopf), None)
-    systems["gradient_flow"] = (gradient_flow_system(), None)
-    fd_potential = ScalarField(hopf.potential.fn)
-    systems["hopf_fd_gradient"] = (SystemSpec.analytic("hopf_fd_gradient", hopf.field, fd_potential), None)
+    systems = {name: get(name).system for name in list_systems()}
+    hopf = systems["hopf_limit_cycle"]
+    systems["reversed_hopf"] = reversed_system(hopf)
+    systems["gradient_flow"] = gradient_flow_system()
+    systems["hopf_fd_gradient"] = SystemSpec("hopf_fd_gradient", hopf.field, ScalarField(hopf.potential.fn))
     return systems
 
 
@@ -82,20 +78,17 @@ def assert_same_bits(batch, reference) -> None:
     assert np.array_equal(batch.view(np.uint64), reference.view(np.uint64))
 
 
-def reference_power(sys: SystemSpec, p: Point2, s_matrix: Matrix2 | None) -> float:
+def reference_power(sys: SystemSpec, p: Point2) -> float:
     f = sys.field.evaluate(p)
-    if s_matrix is not None:
-        return (
-            s_matrix.a11 * f.x1 * f.x1
-            + (s_matrix.a12 + s_matrix.a21) * f.x1 * f.x2
-            + s_matrix.a22 * f.x2 * f.x2
-        )
+    s = sys.friction
+    if s is not None:
+        return s.a11 * f.x1 * f.x1 + (s.a12 + s.a21) * f.x1 * f.x2 + s.a22 * f.x2 * f.x2
     if f.norm() <= EQUILIBRIUM_TOL * (1.0 + p.norm()):
         return 0.0
     return friction_scalar(f, sys.potential.gradient(p)) * f.dot(f)
 
 
-def reference_report(sys: SystemSpec, p: Point2, s_matrix: Matrix2 | None, tol: float) -> tuple:
+def reference_report(sys: SystemSpec, p: Point2, tol: float) -> tuple:
     div = sys.field.divergence(p)
     if abs(div) <= tol:
         verdict_div = "conservative"
@@ -103,7 +96,7 @@ def reference_report(sys: SystemSpec, p: Point2, s_matrix: Matrix2 | None, tol: 
         verdict_div = "dissipative"
     else:
         verdict_div = "expanding"
-    h_p = reference_power(sys, p, s_matrix)
+    h_p = reference_power(sys, p)
     rate = sys.potential.gradient(p).dot(sys.field.evaluate(p))
     verdict_power = "conservative" if abs(h_p) <= tol else "dissipative"
     return div, verdict_div, h_p, rate, abs(abs(rate) - h_p), verdict_power, verdict_power == verdict_div
@@ -111,7 +104,7 @@ def reference_report(sys: SystemSpec, p: Point2, s_matrix: Matrix2 | None, tol: 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_field_batches_match_point_loop(name):
-    sys, _ = SYSTEMS[name]
+    sys = SYSTEMS[name]
     pts = _pts()
     f1, f2 = sys.field.evaluate_many(X1, X2)
     values = [sys.field.evaluate(p) for p in pts]
@@ -127,11 +120,11 @@ def test_field_batches_match_point_loop(name):
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_report_columns_match_point_loop(name):
-    sys, s_matrix = SYSTEMS[name]
+    sys = SYSTEMS[name]
     pts = _pts()
     tol = master_tol()
-    reference = [reference_report(sys, p, s_matrix, tol) for p in pts]
-    rep = report_many(sys, X1, X2, s_matrix=s_matrix)
+    reference = [reference_report(sys, p, tol) for p in pts]
+    rep = report_many(sys, X1, X2)
     assert_same_bits(rep.div_f, [r[0] for r in reference])
     assert [VERDICTS[c] for c in rep.verdict_divergence.tolist()] == [r[1] for r in reference]
     assert_same_bits(rep.h_p, [r[2] for r in reference])
@@ -140,13 +133,15 @@ def test_report_columns_match_point_loop(name):
     assert [VERDICTS[c] for c in rep.verdict_power.tolist()] == [r[5] for r in reference]
     assert rep.agree.tolist() == [r[6] for r in reference]
     assert_same_bits(phi_rate_many(sys, X1, X2), [r[3] for r in reference])
-    pointwise, _ = power_many(sys, X1, X2)
-    assert_same_bits(pointwise, [reference_power(sys, p, None) for p in pts])
+    pointwise_sys = dataclasses.replace(sys, friction=None)
+    pointwise, _ = power_many(pointwise_sys, X1, X2)
+    assert_same_bits(pointwise, [reference_power(pointwise_sys, p) for p in pts])
 
 
 def test_linear_divergence_keeps_the_sign_of_a_zero_trace():
-    sys = SystemSpec.linear("negative_zero_trace", Matrix2(-0.0, 1.0, -1.0, -0.0))
-    assert math.copysign(1.0, sys.matrix.trace) == -1.0
+    a = Matrix2(-0.0, 1.0, -1.0, -0.0)
+    sys = SystemSpec.linear("negative_zero_trace", a)
+    assert math.copysign(1.0, a.trace) == -1.0
     assert_same_bits(sys.field.divergence_many(X1, X2), np.full(len(X1), -0.0))
 
 
@@ -168,13 +163,13 @@ def test_equilibrium_mask_matches_math_hypot_at_the_threshold():
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_integrate_columns_match_scalar_recomputation(name):
-    sys, _ = SYSTEMS[name]
+    sys = SYSTEMS[name]
     traj = integrate(sys, Point2(0.6, -0.3), dt=0.01, t_end=2.0)
     pts = [Point2(a, b) for a, b in traj.x.tolist()]
     assert_same_bits(traj.t, [i * 0.01 for i in range(len(pts))])
     assert_same_bits(traj.phi, [sys.potential.evaluate(p) for p in pts])
     assert_same_bits(traj.phi_rate, [sys.potential.gradient(p).dot(sys.field.evaluate(p)) for p in pts])
-    assert_same_bits(traj.h_p, [reference_power(sys, p, None) for p in pts])
+    assert_same_bits(traj.h_p, [reference_power(sys, p) for p in pts])
     assert_same_bits(traj.div_f, [sys.field.divergence(p) for p in pts])
 
 

@@ -91,7 +91,7 @@ def test_divergence_of_linear_is_exact_trace(saddle):
 
 def test_divergence_finite_difference_fallback(hopf):
     bare = VectorField(hopf.system.field.fn)
-    sys = SystemSpec.analytic("hopf_no_analytic", bare)
+    sys = SystemSpec("hopf_no_analytic", bare)
     rng = np.random.default_rng(79)
     for _ in range(20):
         x = random_point(rng)
@@ -105,7 +105,7 @@ def test_phi_rate_fixtures(hopf, saddle):
 
 
 def test_phi_rate_requires_potential():
-    bare = SystemSpec.analytic("bare", VectorField(lambda x1, x2: (1.0, 0.0)))
+    bare = SystemSpec("bare", VectorField(lambda x1, x2: (1.0, 0.0)))
     with pytest.raises(MissingPotential):
         phi_rate(bare, Point2(0.0, 0.0))
 
@@ -120,7 +120,7 @@ def test_report_hopf_on_cycle(hopf):
 
 
 def test_report_saddle(saddle):
-    rep = report(saddle.system, Point2(1.0, 0.0), s_matrix=saddle.decomposition.friction)
+    rep = report(saddle.system, Point2(1.0, 0.0))
     assert abs(rep.h_p - 0.5) <= 1e-15
     assert rep.div_f == 0.0
     assert rep.agree is False
@@ -131,7 +131,7 @@ def test_report_center_grid_agrees():
     rng = np.random.default_rng(83)
     for _ in range(100):
         x = random_point(rng)
-        rep = report(center.system, x, s_matrix=center.decomposition.friction)
+        rep = report(center.system, x)
         assert rep.h_p <= 1e-12
         assert abs(rep.div_f) <= 1e-12
         assert rep.verdict_power == CONSERVATIVE
@@ -140,7 +140,7 @@ def test_report_center_grid_agrees():
 
 
 def test_report_divergence_only_without_potential():
-    bare = SystemSpec.analytic(
+    bare = SystemSpec(
         "bare", VectorField(lambda x1, x2: (-x1, -x2), divergence_fn=lambda x1, x2: -2.0)
     )
     rep = report(bare, Point2(1.0, 1.0))
@@ -163,10 +163,10 @@ def test_identity_for_random_linear_decompositions():
         a = random_matrix_nonzero_trace(rng)
         d = random_diffusion(rng)
         dec = assemble_decomposition(a, d, solve_gyration(a, d).q)
-        sys = SystemSpec.linear("random", a, potential=dec.potential())
+        sys = SystemSpec.linear("random", a, potential=dec.potential(), friction=dec.friction)
         for _ in range(5):
             x = random_point(rng)
-            rep = report(sys, x, s_matrix=dec.friction)
+            rep = report(sys, x)
             assert rep.identity_gap <= 1e-9 * (1.0 + abs(rep.phi_rate))
 
 

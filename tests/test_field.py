@@ -116,7 +116,7 @@ def test_point_decomposition_gradient_flow():
 
 
 def test_point_decomposition_requires_potential():
-    bare = SystemSpec.analytic("bare", VectorField(lambda x1, x2: (1.0, 0.0)))
+    bare = SystemSpec("bare", VectorField(lambda x1, x2: (1.0, 0.0)))
     with pytest.raises(MissingPotential):
         point_decomposition(bare, Point2(0.0, 0.0))
 
