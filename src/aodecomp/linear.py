@@ -126,7 +126,8 @@ def constraint_rhs(a: Matrix2, d: DiffusionParams) -> float:
 
 def _forced_diffusion_text(a: Matrix2, d: DiffusionParams) -> str:
     """Describe which diffusion choices satisfy the trace-zero constraint."""
-    c11, c12, c22 = -a.a21, a.a11 - a.a22, a.a12
+    # + 0.0 folds a negative zero, so the note never prints (-0.0)
+    c11, c12, c22 = -a.a21 + 0.0, a.a11 - a.a22 + 0.0, a.a12 + 0.0
     eq = f"({c11!r})*d11 + ({c12!r})*d12 + ({c22!r})*d22 = 0"
     small = TRACE_ZERO_TOL * (1.0 + a.max_abs())
     if abs(c12) <= small and c11 * c22 > 0.0:
