@@ -101,7 +101,7 @@ class Matrix2:
         return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
 
     def frobenius(self) -> float:
-        return math.sqrt(self.a11**2 + self.a12**2 + self.a21**2 + self.a22**2)
+        return math.sqrt(self.a11 * self.a11 + self.a12 * self.a12 + self.a21 * self.a21 + self.a22 * self.a22)
 
     def apply(self, p: Point2) -> Point2:
         return Point2(*self.apply_coords(p.x1, p.x2))
@@ -187,7 +187,7 @@ class DiffusionParams:
 
     @property
     def det(self) -> float:
-        return self.d11 * self.d22 - self.d12**2
+        return self.d11 * self.d22 - self.d12 * self.d12
 
     def max_abs(self) -> float:
         return max(abs(self.d11), abs(self.d12), abs(self.d22))
@@ -216,7 +216,7 @@ def invert2(m: Matrix2) -> Matrix2:
     splits (the isopotential circle) detected robustly.
     """
     det = m.det
-    if abs(det) <= SINGULAR_DET_TOL * (1.0 + m.max_abs() ** 2):
+    if abs(det) <= SINGULAR_DET_TOL * (1.0 + m.max_abs() * m.max_abs()):
         raise SingularMatrix(det)
     inv = 1.0 / det
     return Matrix2(m.a22 * inv, -m.a12 * inv, -m.a21 * inv, m.a11 * inv)

@@ -102,7 +102,7 @@ def classify_spectrum(a: Matrix2) -> SpectralClass:
     """Classify the eigenvalues of A into the four planar normal-form types."""
     tr = a.trace
     disc = tr * tr - 4.0 * a.det
-    scale = (1.0 + a.max_abs()) ** 2
+    scale = (1.0 + a.max_abs()) * (1.0 + a.max_abs())
     if disc > SPECTRUM_TOL * scale:
         root = math.sqrt(disc)
         return SpectralClass(REAL_DISTINCT, (0.5 * (tr + root), 0.5 * (tr - root)))

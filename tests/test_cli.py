@@ -377,11 +377,25 @@ def test_master_tol_rejects_invalid_env_values(capsys, monkeypatch, value):
     assert err.startswith("aodecomp: AODECOMP_TOL must be a finite nonnegative tolerance")
 
 
-def test_overflowing_matrix_exits_1_without_traceback():
-    proc = subprocess.run(
-        [sys.executable, "-m", "aodecomp.cli", "decompose", "--matrix", "1e200,0,0,1e200"],
+def _decompose_in_fresh_interpreter(matrix: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "aodecomp.cli", "decompose", "--matrix", matrix],
         capture_output=True, text=True, env={"PYTHONPATH": str(SRC)}, timeout=60, check=False,
     )
+
+
+def test_large_matrix_decomposes_with_u_equal_minus_a():
+    # squares of 1e200 overflow; the tolerance scales must not square as a float power
+    proc = _decompose_in_fresh_interpreter("1e200,0,0,1e200")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["potential_matrix"] == [[-1e200, -0.0], [-0.0, -1e200]]
+    assert doc["spectral_class"] == {"kind": "repeated_diagonalizable", "values": [1e200]}
+
+
+def test_overflowing_matrix_exits_1_without_traceback():
+    proc = _decompose_in_fresh_interpreter("1e308,0,0,1e308")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("aodecomp:")
