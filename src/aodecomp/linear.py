@@ -102,6 +102,11 @@ def classify_spectrum(a: Matrix2) -> SpectralClass:
     """Classify the eigenvalues of A into the four planar normal-form types."""
     tr = a.trace
     disc = tr * tr - 4.0 * a.det
+    if not math.isfinite(disc):
+        # tr^2 or det overflowed to inf - inf; the eigenvalues of A / max|a_ij| scale back
+        m = a.max_abs()
+        unit = classify_spectrum(Matrix2(a.a11 / m, a.a12 / m, a.a21 / m, a.a22 / m))
+        return SpectralClass(unit.kind, tuple(m * v for v in unit.values))
     scale = (1.0 + a.max_abs()) * (1.0 + a.max_abs())
     if disc > SPECTRUM_TOL * scale:
         root = math.sqrt(disc)

@@ -58,6 +58,21 @@ def test_classify_repeated_diagonalizable():
     assert sc.values == (-1.0,)
 
 
+@pytest.mark.parametrize("factor", [1e200, 1e300])
+def test_classify_scales_past_overflow(factor):
+    # tr^2 - 4 det overflows for these entries; the class and the scaled eigenvalues must not change
+    fixtures = (
+        Matrix2.diagonal(-1.0, -2.0),
+        Matrix2(0.0, 1.0, -1.0, 0.0),
+        Matrix2(-1.0, 0.0, 1.0, -1.0),
+        Matrix2.diagonal(-1.0, -1.0),
+    )
+    for a in fixtures:
+        sc, big = classify_spectrum(a), classify_spectrum(a.scaled(factor))
+        assert big.kind == sc.kind
+        assert big.values == tuple(factor * v for v in sc.values)
+
+
 def test_classify_matches_numpy_eigvals():
     rng = np.random.default_rng(5)
     for _ in range(200):
