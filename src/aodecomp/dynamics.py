@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from . import catalog, dissipation
@@ -58,22 +56,6 @@ class Definition2Report:
     note: str
 
 
-def _rk4(
-    deriv: Callable[[float, float], tuple[float, float]],
-    x1: float,
-    x2: float,
-    dt: float,
-) -> tuple[float, float]:
-    k1a, k1b = deriv(x1, x2)
-    k2a, k2b = deriv(x1 + 0.5 * dt * k1a, x2 + 0.5 * dt * k1b)
-    k3a, k3b = deriv(x1 + 0.5 * dt * k2a, x2 + 0.5 * dt * k2b)
-    k4a, k4b = deriv(x1 + dt * k3a, x2 + dt * k3b)
-    return (
-        x1 + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0,
-        x2 + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0,
-    )
-
-
 def _steps(dt: float, t_end: float) -> int:
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -91,12 +73,19 @@ def _stepped(deriv, a: float, b: float, dt: float, n: int, label: str, build) ->
     stops being finite or leaves [-1e12, 1e12].
     """
     x1s, x2s = [a], [b]
+    half = 0.5 * dt
     for i in range(1, n + 1):
         try:
-            a, b = _rk4(deriv, a, b, dt)
+            k1a, k1b = deriv(a, b)
+            k2a, k2b = deriv(a + half * k1a, b + half * k1b)
+            k3a, k3b = deriv(a + half * k2a, b + half * k2b)
+            k4a, k4b = deriv(a + dt * k3a, b + dt * k3b)
+            a = a + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
+            b = b + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
         except OverflowError:  # a float power out of range, e.g. r**3
             a = math.inf
-        if not (math.isfinite(a) and math.isfinite(b)) or abs(a) > BLOWUP_LIMIT or abs(b) > BLOWUP_LIMIT:
+        # false for NaN and +-inf as well
+        if not (-BLOWUP_LIMIT <= a <= BLOWUP_LIMIT and -BLOWUP_LIMIT <= b <= BLOWUP_LIMIT):
             raise NonFinite(f"state blew up at t={i * dt!r} integrating {label}", trajectory=build(x1s, x2s))
         x1s.append(a)
         x2s.append(b)
