@@ -5,6 +5,13 @@ separators and '\\n' line endings; floats are serialized with shortest
 round-trip precision so parse(emit(x)) == x. All outputs are deterministic
 for identical arguments.
 
+Columns are serialized a block of rows at a time, and each distinct float of
+a block is formatted once (``_float_cells``). CSV folds -0.0 to 0.0. Report
+documents are rendered from their columns in the exact layout of
+``json.dumps(doc, indent=2)`` and keep -0.0; every other JSON document goes
+through ``json.dumps``. No JSON document holds NaN or an infinity: emitting
+one raises ValueError, which exits 1 with no output.
+
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up.
 """
@@ -15,10 +22,12 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
+
 import numpy as np
 
 from . import catalog, dissipation, dynamics, field, linear
-from .core import DiffusionParams, Matrix2, Point2, SystemSpec, check_finite
+from .core import DiffusionParams, Matrix2, Point2, SystemSpec
 from .errors import AodecompError, NonFinite
 from .tolerances import LYAPUNOV_RESIDUAL_TOL, master_tol
 
@@ -35,10 +44,21 @@ QUANTITIES = (
     "criteria_agreement",
 )
 
-# CSV text is built this many rows at a time (see _emit_csv).
-_CSV_BLOCK_ROWS = 2048
+# CSV and report JSON text is built this many rows at a time (see _emit_csv).
+_BLOCK_ROWS = 2048
 _VERDICT_CELLS = np.array(dissipation.VERDICTS, dtype=object)
 _BOOL_CELLS = np.array(["false", "true"], dtype=object)
+
+# A report document in the layout of json.dumps(doc, indent=2): the head, one
+# point (its %s slots filled in order, points joined with ",\n") and the tail.
+_REPORT_HEAD = '{\n  "kind": "dissipation_report",\n  "system": %s,\n  "zero_tol": %s,\n  "points": [\n'
+_REPORT_POINT = (
+    '    {\n      "at": [\n        %s,\n        %s\n      ],\n      "h_p": %s,\n      "div_f": %s,\n'
+    '      "phi_rate": %s,\n      "identity_gap": %s,\n      "verdict_power": "%s",\n'
+    '      "verdict_divergence": "%s",\n      "agree": %s\n    }'
+)
+_REPORT_POINT_TEXT = _REPORT_POINT.split("%s")
+_REPORT_TAIL = '\n  ],\n  "summary": {\n    "points": %d,\n    "disagreements": %d\n  }\n}\n'
 
 
 class _UsageError(Exception):
@@ -90,9 +110,29 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):  # a span that overflows yields inf/nan, rejected below
         xs = xmin + (xmax - xmin) * np.arange(nx) / (nx - 1)
         ys = ymin + (ymax - ymin) * np.arange(ny) / (ny - 1)
-    x1, x2 = np.tile(xs, ny), np.repeat(ys, nx)
-    check_finite(x1, x2)
-    return x1, x2
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise _UsageError(f"the coordinates of --grid {text} overflow float64")
+    return np.tile(xs, ny), np.repeat(ys, nx)
+
+
+def _raise_overflow(
+    system: SystemSpec, name: str, sources: list[tuple[str, str, np.ndarray, np.ndarray]]
+) -> None:
+    """Raise a _UsageError naming the first input at which ``system`` overflows.
+
+    ``sources`` holds (flag, value, x1, x2) per input, in argument order. The
+    vector field and the potential gradient are the evaluations that reject a
+    non-finite result; return normally if neither does at any input.
+    """
+    evaluations = [("vector field", system.field.evaluate_many)]
+    if system.potential is not None:
+        evaluations.append(("potential gradient", system.potential.gradient_many))
+    for flag, value, x1, x2 in sources:
+        for what, evaluate in evaluations:
+            try:
+                evaluate(x1, x2)
+            except ValueError:
+                raise _UsageError(f"the {what} of {name!r} overflows float64 at {flag} {value}") from None
 
 
 def _fold_comma_values(argv: list[str]) -> list[str]:
@@ -127,20 +167,33 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", out)
 
 
+def _float_cells(block: np.ndarray) -> list[str]:
+    """``repr`` of each value of a float64 block, computed once per distinct value.
+
+    Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct.
+    """
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    if len(bits) == len(block):  # no repeats: skip the expansion
+        return list(map(repr, block.tolist()))
+    cells = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return cells[inverse].tolist()
+
+
 def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | None = None) -> None:
     """Write equal-length columns as CSV.
 
     A float64 column prints in shortest round-trip form, with -0.0 folded to
-    0.0; any other column holds ready cell strings. The text is built a block
-    of rows at a time, so only one block's cell strings exist at once.
+    0.0 and each distinct value of a block formatted once; any other column
+    holds ready cell strings. The text is built a block of rows at a time, so
+    only one block's cell strings exist at once.
     """
     blocks = [",".join(header) + "\n"]
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
         cells = []
         for column in columns:
-            block = column[start:start + _CSV_BLOCK_ROWS]
+            block = column[start:start + _BLOCK_ROWS]
             if isinstance(block, np.ndarray) and block.dtype.kind == "f":
-                block = list(map(repr, (block + 0.0).tolist()))
+                block = _float_cells(block + 0.0)
             cells.append(block)
         blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
     if trailer is not None:
@@ -272,7 +325,13 @@ def cmd_decompose(args) -> int:
                     f"--q {args.q} violates the gyration constraint "
                     f"(residual {residual!r}); the {sol.branch} solution is {sol.q!r}"
                 )
-        dec = linear.assemble_decomposition(a, d, q)
+        try:
+            dec = linear.assemble_decomposition(a, d, q)
+        except ValueError:  # a matrix of the decomposition got a non-finite entry
+            raise _UsageError(
+                f"the decomposition of --matrix {args.matrix} overflows float64: "
+                "a gyration, friction or potential matrix entry is not finite"
+            ) from None
         doc = _linear_doc("custom", dec, sol.branch, sol.note)
         if args.at is not None:
             system = SystemSpec.linear("custom", a, potential=dec.potential(), friction=dec.friction)
@@ -307,6 +366,9 @@ def cmd_simulate(args) -> int:
         failure = None
     except NonFinite as exc:
         traj, failure = exc.trajectory, str(exc)
+    except ValueError:  # the sample columns at a state are not finite
+        _raise_overflow(entry.system, entry.name, [("--x0", args.x0, np.array([x0.x1]), np.array([x0.x2]))])
+        raise
 
     columns = [traj.t, traj.x[:, 0], traj.x[:, 1]]
     if args.polar:
@@ -322,54 +384,59 @@ def cmd_simulate(args) -> int:
     return 3
 
 
-def _report_doc(
+def _report_json(
     name: str, tol: float, x1: np.ndarray, x2: np.ndarray, rep: dissipation.ReportColumns
-) -> dict:
-    verdicts = dissipation.VERDICTS
-    docs = [
-        {
-            "at": [a, b],
-            "h_p": h_p,
-            "div_f": div_f,
-            "phi_rate": rate,
-            "identity_gap": gap,
-            "verdict_power": verdicts[power],
-            "verdict_divergence": verdicts[divergence],
-            "agree": agree,
-        }
-        for a, b, h_p, div_f, rate, gap, power, divergence, agree in zip(
-            x1.tolist(), x2.tolist(), rep.h_p.tolist(), rep.div_f.tolist(), rep.phi_rate.tolist(),
-            rep.identity_gap.tolist(), rep.verdict_power.tolist(), rep.verdict_divergence.tolist(),
-            rep.agree.tolist(),
-        )
-    ]
-    return {
-        "kind": "dissipation_report",
-        "system": name,
-        "zero_tol": tol,
-        "points": docs,
-        "summary": {"points": len(docs), "disagreements": len(docs) - int(np.count_nonzero(rep.agree))},
-    }
+) -> str:
+    """The report document, as ``json.dumps(doc, indent=2, allow_nan=False)`` writes it.
+
+    Like dumps, raises ValueError (exit 1) if any float is NaN or infinite.
+    """
+    floats = (x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap)
+    for column in floats:
+        if not np.isfinite(column).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+    parts = [_REPORT_HEAD % (json.dumps(name), json.dumps(tol))]
+    for start in range(0, len(x1), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        cells = [_float_cells(column[rows]) for column in floats]
+        cells += [
+            _VERDICT_CELLS[rep.verdict_power[rows]].tolist(),
+            _VERDICT_CELLS[rep.verdict_divergence[rows]].tolist(),
+            _BOOL_CELLS[rep.agree[rows].view(np.int8)].tolist(),
+        ]
+        n = len(cells[0])
+        pieces = [repeat(_REPORT_POINT_TEXT[0], n)]
+        for column, text in zip(cells, _REPORT_POINT_TEXT[1:]):
+            pieces += [column, repeat(text, n)]
+        parts += [",\n".join(map("".join, zip(*pieces))), ",\n"]
+    parts[-1] = _REPORT_TAIL % (len(x1), len(x1) - int(np.count_nonzero(rep.agree)))
+    return "".join(parts)
 
 
 def cmd_report(args) -> int:
     entry = catalog.get(args.system)
-    points = [_parse_point(text, "--at") for text in args.at or ()]
-    x1 = np.array([p.x1 for p in points], dtype=float)
-    x2 = np.array([p.x2 for p in points], dtype=float)
+    sources = []
+    for text in args.at or ():
+        p = _parse_point(text, "--at")
+        sources.append(("--at", text, np.array([p.x1]), np.array([p.x2])))
     if args.grid is not None:
-        grid_x1, grid_x2 = _parse_grid(args.grid)
-        x1, x2 = np.concatenate((x1, grid_x1)), np.concatenate((x2, grid_x2))
-    if len(x1) == 0:
+        sources.append(("--grid", args.grid, *_parse_grid(args.grid)))
+    if not sources:
         raise _UsageError("report needs at least one --at x1,x2 or a --grid")
     if entry.system.potential is None:
         raise _UsageError(
             f"system {entry.name!r} has no potential; dissipation power is unavailable"
         )
+    x1 = np.concatenate([source[2] for source in sources])
+    x2 = np.concatenate([source[3] for source in sources])
     tol = master_tol()
-    rep = dissipation.report_many(entry.system, x1, x2, zero_tol=tol)
+    try:
+        rep = dissipation.report_many(entry.system, x1, x2, zero_tol=tol)
+    except ValueError:  # the field or the potential gradient is not finite at a point
+        _raise_overflow(entry.system, entry.name, sources)
+        raise
     if args.format == "json":
-        _emit_json(_report_doc(entry.name, tol, x1, x2, rep), args.out)
+        _write_output(_report_json(entry.name, tol, x1, x2, rep), args.out)
         return 0
     header = [
         "x1", "x2", "h_p", "div_f", "phi_rate", "identity_gap",

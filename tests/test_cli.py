@@ -400,3 +400,44 @@ def test_overflowing_matrix_exits_1_without_traceback():
     assert proc.stdout == ""
     assert proc.stderr.startswith("aodecomp:")
     assert "Traceback" not in proc.stderr
+
+
+def _assert_overflow_names_input(code, out, err, flag, value):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aodecomp:")
+    assert f"{flag} {value}" in err
+    assert "overflows float64" in err
+    assert "Point2" not in err and "Matrix2" not in err
+
+
+def test_overflowing_matrix_message_names_the_flag(capsys):
+    code, out, err = run(capsys, "decompose", "--matrix", "1e308,0,0,1e308")
+    _assert_overflow_names_input(code, out, err, "--matrix", "1e308,0,0,1e308")
+    assert "decomposition" in err
+
+
+def test_overflowing_initial_state_message_names_the_flag(capsys):
+    code, out, err = run(capsys, "simulate", "--system", "hopf_limit_cycle", "--x0", "1e200,0")
+    _assert_overflow_names_input(code, out, err, "--x0", "1e200,0")
+    assert "vector field of 'hopf_limit_cycle'" in err
+
+
+def test_overflowing_report_point_message_names_the_flag(capsys):
+    code, out, err = run(
+        capsys, "report", "--system", "hopf_limit_cycle", "--at", "1,0", "--at", "1e200,0", "--grid", "-1,1,-1,1,3,3",
+    )
+    _assert_overflow_names_input(code, out, err, "--at", "1e200,0")
+    assert "vector field of 'hopf_limit_cycle'" in err
+    code, out, err = run(capsys, "report", "--system", "hopf_limit_cycle", "--grid", "-1e200,1e200,-1,1,3,3")
+    _assert_overflow_names_input(code, out, err, "--grid", "-1e200,1e200,-1,1,3,3")
+
+
+def test_overflowing_grid_span_message_names_the_flag(capsys):
+    code, out, err = run(
+        capsys, "grid", "--system", "hopf_limit_cycle", "--grid", "-1e308,1e308,-1,1,3,3", "--quantity", "potential",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aodecomp: the coordinates of --grid -1e308,1e308,-1,1,3,3 overflow float64")
+    assert "Point2" not in err
