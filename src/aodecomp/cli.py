@@ -392,9 +392,10 @@ def _report_json(
     Like dumps, raises ValueError (exit 1) if any float is NaN or infinite.
     """
     floats = (x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap)
-    for column in floats:
-        if not np.isfinite(column).all():
-            raise ValueError("Out of range float values are not JSON compliant")
+    if not all(np.isfinite(column).all() for column in floats):
+        values = np.column_stack(floats).ravel()  # document order
+        first = values[~np.isfinite(values)][0].item()
+        raise ValueError(f"Out of range float values are not JSON compliant: {first!r}")
     parts = [_REPORT_HEAD % (json.dumps(name), json.dumps(tol))]
     for start in range(0, len(x1), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)

@@ -168,10 +168,11 @@ def test_report_json_rejects_non_finite_columns(column, value):
     columns = {"x1": x1.copy(), "x2": x2.copy(), **{k: v.copy() for k, v in vars(rep).items()}}
     columns[column][1] = value
     rep_bad = type(rep)(**{k: v for k, v in columns.items() if k not in ("x1", "x2")})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as expected:
         reference_report("hopf_limit_cycle", 1e-9, columns["x1"], columns["x2"], rep_bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         _report_json("hopf_limit_cycle", 1e-9, columns["x1"], columns["x2"], rep_bad)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_report_with_non_finite_power_exits_1_without_output(capsys, monkeypatch):
@@ -182,4 +183,4 @@ def test_report_with_non_finite_power_exits_1_without_output(capsys, monkeypatch
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("aodecomp:")
+    assert captured.err == "aodecomp: Out of range float values are not JSON compliant: nan\n"
