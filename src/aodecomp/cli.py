@@ -74,9 +74,12 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     if len(parts) != n:
         raise _UsageError(f"{what} expects {n} comma-separated values, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise _UsageError(f"could not parse {what} {text!r}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise _UsageError(f"{what} values must be finite, got {text!r}")
+    return values
 
 
 def _parse_matrix(text: str) -> Matrix2:
@@ -235,8 +238,13 @@ def _csv_quoted(text: str) -> str:
     return text
 
 
-def _pointwise_doc(system: SystemSpec, at: Point2, name: str) -> dict:
-    pd = field.point_decomposition(system, at)
+def _pointwise_doc(system: SystemSpec, text: str, name: str) -> dict:
+    at = _parse_point(text, "--at")
+    try:
+        pd = field.point_decomposition(system, at)
+    except ValueError:  # the field or the potential gradient is not finite at the point
+        _raise_overflow(system, name, [("--at", text, np.array([at.x1]), np.array([at.x2]))])
+        raise
     s, t = pd.friction, pd.transverse
     fv, gv = pd.drift, pd.potential_gradient
     frame_residual = max(
@@ -299,7 +307,7 @@ def cmd_decompose(args) -> int:
     if args.system is not None:
         entry = catalog.get(args.system)
         if args.at is not None:
-            doc = _pointwise_doc(entry.system, _parse_point(args.at, "--at"), entry.name)
+            doc = _pointwise_doc(entry.system, args.at, entry.name)
         elif entry.decomposition is not None:
             branch = linear.solve_gyration(entry.decomposition.a, entry.decomposition.diffusion)
             doc = _linear_doc(entry.name, entry.decomposition, branch.branch, branch.note)
@@ -335,7 +343,7 @@ def cmd_decompose(args) -> int:
         doc = _linear_doc("custom", dec, sol.branch, sol.note)
         if args.at is not None:
             system = SystemSpec.linear("custom", a, potential=dec.potential(), friction=dec.friction)
-            doc = _pointwise_doc(system, _parse_point(args.at, "--at"), "custom")
+            doc = _pointwise_doc(system, args.at, "custom")
 
     if args.format == "json":
         _emit_json(doc, args.out)

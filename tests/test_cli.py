@@ -441,3 +441,26 @@ def test_overflowing_grid_span_message_names_the_flag(capsys):
     assert out == ""
     assert err.startswith("aodecomp: the coordinates of --grid -1e308,1e308,-1,1,3,3 overflow float64")
     assert "Point2" not in err
+
+
+def test_overflowing_decompose_point_message_names_the_flag(capsys):
+    code, out, err = run(capsys, "decompose", "--system", "hopf_limit_cycle", "--at", "1e200,0")
+    _assert_overflow_names_input(code, out, err, "--at", "1e200,0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--matrix", "1,0,0,inf"],
+        ["decompose", "--matrix", "-1,0,0,-2", "--d", "nan,0,1"],
+        ["decompose", "--system", "hopf_limit_cycle", "--at", "nan,0"],
+        ["simulate", "--system", "hopf_limit_cycle", "--x0", "-inf,0"],
+        ["report", "--system", "hopf_limit_cycle", "--at", "0,nan"],
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_non_finite_input_message_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"aodecomp: {argv[-2]} values must be finite, got {argv[-1]!r}\n"
