@@ -17,7 +17,6 @@ from .core import (
     VectorField,
     central_divergence,
     central_gradient,
-    central_jacobian,
     invert2,
     sym_antisym_split,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "cartesian_polar_agreement",
     "central_divergence",
     "central_gradient",
-    "central_jacobian",
     "check_monotonicity",
     "classify_spectrum",
     "definition2_check",

@@ -19,6 +19,13 @@ from .errors import UnknownSystem
 
 HOPF = "hopf_limit_cycle"
 
+# The oscillator in the polar chart (r, theta), unregistered. Its divergence is
+# (1/r) d(r dr/dt)/dr = 2 (1 - 2 r^2), the Cartesian one at the mapped state.
+HOPF_POLAR = SystemSpec(
+    HOPF + "_polar",
+    VectorField(lambda r, _theta: (r - r**3, 1.0), divergence_fn=lambda r, _theta: 2.0 * (1.0 - 2.0 * r * r)),
+)
+
 
 @dataclass(frozen=True)
 class ExpectedForms:
@@ -59,14 +66,6 @@ def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
     def div(x1, x2):
         return 2.0 * (1.0 - 2.0 * _r2(x1, x2))
 
-    def jac(x1, x2):
-        return (
-            1.0 - 3.0 * x1 * x1 - x2 * x2,
-            -1.0 - 2.0 * x1 * x2,
-            1.0 - 2.0 * x1 * x2,
-            1.0 - x1 * x1 - 3.0 * x2 * x2,
-        )
-
     def phi(x1, x2):
         r2 = _r2(x1, x2)
         return 0.25 * r2 * (r2 - 2.0)
@@ -77,7 +76,7 @@ def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
 
     system = SystemSpec(
         HOPF,
-        VectorField(field, divergence_fn=div, jacobian_fn=jac),
+        VectorField(field, divergence_fn=div),
         potential=ScalarField(phi, gradient_fn=grad),
     )
     expected = ExpectedForms(

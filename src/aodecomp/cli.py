@@ -366,11 +366,13 @@ def cmd_simulate(args) -> int:
         r0 = x0.norm()
         if r0 <= 0.0:
             raise _UsageError("--polar needs a nonzero initial state")
+        if r0 == math.inf:
+            raise _UsageError(f"the radius of --x0 {args.x0} overflows float64")
+        system, start = catalog.HOPF_POLAR, Point2(r0, math.atan2(x0.x2, x0.x1))
+    else:
+        system, start = entry.system, x0
     try:
-        if args.polar:
-            traj = dynamics.integrate_polar(r0, math.atan2(x0.x2, x0.x1), dt=dt, t_end=t_end)
-        else:
-            traj = dynamics.integrate(entry.system, x0, dt=dt, t_end=t_end)
+        traj = dynamics.integrate(system, start, dt=dt, t_end=t_end)
         failure = None
     except NonFinite as exc:
         traj, failure = exc.trajectory, str(exc)

@@ -6,8 +6,8 @@ entries (NaN/Inf) are rejected at construction.
 
 A field's formulas are written once, as plain closures over coordinates
 (x1, x2) that take Python floats or float64 arrays; a closure may return a
-constant. The Point2 methods (``evaluate``, ``gradient``, ``divergence``,
-``jacobian``) call them on floats, and the ``*_many`` methods call the same
+constant. The Point2 methods (``evaluate``, ``gradient``, ``divergence``)
+call them on floats, and the ``*_many`` methods call the same
 closures on arrays of N points. The two agree bit for bit, because numpy
 rounds each elementwise operation like Python floats do.
 """
@@ -240,18 +240,6 @@ def central_divergence(f: Callable, x1, x2):
     return d1 + d2
 
 
-def central_jacobian(f: Callable, x1, x2):
-    """Central finite-difference Jacobian of f(x1, x2) -> (f1, f2), row-major (j11, j12, j21, j22)."""
-    h1 = FD_STEP * (1.0 + abs(x1))
-    h2 = FD_STEP * (1.0 + abs(x2))
-    fp1, fm1 = f(x1 + h1, x2), f(x1 - h1, x2)
-    fp2, fm2 = f(x1, x2 + h2), f(x1, x2 - h2)
-    return (
-        (fp1[0] - fm1[0]) / (2.0 * h1), (fp2[0] - fm2[0]) / (2.0 * h2),
-        (fp1[1] - fm1[1]) / (2.0 * h1), (fp2[1] - fm2[1]) / (2.0 * h2),
-    )
-
-
 def check_finite(x1: np.ndarray, x2: np.ndarray) -> None:
     """Raise the ValueError a Point2 of the first non-finite row would raise."""
     bad = ~(np.isfinite(x1) & np.isfinite(x2))
@@ -311,15 +299,14 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Planar vector field with optional analytic divergence and Jacobian.
+    """Planar vector field with optional analytic divergence.
 
-    ``fn(x1, x2)`` returns the pair (f1, f2), ``divergence_fn(x1, x2)`` the
-    divergence and ``jacobian_fn(x1, x2)`` the row-major (j11, j12, j21, j22).
+    ``fn(x1, x2)`` returns the pair (f1, f2) and ``divergence_fn(x1, x2)`` the
+    divergence.
     """
 
     fn: Callable
     divergence_fn: Callable | None = None
-    jacobian_fn: Callable | None = None
 
     def _divergence(self, x1, x2):
         if self.divergence_fn is not None:
@@ -331,11 +318,6 @@ class VectorField:
 
     def divergence(self, x: Point2) -> float:
         return float(self._divergence(x.x1, x.x2))
-
-    def jacobian(self, x: Point2) -> Matrix2:
-        if self.jacobian_fn is not None:
-            return Matrix2(*self.jacobian_fn(x.x1, x.x2))
-        return Matrix2(*central_jacobian(self.fn, x.x1, x.x2))
 
     def evaluate_many(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Field components at N points; raises ValueError where not finite."""
@@ -369,16 +351,12 @@ class SystemSpec:
     def linear(
         cls, name: str, a: Matrix2, potential: ScalarField | None = None, friction: Matrix2 | None = None
     ) -> SystemSpec:
-        """The linear system x' = A x, with its divergence and Jacobian in closed form."""
+        """The linear system x' = A x, with its divergence in closed form."""
         trace = a.trace
         a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
 
         def apply(x1, x2):  # A x; closure locals, as the RK4 stepper calls this 4 times a step
             return a11 * x1 + a12 * x2, a21 * x1 + a22 * x2
 
-        field = VectorField(
-            apply,
-            divergence_fn=lambda _x1, _x2: trace,
-            jacobian_fn=lambda _x1, _x2: (a11, a12, a21, a22),
-        )
+        field = VectorField(apply, divergence_fn=lambda _x1, _x2: trace)
         return cls(name=name, field=field, potential=potential, friction=friction)

@@ -1,8 +1,8 @@
 """Trajectory integration and trajectory-level checks.
 
 Fixed-step classical Runge-Kutta keeps runs bit-reproducible, which the
-command-line layer relies on for golden files. The stepper calls the field's
-coordinate closure on plain floats, one trajectory at a time. Along a
+command-line layer relies on for golden files. One stepper calls the field's
+closure on plain floats, in the Cartesian and the polar chart alike. Along a
 trajectory the sampled columns carry the potential, its rate of change, the
 dissipation power and the divergence, so the dissipation criteria can be
 audited against time series as well as closed forms; they are computed on
@@ -25,7 +25,7 @@ DEFAULT_DT = 1e-3
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled solution; x rows are (x1, x2), or (r, theta) in polar."""
+    """Uniformly sampled solution; x rows are the system's coordinates, (r, theta) for the polar form."""
 
     t: np.ndarray
     x: np.ndarray
@@ -66,14 +66,20 @@ def _steps(dt: float, t_end: float) -> int:
     return int(round(t_end / dt))
 
 
-def _stepped(deriv, a: float, b: float, dt: float, n: int, label: str, build) -> Trajectory:
-    """``build(x1s, x2s)`` of n RK4 steps from (a, b).
+def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float = 10.0) -> Trajectory:
+    """Integrate x' = f(x) from x0 with fixed-step RK4.
 
-    Raises NonFinite with the partial trajectory once a coordinate overflows,
-    stops being finite or leaves [-1e12, 1e12].
+    Fills potential, rate and power columns when the system has a potential;
+    the divergence column is always present. Raises NonFinite (carrying the
+    partial trajectory) once a coordinate overflows, stops being finite or
+    leaves [-1e12, 1e12].
     """
+    n = _steps(dt, t_end)
+    deriv = sys.field.fn
+    a, b = x0.x1, x0.x2
     x1s, x2s = [a], [b]
     half = 0.5 * dt
+    failure = None
     for i in range(1, n + 1):
         try:
             k1a, k1b = deriv(a, b)
@@ -86,52 +92,30 @@ def _stepped(deriv, a: float, b: float, dt: float, n: int, label: str, build) ->
             a = math.inf
         # false for NaN and +-inf as well
         if not (-BLOWUP_LIMIT <= a <= BLOWUP_LIMIT and -BLOWUP_LIMIT <= b <= BLOWUP_LIMIT):
-            raise NonFinite(f"state blew up at t={i * dt!r} integrating {label}", trajectory=build(x1s, x2s))
+            failure = f"state blew up at t={i * dt!r} integrating {sys.name!r}"
+            break
         x1s.append(a)
         x2s.append(b)
-    return build(x1s, x2s)
 
-
-def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float = 10.0) -> Trajectory:
-    """Integrate x' = f(x) from x0 with fixed-step RK4.
-
-    Fills potential, rate and power columns when the system has a potential;
-    the divergence column is always present. Raises NonFinite (carrying the
-    partial trajectory) once any coordinate leaves [-1e12, 1e12].
-    """
-    n = _steps(dt, t_end)
-
-    def sampled(x1s: list[float], x2s: list[float]) -> Trajectory:
-        x1, x2 = np.array(x1s, dtype=float), np.array(x2s, dtype=float)
-        phi = rate = h_p = None
-        if sys.potential is not None:
-            h_p, rate = dissipation.power_many(sys, x1, x2)
-            phi = sys.potential.evaluate_many(x1, x2)
-        return Trajectory(
-            t=np.arange(len(x1)) * dt, x=np.column_stack((x1, x2)), dt=dt,
-            phi=phi, phi_rate=rate, h_p=h_p, div_f=sys.field.divergence_many(x1, x2),
-        )
-
-    return _stepped(sys.field.fn, x0.x1, x0.x2, dt, n, repr(sys.name), sampled)
+    x1, x2 = np.array(x1s, dtype=float), np.array(x2s, dtype=float)
+    phi = rate = h_p = None
+    if sys.potential is not None:
+        h_p, rate = dissipation.power_many(sys, x1, x2)
+        phi = sys.potential.evaluate_many(x1, x2)
+    traj = Trajectory(
+        t=np.arange(len(x1)) * dt, x=np.column_stack((x1, x2)), dt=dt,
+        phi=phi, phi_rate=rate, h_p=h_p, div_f=sys.field.divergence_many(x1, x2),
+    )
+    if failure is not None:
+        raise NonFinite(failure, trajectory=traj)
+    return traj
 
 
 def integrate_polar(r0: float, theta0: float, dt: float = DEFAULT_DT, t_end: float = 10.0) -> Trajectory:
-    """Integrate the builtin oscillator in polar form: dr/dt = r - r^3, dtheta/dt = 1.
-
-    Raises NonFinite (carrying the partial trajectory) once r overflows or
-    leaves [-1e12, 1e12].
-    """
+    """``integrate`` of the builtin oscillator in polar form, ``catalog.HOPF_POLAR``, from (r0, theta0)."""
     if r0 <= 0.0:
         raise ValueError(f"r0 must be positive, got {r0!r}")
-    n = _steps(dt, t_end)
-
-    def deriv(r: float, theta: float) -> tuple[float, float]:
-        return r - r**3, 1.0
-
-    def sampled(rs: list[float], thetas: list[float]) -> Trajectory:
-        return Trajectory(t=np.arange(len(rs)) * dt, x=np.column_stack((rs, thetas)), dt=dt)
-
-    return _stepped(deriv, r0, theta0, dt, n, "the polar form", sampled)
+    return integrate(catalog.HOPF_POLAR, Point2(r0, theta0), dt=dt, t_end=t_end)
 
 
 def check_monotonicity(traj: Trajectory) -> float:

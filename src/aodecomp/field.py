@@ -42,14 +42,6 @@ class PointDecomposition:
     singular_on_isopotential: bool
 
 
-def _check_not_equilibrium(f_val: Point2) -> None:
-    if f_val.norm() <= EQUILIBRIUM_TOL:
-        raise EquilibriumPoint(
-            f"field value {f_val.as_tuple()} is an equilibrium; the pointwise "
-            "construction is undefined at fixed points"
-        )
-
-
 def _equilibrium(f_norm, x_norm):
     """The equilibrium rule on norms: |f| <= EQUILIBRIUM_TOL * (1 + |x|)."""
     return f_norm <= EQUILIBRIUM_TOL * (1.0 + x_norm)
@@ -74,28 +66,47 @@ def friction_at(f1, f2, g1, g2):
     return -(g1 * f1 + g2 * f2) / (f1 * f1 + f2 * f2)
 
 
+def transverse_at(f1, f2, g1, g2):
+    """t = (f1 * d2(phi) - f2 * d1(phi)) / (f . f) on coordinates (floats or float64 arrays)."""
+    return (f1 * g2 - f2 * g1) / (f1 * f1 + f2 * f2)
+
+
+def _scalar_at(at, f_val: Point2, grad_phi: Point2) -> float:
+    """``at`` on one point; f is an equilibrium by the rule with |x| = 0, |f| <= EQUILIBRIUM_TOL."""
+    if _equilibrium(f_val.norm(), 0.0):
+        raise EquilibriumPoint(f"field value {f_val.as_tuple()} is an equilibrium; the frame is undefined there")
+    return at(f_val.x1, f_val.x2, grad_phi.x1, grad_phi.x2)
+
+
 def friction_scalar(f_val: Point2, grad_phi: Point2) -> float:
     """Friction coefficient s = -(grad(phi) . f) / (f . f)."""
-    _check_not_equilibrium(f_val)
-    return friction_at(f_val.x1, f_val.x2, grad_phi.x1, grad_phi.x2)
+    return _scalar_at(friction_at, f_val, grad_phi)
 
 
 def transverse_scalar(f_val: Point2, grad_phi: Point2) -> float:
     """Transverse coefficient t = (f1 * d2(phi) - f2 * d1(phi)) / (f . f)."""
-    _check_not_equilibrium(f_val)
-    return (f_val.x1 * grad_phi.x2 - f_val.x2 * grad_phi.x1) / f_val.dot(f_val)
+    return _scalar_at(transverse_at, f_val, grad_phi)
 
 
 def point_decomposition(sys: SystemSpec, x: Point2) -> PointDecomposition:
-    """Decompose the system at x; requires a potential and a non-equilibrium x."""
+    """Decompose the system at x; requires a potential and a non-equilibrium x.
+
+    Where a product of f and grad(phi) overflows, s and t (homogeneous of degree
+    -1 in f, 1 in grad(phi)) are computed from both divided by their largest components.
+    """
     if sys.potential is None:
         raise MissingPotential(f"system {sys.name!r} has no potential")
     f_val = sys.field.evaluate(x)
     if _equilibrium(f_val.norm(), x.norm()):
         raise EquilibriumPoint(f"{x.as_tuple()} is an equilibrium of {sys.name!r}")
     grad_phi = sys.potential.gradient(x)
-    s = friction_scalar(f_val, grad_phi)
-    t = transverse_scalar(f_val, grad_phi)
+    f1, f2, g1, g2 = f_val.x1, f_val.x2, grad_phi.x1, grad_phi.x2
+    scale = 1.0
+    if not all(map(math.isfinite, (f1 * f1 + f2 * f2, g1 * f1 + g2 * f2, f1 * g2 - f2 * g1))):
+        f_max, g_max = max(abs(f1), abs(f2)), max(abs(g1), abs(g2)) or 1.0
+        f1, f2, g1, g2, scale = f1 / f_max, f2 / f_max, g1 / g_max, g2 / g_max, g_max / f_max
+    s = friction_at(f1, f2, g1, g2) * scale
+    t = transverse_at(f1, f2, g1, g2) * scale
     norm2 = s * s + t * t
     if norm2 <= SINGULAR_SPLIT_TOL:
         return PointDecomposition(

@@ -19,8 +19,9 @@ import pytest
 
 from aodecomp import Matrix2, NonFinite, Point2, ScalarField, SystemSpec, get, integrate, list_systems
 from aodecomp.dissipation import VERDICTS, phi_rate_many, power_many, report_many
-from aodecomp.field import equilibrium_mask, friction_scalar
+from aodecomp.field import equilibrium_mask, friction_at, friction_scalar, transverse_at, transverse_scalar
 from aodecomp.tolerances import EQUILIBRIUM_TOL, master_tol
+from aodecomp.catalog import HOPF_POLAR
 from aodecomp.cli import main
 from helpers import gradient_flow_system, reversed_system
 
@@ -116,6 +117,12 @@ def test_field_batches_match_point_loop(name):
     grads = [sys.potential.gradient(p) for p in pts]
     assert_same_bits(g1, [g.x1 for g in grads])
     assert_same_bits(g2, [g.x2 for g in grads])
+    # the frame scalars off the equilibria, where the scalar forms are defined
+    moving = np.array([f.norm() > EQUILIBRIUM_TOL for f in values])
+    frame = (f1[moving], f2[moving], g1[moving], g2[moving])
+    pairs = [(f, g) for f, g, m in zip(values, grads, moving.tolist()) if m]
+    assert_same_bits(friction_at(*frame), [friction_scalar(f, g) for f, g in pairs])
+    assert_same_bits(transverse_at(*frame), [transverse_scalar(f, g) for f, g in pairs])
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -174,21 +181,22 @@ def test_integrate_columns_match_scalar_recomputation(name):
 
 
 def test_integrate_states_match_point_stepper():
-    sys = get("hopf_limit_cycle").system
     dt = 0.01
-    traj = integrate(sys, Point2(0.6, -0.3), dt=dt, t_end=1.0)
-    p = Point2(0.6, -0.3)
-    f = sys.field.evaluate
-    for row in traj.x[1:].tolist():
-        k1 = f(p)
-        k2 = f(p + k1.scaled(0.5 * dt))
-        k3 = f(p + k2.scaled(0.5 * dt))
-        k4 = f(p + k3.scaled(dt))
-        p = Point2(
-            p.x1 + dt * (k1.x1 + 2.0 * (k2.x1 + k3.x1) + k4.x1) / 6.0,
-            p.x2 + dt * (k1.x2 + 2.0 * (k2.x2 + k3.x2) + k4.x2) / 6.0,
-        )
-        assert row == [p.x1, p.x2]
+    # the Cartesian oscillator and its polar chart go through the same loop
+    for sys in (get("hopf_limit_cycle").system, HOPF_POLAR):
+        traj = integrate(sys, Point2(0.6, -0.3), dt=dt, t_end=1.0)
+        p = Point2(0.6, -0.3)
+        f = sys.field.evaluate
+        for row in traj.x[1:].tolist():
+            k1 = f(p)
+            k2 = f(p + k1.scaled(0.5 * dt))
+            k3 = f(p + k2.scaled(0.5 * dt))
+            k4 = f(p + k3.scaled(dt))
+            p = Point2(
+                p.x1 + dt * (k1.x1 + 2.0 * (k2.x1 + k3.x1) + k4.x1) / 6.0,
+                p.x2 + dt * (k1.x2 + 2.0 * (k2.x2 + k3.x2) + k4.x2) / 6.0,
+            )
+            assert row == [p.x1, p.x2]
 
 
 def test_stage_overflow_is_a_blowup_not_an_input_error():

@@ -364,8 +364,29 @@ def test_simulate_polar_blowup_exit_3_with_marker(capsys):
     lines = out.splitlines()
     assert lines[0] == "t,r,theta"
     assert lines[1] == "0.0,1000000.0,0.0"
-    assert lines[-1].startswith("# truncated:")
-    assert err.startswith("aodecomp:")
+    assert lines[-1] == "# truncated: state blew up at t=0.001 integrating 'hopf_limit_cycle_polar'"
+    assert err == "aodecomp: state blew up at t=0.001 integrating 'hopf_limit_cycle_polar'\n"
+
+
+def test_simulate_polar_radius_overflow_exits_1(capsys):
+    code, out, err = run(capsys, "simulate", "--system", "hopf_limit_cycle", "--x0", "1.7e308,1.7e308", "--polar")
+    assert code == 1
+    assert out == ""
+    assert err == "aodecomp: the radius of --x0 1.7e308,1.7e308 overflows float64\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_decompose_at_where_frame_products_overflow(capsys, fmt):
+    # the field and gradient are finite at 1e200 but f . f and grad(phi) . f overflow
+    code, out, err = run(capsys, "decompose", "--system", "stable_node", "--at", "1e200,0", "--format", fmt)
+    assert code == 0, err
+    assert "nan" not in out and "inf" not in out
+    if fmt == "json":
+        doc = json.loads(out)
+    else:
+        doc = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    assert abs(float(doc["friction"]) - 25.0 / 23.0) <= 1e-15
+    assert abs(float(doc["transverse"]) - 10.0 / 23.0) <= 1e-15
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])

@@ -141,11 +141,3 @@ def test_vector_field_divergence_fallback():
     field = VectorField(lambda x1, x2: (x1**2, -3.0 * x2))
     x = Point2(0.8, -1.1)
     assert abs(field.divergence(x) - (2.0 * x.x1 - 3.0)) <= 1e-6
-
-
-def test_vector_field_jacobian_fallback():
-    field = VectorField(lambda x1, x2: (x1 * x2, x1 - x2))
-    x = Point2(0.4, 1.5)
-    jac = field.jacobian(x)
-    expected = Matrix2(x.x2, x.x1, 1.0, -1.0)
-    assert (jac - expected).max_abs() <= 1e-6

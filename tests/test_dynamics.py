@@ -21,6 +21,7 @@ from aodecomp import (
     integrate_polar,
     radial_solution,
 )
+from aodecomp.catalog import HOPF_POLAR
 from helpers import reversed_system
 
 
@@ -92,6 +93,22 @@ def test_polar_angle_is_linear_in_time():
     traj = integrate_polar(0.5, theta0, dt=1e-3, t_end=10.0)
     expected = theta0 + traj.t
     assert np.max(np.abs(traj.x[:, 1] - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("r0, theta0", [(0.1, 0.0), (1.0, 0.3), (2.5, -2.0)])
+def test_integrate_polar_is_integrate_of_the_polar_system(r0, theta0):
+    pol = integrate_polar(r0, theta0, dt=1e-3, t_end=5.0)
+    ref = integrate(HOPF_POLAR, Point2(r0, theta0), dt=1e-3, t_end=5.0)
+    assert np.array_equal(pol.x.view(np.uint64), ref.x.view(np.uint64))
+
+
+@pytest.mark.parametrize("r0, theta0", [(0.1, 0.7), (1.0, 0.0), (2.5, -2.0)])
+def test_polar_divergence_is_the_cartesian_divergence(hopf, r0, theta0):
+    # on the cycle r = 1 both charts give -2, where the dissipation power is 0
+    pol = integrate_polar(r0, theta0, dt=1e-2, t_end=10.0)
+    r, theta = pol.x[:, 0], pol.x[:, 1]
+    cart = hopf.system.field.divergence_many(r * np.cos(theta), r * np.sin(theta))
+    assert np.max(np.abs(pol.div_f - cart)) <= 1e-12
 
 
 def test_polar_rejects_nonpositive_radius():

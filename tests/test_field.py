@@ -11,13 +11,16 @@ from aodecomp import (
     EquilibriumPoint,
     MissingPotential,
     Point2,
+    ScalarField,
     SystemSpec,
     VectorField,
     friction_scalar,
     get,
+    list_systems,
     point_decomposition,
     transverse_scalar,
 )
+from aodecomp.tolerances import EQUILIBRIUM_TOL
 from helpers import gradient_flow_system, random_point
 
 
@@ -166,3 +169,50 @@ def test_cycle_is_zero_friction_isopotential_locus(hopf):
         g = hopf.system.potential.gradient(x)
         assert g.norm() <= 1e-12
         assert abs(friction_scalar(f, g)) <= 1e-12
+
+
+OVERFLOW_POINTS = [Point2(1e200, 0.0), Point2(-3e250, 7e249), Point2(1e300, 1e300)]
+
+
+def _rel_close(value, reference) -> bool:
+    if reference is None:
+        return value is None
+    return abs(value - reference) <= 1e-14 * abs(reference)
+
+
+@pytest.mark.parametrize("name", [n for n in list_systems() if get(n).decomposition is not None and n != "zero_matrix"])
+@pytest.mark.parametrize("x", OVERFLOW_POINTS, ids=lambda x: f"{x.x1:g},{x.x2:g}")
+def test_point_decomposition_where_frame_products_overflow(name, x):
+    # f . f overflows at these points while f and grad(phi) stay finite; for a
+    # linear system s and t are invariant under scaling x, so the point scaled
+    # to max|x_i| = 1 is the reference
+    sys = get(name).system
+    pd = point_decomposition(sys, x)
+    ref = point_decomposition(sys, x.scaled(1.0 / max(abs(x.x1), abs(x.x2))))
+    for field in ("friction", "transverse", "diffusion", "gyration"):
+        assert _rel_close(getattr(pd, field), getattr(ref, field)), (field, getattr(pd, field), getattr(ref, field))
+    assert pd.singular_on_isopotential == ref.singular_on_isopotential
+
+
+def test_point_decomposition_overflow_with_zero_gradient():
+    flat = SystemSpec(
+        "flat", VectorField(lambda x1, x2: (-x1, -x2)), ScalarField(lambda x1, x2: 0.0, lambda x1, x2: (0.0, 0.0))
+    )
+    pd = point_decomposition(flat, Point2(1e200, 0.0))
+    assert pd.friction == 0.0 and pd.transverse == 0.0
+    assert pd.singular_on_isopotential
+
+
+@pytest.mark.parametrize("steps", range(-3, 4))
+@pytest.mark.parametrize("scalar", [friction_scalar, transverse_scalar])
+def test_scalar_frame_equilibrium_rule_at_the_threshold(scalar, steps):
+    # |f| within a few ulps of EQUILIBRIUM_TOL: at or below it is an equilibrium
+    v = EQUILIBRIUM_TOL
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    for f in (Point2(v, 0.0), Point2(0.0, -v)):
+        if steps <= 0:
+            with pytest.raises(EquilibriumPoint):
+                scalar(f, Point2(1.0, 2.0))
+        else:
+            assert math.isfinite(scalar(f, Point2(1.0, 2.0)))
