@@ -26,6 +26,7 @@ from .errors import (
     EquilibriumPoint,
     MissingPotential,
     NonFinite,
+    NotFiniteQuantity,
     NotPSD,
     SingularMatrix,
     UnknownSystem,
@@ -68,6 +69,7 @@ __all__ = [
     "Matrix2",
     "MissingPotential",
     "NonFinite",
+    "NotFiniteQuantity",
     "NotPSD",
     "Point2",
     "PointDecomposition",

@@ -9,8 +9,10 @@ Columns are serialized a block of rows at a time, and each distinct float of
 a block is formatted once (``_float_cells``). CSV folds -0.0 to 0.0. Report
 documents are rendered from their columns in the exact layout of
 ``json.dumps(doc, indent=2)`` and keep -0.0; every other JSON document goes
-through ``json.dumps``. No JSON document holds NaN or an infinity: emitting
-one raises ValueError, which exits 1 with no output.
+through ``json.dumps``. No document holds NaN or an infinity: a batch
+quantity that is not finite raises NotFiniteQuantity, which exits 1 with no
+output and a message naming the flag, its value and the quantity, and
+``json.dumps(allow_nan=False)`` guards every other JSON document.
 
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up.
@@ -22,13 +24,14 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
 from . import catalog, dissipation, dynamics, field, linear
 from .core import DiffusionParams, Matrix2, Point2, SystemSpec
-from .errors import AodecompError, NonFinite
+from .errors import AodecompError, NonFinite, NotFiniteQuantity
 from .tolerances import LYAPUNOV_RESIDUAL_TOL, master_tol
 
 # Flags whose value is a comma list that may begin with a negative number;
@@ -118,24 +121,25 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     return np.tile(xs, ny), np.repeat(ys, nx)
 
 
-def _raise_overflow(
-    system: SystemSpec, name: str, sources: list[tuple[str, str, np.ndarray, np.ndarray]]
-) -> None:
-    """Raise a _UsageError naming the first input at which ``system`` overflows.
+def _raise_overflow(name: str, sources: list[tuple[str, str, np.ndarray, np.ndarray]], compute) -> None:
+    """Raise a _UsageError naming the first input at which ``compute`` overflows.
 
-    ``sources`` holds (flag, value, x1, x2) per input, in argument order. The
-    vector field and the potential gradient are the evaluations that reject a
-    non-finite result; return normally if neither does at any input.
+    ``sources`` holds (flag, value, x1, x2) per input, in argument order, and
+    ``compute(x1, x2)`` is the batch computation the command ran; the message
+    names the quantity it rejected. Return normally if it rejects no input.
     """
-    evaluations = [("vector field", system.field.evaluate_many)]
-    if system.potential is not None:
-        evaluations.append(("potential gradient", system.potential.gradient_many))
     for flag, value, x1, x2 in sources:
-        for what, evaluate in evaluations:
-            try:
-                evaluate(x1, x2)
-            except ValueError:
-                raise _UsageError(f"the {what} of {name!r} overflows float64 at {flag} {value}") from None
+        try:
+            compute(x1, x2)
+        except NotFiniteQuantity as exc:
+            raise _UsageError(f"the {exc.quantity} of {name!r} overflows float64 at {flag} {value}") from None
+
+
+def _field_and_gradient(system: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> None:
+    """Evaluate the vector field, then the potential gradient; a non-finite result raises."""
+    system.field.evaluate_many(x1, x2)
+    if system.potential is not None:
+        system.potential.gradient_many(x1, x2)
 
 
 def _fold_comma_values(argv: list[str]) -> list[str]:
@@ -243,7 +247,7 @@ def _pointwise_doc(system: SystemSpec, text: str, name: str) -> dict:
     try:
         pd = field.point_decomposition(system, at)
     except ValueError:  # the field or the potential gradient is not finite at the point
-        _raise_overflow(system, name, [("--at", text, np.array([at.x1]), np.array([at.x2]))])
+        _raise_overflow(name, [("--at", text, np.array([at.x1]), np.array([at.x2]))], partial(_field_and_gradient, system))
         raise
     s, t = pd.friction, pd.transverse
     fv, gv = pd.drift, pd.potential_gradient
@@ -377,7 +381,8 @@ def cmd_simulate(args) -> int:
     except NonFinite as exc:
         traj, failure = exc.trajectory, str(exc)
     except ValueError:  # the sample columns at a state are not finite
-        _raise_overflow(entry.system, entry.name, [("--x0", args.x0, np.array([x0.x1]), np.array([x0.x2]))])
+        x0_source = ("--x0", args.x0, np.array([x0.x1]), np.array([x0.x2]))
+        _raise_overflow(entry.name, [x0_source], partial(_field_and_gradient, entry.system))
         raise
 
     columns = [traj.t, traj.x[:, 0], traj.x[:, 1]]
@@ -397,15 +402,11 @@ def cmd_simulate(args) -> int:
 def _report_json(
     name: str, tol: float, x1: np.ndarray, x2: np.ndarray, rep: dissipation.ReportColumns
 ) -> str:
-    """The report document, as ``json.dumps(doc, indent=2, allow_nan=False)`` writes it.
+    """The report document, as ``json.dumps(doc, indent=2)`` writes it.
 
-    Like dumps, raises ValueError (exit 1) if any float is NaN or infinite.
+    The columns are finite: ``report_many`` rejects a non-finite one.
     """
     floats = (x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap)
-    if not all(np.isfinite(column).all() for column in floats):
-        values = np.column_stack(floats).ravel()  # document order
-        first = values[~np.isfinite(values)][0].item()
-        raise ValueError(f"Out of range float values are not JSON compliant: {first!r}")
     parts = [_REPORT_HEAD % (json.dumps(name), json.dumps(tol))]
     for start in range(0, len(x1), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
@@ -441,10 +442,11 @@ def cmd_report(args) -> int:
     x1 = np.concatenate([source[2] for source in sources])
     x2 = np.concatenate([source[3] for source in sources])
     tol = master_tol()
+    compute = partial(dissipation.report_many, entry.system, zero_tol=tol)
     try:
-        rep = dissipation.report_many(entry.system, x1, x2, zero_tol=tol)
-    except ValueError:  # the field or the potential gradient is not finite at a point
-        _raise_overflow(entry.system, entry.name, sources)
+        rep = compute(x1, x2)
+    except ValueError:  # a quantity of the report is not finite at a point
+        _raise_overflow(entry.name, sources, compute)
         raise
     if args.format == "json":
         _write_output(_report_json(entry.name, tol, x1, x2, rep), args.out)
@@ -472,19 +474,28 @@ def cmd_grid(args) -> int:
         raise _UsageError(f"quantity {quantity!r} needs a potential, which {entry.name!r} lacks")
 
     if quantity == "vector_field":
-        _emit_csv(["x1", "x2", "f1", "f2"], [x1, x2, *system.field.evaluate_many(x1, x2)], args.out)
-        return 0
-    if quantity == "potential":
-        value = system.potential.evaluate_many(x1, x2)
+        compute = system.field.evaluate_many
+    elif quantity == "potential":
+        compute = system.potential.evaluate_many
     elif quantity == "divergence":
-        value = system.field.divergence_many(x1, x2)
+        compute = system.field.divergence_many
     elif quantity == "phi_rate":
-        value = dissipation.phi_rate_many(system, x1, x2)
+        compute = partial(dissipation.phi_rate_many, system)
     elif quantity == "dissipation_power":
-        value, _ = dissipation.power_many(system, x1, x2)
+        def compute(x1, x2):
+            return dissipation.power_many(system, x1, x2)[0]
     else:  # criteria_agreement
-        value = dissipation.report_many(system, x1, x2).agree.astype(float)
-    _emit_csv(["x1", "x2", "value"], [x1, x2, value], args.out)
+        def compute(x1, x2):
+            return dissipation.report_many(system, x1, x2).agree.astype(float)
+    try:
+        value = compute(x1, x2)
+    except ValueError:  # the quantity, or a value it is computed from, is not finite at a point
+        _raise_overflow(entry.name, [("--grid", args.grid, x1, x2)], compute)
+        raise
+    if quantity == "vector_field":
+        _emit_csv(["x1", "x2", "f1", "f2"], [x1, x2, *value], args.out)
+    else:
+        _emit_csv(["x1", "x2", "value"], [x1, x2, value], args.out)
     return 0
 
 

@@ -9,7 +9,8 @@ A field's formulas are written once, as plain closures over coordinates
 constant. The Point2 methods (``evaluate``, ``gradient``, ``divergence``)
 call them on floats, and the ``*_many`` methods call the same
 closures on arrays of N points. The two agree bit for bit, because numpy
-rounds each elementwise operation like Python floats do.
+rounds each elementwise operation like Python floats do. A ``*_many`` result
+that is NaN or infinite anywhere raises NotFiniteQuantity, a ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import NotFiniteQuantity, SingularMatrix
 from .tolerances import FD_STEP, PSD_SLACK, SINGULAR_DET_TOL
 
 
@@ -240,12 +241,14 @@ def central_divergence(f: Callable, x1, x2):
     return d1 + d2
 
 
-def check_finite(x1: np.ndarray, x2: np.ndarray) -> None:
-    """Raise the ValueError a Point2 of the first non-finite row would raise."""
-    bad = ~(np.isfinite(x1) & np.isfinite(x2))
-    if bad.any():
-        i = int(bad.argmax())
-        Point2(float(x1[i]), float(x2[i]))
+def check_finite(quantity: str, *columns: np.ndarray) -> None:
+    """Raise NotFiniteQuantity naming ``quantity`` and its first non-finite value, in row order."""
+    finite = np.isfinite(columns[0])
+    for column in columns[1:]:
+        finite &= np.isfinite(column)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise NotFiniteQuantity(quantity, next(v for v in (float(c[i]) for c in columns) if not math.isfinite(v)))
 
 
 def _many(fn: Callable, x1: np.ndarray, x2: np.ndarray, pair: bool = False):
@@ -287,13 +290,15 @@ class ScalarField:
         return Point2(*self._gradient(x.x1, x.x2))
 
     def evaluate_many(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Values at N points; like ``evaluate``, non-finite values pass unchecked."""
-        return _many(self.fn, x1, x2)
+        """Values at N points; raises NotFiniteQuantity (a ValueError) where not finite."""
+        value = _many(self.fn, x1, x2)
+        check_finite("potential", value)
+        return value
 
     def gradient_many(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient components at N points; raises ValueError where not finite."""
+        """Gradient components at N points; raises NotFiniteQuantity where not finite."""
         g1, g2 = _many(self._gradient, x1, x2, pair=True)
-        check_finite(g1, g2)
+        check_finite("potential gradient", g1, g2)
         return g1, g2
 
 
@@ -320,14 +325,17 @@ class VectorField:
         return float(self._divergence(x.x1, x.x2))
 
     def evaluate_many(self, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Field components at N points; raises ValueError where not finite."""
+        """Field components at N points; raises NotFiniteQuantity where not finite."""
         f1, f2 = _many(self.fn, x1, x2, pair=True)
-        check_finite(f1, f2)
+        check_finite("vector field", f1, f2)
         return f1, f2
 
     def divergence_many(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Divergence at N points (finite differences where no closed form)."""
-        return _many(self._divergence, x1, x2)
+        """Divergence at N points (finite differences where no closed form);
+        raises NotFiniteQuantity where not finite."""
+        value = _many(self._divergence, x1, x2)
+        check_finite("divergence", value)
+        return value
 
 
 @dataclass(frozen=True)

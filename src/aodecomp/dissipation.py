@@ -14,7 +14,9 @@ Every quantity is computed on N points at once (``phi_rate_many``,
 ``power_many``, ``report_many``); the scalar ``divergence``, ``phi_rate``
 and ``report`` are the N = 1 case, so each formula and each verdict rule
 exists once. Batched results equal the loop over the scalar closures bit for
-bit, because every closure keeps the scalar expression order.
+bit, because every closure keeps the scalar expression order. A batch
+quantity that is NaN or infinite at any point raises NotFiniteQuantity (a
+ValueError) naming it, so no verdict is ever computed from such a value.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix2, Point2, SystemSpec
+from .core import Matrix2, Point2, SystemSpec, check_finite
 from .errors import MissingPotential, NotPSD
 from .field import equilibrium_mask, friction_at
 from .tolerances import PSD_SLACK, master_tol
@@ -31,6 +33,10 @@ from .tolerances import PSD_SLACK, master_tol
 CONSERVATIVE = "conservative"
 DISSIPATIVE = "dissipative"
 EXPANDING = "expanding"
+
+# Names of the batch quantities in NotFiniteQuantity messages.
+POWER = "dissipation power"
+RATE = "rate of change of the potential"
 
 # Verdict codes in ReportColumns index this tuple.
 VERDICTS = (CONSERVATIVE, DISSIPATIVE, EXPANDING)
@@ -111,7 +117,9 @@ def phi_rate_many(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> np.ndarray
     g1, g2 = sys.potential.gradient_many(x1, x2)
     f1, f2 = sys.field.evaluate_many(x1, x2)
     with np.errstate(all="ignore"):
-        return _rate(f1, f2, g1, g2)
+        rate = _rate(f1, f2, g1, g2)
+    check_finite(RATE, rate)
+    return rate
 
 
 def phi_rate(sys: SystemSpec, x: Point2) -> float:
@@ -125,34 +133,47 @@ def power_many(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndar
     H_P is xdot^T S xdot with the system's friction matrix S when it has one,
     otherwise the pointwise friction scalar times |xdot|^2, with H_P = 0 at
     equilibria (xdot = 0). The rate is None for a system without a potential.
+    Raises NotFiniteQuantity where either is not finite.
     """
     if sys.friction is None and sys.potential is None:
         raise MissingPotential(f"system {sys.name!r} has no potential")
     f1, f2 = sys.field.evaluate_many(x1, x2)
+    rate = None
     with np.errstate(all="ignore"):
         if sys.friction is not None:
             h_p = _friction_power(sys.friction, f1, f2)
-            if sys.potential is None:
-                return h_p, None
-        g1, g2 = sys.potential.gradient_many(x1, x2)
-        if sys.friction is None:
-            ff = f1 * f1 + f2 * f2
-            h_p = np.where(equilibrium_mask(x1, x2, f1, f2), 0.0, friction_at(f1, f2, g1, g2) * ff)
-        return h_p, _rate(f1, f2, g1, g2)
+        if sys.potential is not None:
+            g1, g2 = sys.potential.gradient_many(x1, x2)
+            if sys.friction is None:
+                ff = f1 * f1 + f2 * f2
+                h_p = np.where(equilibrium_mask(x1, x2, f1, f2), 0.0, friction_at(f1, f2, g1, g2) * ff)
+            rate = _rate(f1, f2, g1, g2)
+    check_finite(POWER, h_p)
+    if rate is not None:
+        check_finite(RATE, rate)
+    return h_p, rate
 
 
 def report_many(
     sys: SystemSpec, x1: np.ndarray, x2: np.ndarray, *, zero_tol: float | None = None
 ) -> ReportColumns:
-    """``report`` at N points, as columns."""
+    """``report`` at N points, as columns; raises NotFiniteQuantity where a column is not finite.
+
+    The power side is computed first, so an overflowing field or potential
+    gradient is named before the divergence.
+    """
     tol = master_tol(zero_tol)
+    h_p = rate = gap = None
+    if sys.friction is not None or sys.potential is not None:
+        h_p, rate = power_many(sys, x1, x2)
     div = sys.field.divergence_many(x1, x2)
     verdict_div = np.where(np.abs(div) <= tol, 0, np.where(div < 0.0, 1, 2)).astype(np.int8)
-    if sys.friction is None and sys.potential is None:
+    if h_p is None:
         return ReportColumns(div_f=div, verdict_divergence=verdict_div)
-    h_p, rate = power_many(sys, x1, x2)
-    with np.errstate(all="ignore"):
-        gap = np.abs(np.abs(rate) - h_p) if rate is not None else None
+    if rate is not None:
+        with np.errstate(all="ignore"):
+            gap = np.abs(np.abs(rate) - h_p)
+        check_finite("identity gap", gap)
     verdict_power = np.where(np.abs(h_p) <= tol, 0, 1).astype(np.int8)
     return ReportColumns(
         div_f=div,

@@ -72,7 +72,8 @@ def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float 
     Fills potential, rate and power columns when the system has a potential;
     the divergence column is always present. Raises NonFinite (carrying the
     partial trajectory) once a coordinate overflows, stops being finite or
-    leaves [-1e12, 1e12].
+    leaves [-1e12, 1e12], and NotFiniteQuantity if a sampled column is not
+    finite at a state inside that box.
     """
     n = _steps(dt, t_end)
     deriv = sys.field.fn
@@ -172,13 +173,12 @@ def definition2_check(
     xs = np.linspace(xmin, xmax, samples_per_axis)
     ys = np.linspace(ymin, ymax, samples_per_axis)
     x1, x2 = np.tile(xs, samples_per_axis), np.repeat(ys, samples_per_axis)
-    check_finite(x1, x2)
+    check_finite("sample grid", x1, x2)
     rates = dissipation.phi_rate_many(sys, x1, x2)
     violations = [
         (Point2(x1[i].item(), x2[i].item()), rates[i].item()) for i in np.flatnonzero(rates > tol).tolist()
     ]
-    # fmin skips NaN, as the running min(infimum, value) of a sample loop does
-    infimum = float(np.fmin.reduce(sys.potential.evaluate_many(x1, x2), initial=math.inf))
+    infimum = float(sys.potential.evaluate_many(x1, x2).min())
 
     radial_ok = True
     for radius in (10.0, 100.0, 1000.0):

@@ -52,6 +52,18 @@ class NonFinite(AodecompError):
         self.trajectory = trajectory
 
 
+class NotFiniteQuantity(AodecompError, ValueError):
+    """A quantity computed at N points is NaN or infinite at one of them.
+
+    Carries the quantity's name, so a caller can say which result overflowed.
+    """
+
+    def __init__(self, quantity: str, value: float):
+        super().__init__(f"the {quantity} is not finite: {value!r}")
+        self.quantity = quantity
+        self.value = value
+
+
 class UnknownSystem(AodecompError):
     """Catalog lookup for a name that is not registered."""
 

@@ -227,12 +227,13 @@ def test_overflow_inputs_raise_no_warning(argv, capsys):
     assert err == "" if code == 0 else err.startswith("aodecomp:")
 
 
-def test_overflow_grid_leaves_stderr_empty_in_a_fresh_interpreter():
+def test_overflow_grid_prints_only_the_message_in_a_fresh_interpreter():
+    # the potential overflows on this grid; numpy must print no RuntimeWarning
     argv = ["grid", "--system", "hopf_limit_cycle", "--grid", HUGE, "--quantity", "potential"]
     proc = subprocess.run(
         [sys.executable, "-m", "aodecomp.cli", *argv],
         capture_output=True, text=True, env={"PYTHONPATH": str(SRC)}, timeout=60, check=False,
     )
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert "inf" in proc.stdout
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"aodecomp: the potential of 'hopf_limit_cycle' overflows float64 at --grid {HUGE}\n"

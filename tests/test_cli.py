@@ -485,3 +485,41 @@ def test_non_finite_input_message_names_the_flag(capsys, argv):
     assert code == 1
     assert out == ""
     assert err == f"aodecomp: {argv[-2]} values must be finite, got {argv[-1]!r}\n"
+
+
+NONFINITE_GRID = "-1e200,1e200,-1e200,1e200,3,3"
+
+
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        # h_p overflows to inf; these were once 'dissipative' rows with agree = true
+        (["report", "--system", "stable_node", "--grid", NONFINITE_GRID, "--format", "csv"], "dissipation power"),
+        (["report", "--system", "stable_node", "--grid", NONFINITE_GRID, "--format", "json"], "dissipation power"),
+        (["grid", "--system", "stable_spiral", "--grid", NONFINITE_GRID, "--quantity", "criteria_agreement"],
+         "dissipation power"),
+        (["grid", "--system", "stable_node", "--grid", NONFINITE_GRID, "--quantity", "dissipation_power"],
+         "dissipation power"),
+        (["grid", "--system", "stable_spiral", "--grid", NONFINITE_GRID, "--quantity", "phi_rate"],
+         "rate of change of the potential"),
+        (["grid", "--system", "stable_spiral", "--grid", NONFINITE_GRID, "--quantity", "potential"], "potential"),
+        (["grid", "--system", "hopf_limit_cycle", "--grid", NONFINITE_GRID, "--quantity", "divergence"], "divergence"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_non_finite_quantity_exits_1_naming_it(capsys, monkeypatch, argv, quantity):
+    monkeypatch.delenv("AODECOMP_TOL", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    system = argv[argv.index("--system") + 1]
+    assert err == f"aodecomp: the {quantity} of {system!r} overflows float64 at --grid {NONFINITE_GRID}\n"
+
+
+def test_non_finite_column_message_names_the_first_input(capsys):
+    # the --at point is finite everywhere; the grid after it is not
+    code, out, err = run(
+        capsys, "report", "--system", "stable_node", "--at", "1,0", "--grid", NONFINITE_GRID, "--format", "csv",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"aodecomp: the dissipation power of 'stable_node' overflows float64 at --grid {NONFINITE_GRID}\n"

@@ -10,8 +10,10 @@ import pytest
 from aodecomp import (
     Matrix2,
     MissingPotential,
+    NotFiniteQuantity,
     NotPSD,
     Point2,
+    ScalarField,
     SystemSpec,
     VectorField,
     assemble_decomposition,
@@ -22,7 +24,7 @@ from aodecomp import (
     report,
     solve_gyration,
 )
-from aodecomp.dissipation import CONSERVATIVE, DISSIPATIVE, EXPANDING
+from aodecomp.dissipation import CONSERVATIVE, DISSIPATIVE, EXPANDING, phi_rate_many, power_many, report_many
 from helpers import random_diffusion, random_matrix_nonzero_trace, random_point
 
 
@@ -198,3 +200,74 @@ def test_expanding_region_never_agrees(hopf):
 def test_master_tol_rejects_invalid_overrides(hopf, value):
     with pytest.raises(ValueError):
         report(hopf.system, Point2(1.0, 0.0), zero_tol=value)
+
+
+def _at_second_row(value):
+    """A closure value: ``value`` where x1 == 2, 1.0 elsewhere."""
+    return lambda x1, x2: np.where(x1 == 2.0, value, 1.0)
+
+
+def _poisoned_system(stage, value):
+    """A gradient-like system whose ``stage`` closure is ``value`` at x1 = 2, finite elsewhere."""
+    bad = _at_second_row(value)
+    f1 = bad if stage == "vector field" else (lambda x1, x2: -x1)
+    g1 = bad if stage == "potential gradient" else (lambda x1, x2: x1)
+    div = bad if stage == "divergence" else (lambda x1, x2: -2.0)
+    field = VectorField(lambda x1, x2: (f1(x1, x2), -x2), divergence_fn=div)
+    phi = ScalarField(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), gradient_fn=lambda x1, x2: (g1(x1, x2), x2))
+    return SystemSpec("poisoned", field, potential=phi)
+
+
+X1, X2 = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("stage", ["vector field", "potential gradient", "divergence"])
+def test_report_many_names_a_non_finite_closure_value(stage, value):
+    system = _poisoned_system(stage, value)
+    with pytest.raises(NotFiniteQuantity) as excinfo:
+        report_many(system, X1, X2)
+    assert excinfo.value.quantity == stage
+    assert repr(excinfo.value.value) == repr(value)
+    assert isinstance(excinfo.value, ValueError)
+    if stage != "divergence":
+        with pytest.raises(NotFiniteQuantity):
+            power_many(system, X1, X2)
+
+
+def _constant_system(f, g, friction=None):
+    """A system with constant field f and constant potential gradient g."""
+    field = VectorField(lambda x1, x2: f, divergence_fn=lambda x1, x2: -1.0)
+    phi = ScalarField(lambda x1, x2: 0.0 * x1, gradient_fn=lambda x1, x2: g)
+    return SystemSpec("constant", field, potential=phi, friction=friction)
+
+
+@pytest.mark.parametrize(
+    "system, quantity",
+    [
+        # f^T S f overflows while f and grad(phi) are finite
+        (_constant_system((1e200, 0.0), (1e-200, 0.0), friction=Matrix2.identity()), "dissipation power"),
+        # grad(phi) . f overflows while f^T S f is finite
+        (_constant_system((10.0, 0.0), (1e308, 0.0), friction=Matrix2.identity()), "rate of change of the potential"),
+        # h_p = -rate = -1e308 are finite, |rate| - h_p overflows
+        (_constant_system((1.0, 0.0), (1e308, 0.0)), "identity gap"),
+    ],
+    ids=["power", "rate", "gap"],
+)
+def test_report_many_names_an_overflowing_product(system, quantity):
+    x1, x2 = np.array([0.5, 1.0]), np.array([0.0, 0.0])
+    with pytest.raises(NotFiniteQuantity) as excinfo:
+        report_many(system, x1, x2)
+    assert excinfo.value.quantity == quantity
+    if quantity == "rate of change of the potential":
+        with pytest.raises(NotFiniteQuantity):
+            phi_rate_many(system, x1, x2)
+
+
+def test_scalar_report_rejects_a_non_finite_verdict_input():
+    # the scalar report is the N = 1 case and inherits the rule
+    with pytest.raises(NotFiniteQuantity):
+        report(_poisoned_system("divergence", math.nan), Point2(2.0, 0.5))
+    with pytest.raises(NotFiniteQuantity):
+        divergence(_poisoned_system("divergence", math.inf), Point2(2.0, 0.5))
+    assert report(_poisoned_system("divergence", math.nan), Point2(1.0, 0.5)).verdict_divergence == EXPANDING

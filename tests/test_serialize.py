@@ -159,22 +159,6 @@ def test_report_cli_json_matches_json_dumps(name, capsys, monkeypatch):
     assert_same_text(out, reference_report(name, doc["zero_tol"], x1, x2, report_many(get(name).system, x1, x2)))
 
 
-@pytest.mark.parametrize("column", ["x1", "x2", "h_p", "div_f", "phi_rate", "identity_gap"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_report_json_rejects_non_finite_columns(column, value):
-    system = get("hopf_limit_cycle").system
-    x1, x2 = np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.0, 1.0])
-    rep = report_many(system, x1, x2)
-    columns = {"x1": x1.copy(), "x2": x2.copy(), **{k: v.copy() for k, v in vars(rep).items()}}
-    columns[column][1] = value
-    rep_bad = type(rep)(**{k: v for k, v in columns.items() if k not in ("x1", "x2")})
-    with pytest.raises(ValueError) as expected:
-        reference_report("hopf_limit_cycle", 1e-9, columns["x1"], columns["x2"], rep_bad)
-    with pytest.raises(ValueError) as raised:
-        _report_json("hopf_limit_cycle", 1e-9, columns["x1"], columns["x2"], rep_bad)
-    assert str(raised.value) == str(expected.value)
-
-
 def test_report_with_non_finite_power_exits_1_without_output(capsys, monkeypatch):
     monkeypatch.delenv("AODECOMP_TOL", raising=False)
     code = main([
@@ -183,4 +167,6 @@ def test_report_with_non_finite_power_exits_1_without_output(capsys, monkeypatch
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "aodecomp: Out of range float values are not JSON compliant: nan\n"
+    assert captured.err == (
+        "aodecomp: the dissipation power of 'stable_node' overflows float64 at --grid -1e200,1e200,-1e200,1e200,7,5\n"
+    )
