@@ -95,12 +95,10 @@ def _tables() -> dict:
 
 
 def _mul_high(a0, a1, b0, b1):
-    """High 64 bits of the 128-bit products of a = a1 2^32 + a0 and b = b1 2^32 + b0."""
-    lo = a0 * b0
-    cross1 = a0 * b1
-    cross2 = a1 * b0
-    mid = (lo >> 32) + (cross1 & _MASK32) + (cross2 & _MASK32)
-    return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (mid >> 32)
+    """High 64 bits of the 128-bit products of a = a1 2^32 + a0 and b = b1 2^32 + b0 (no sum overflows)."""
+    t = a1 * b0 + ((a0 * b0) >> 32)
+    w = a0 * b1 + (t & _MASK32)
+    return a1 * b1 + (t >> 32) + (w >> 32)
 
 
 def _round_odd(g, cp):
@@ -166,14 +164,9 @@ def _format_normal(values: np.ndarray) -> np.ndarray:
         quotient = part // pow10[4]
         chunks[:, j] = quotient
         chunks[:, j + 1] = part - quotient * pow10[4]
-    # trailing zeros of the 18 digits, from the last 4-digit chunk backwards
-    zeros = t["trailing"].take(chunks)
-    tz = zeros[:, 4]
-    run = tz == 4
-    for j in (3, 2, 1, 0):
-        tz = np.where(run, tz + zeros[:, j], tz)
-        run &= zeros[:, j] == 4
-    n = 18 - tz
+    # trailing zeros of the 18 digits: whole zero chunks after the last nonzero one, then its own
+    last = 4 - (chunks[:, ::-1] != 0).argmax(axis=1)
+    n = 18 - 4 * (4 - last) - t["trailing"].take(chunks[np.arange(len(d)), last])
     point = ndig + k  # digits before the decimal point
     exponent = point - 1
     code = np.where(
