@@ -6,7 +6,10 @@ round-trip precision so parse(emit(x)) == x. All outputs are deterministic
 for identical arguments.
 
 Columns are serialized a block of rows at a time, and each distinct float of
-a block is formatted once (``_float_cells``). CSV folds -0.0 to 0.0. Report
+a block is formatted once (``_float_cells``): the distinct sets of 256
+values or more, from all float columns of the block, in one
+``floatfmt.repr_many`` call, which prints exactly what ``repr`` prints, and
+smaller sets through ``repr``. CSV folds -0.0 to 0.0. Report
 documents are rendered from their columns in the exact layout of
 ``json.dumps(doc, indent=2)`` and keep -0.0; every other JSON document goes
 through ``json.dumps``. No document holds NaN or an infinity: a batch
