@@ -28,14 +28,9 @@ from functools import cache
 
 import numpy as np
 
-# Values per pass through the vectorized path. It bounds the temporaries
-# (about 1 MB at this size) and keeps each uint64 array in the L1 cache;
-# measured faster than 1024 or 4096.
-CHUNK = 2048
-# Rows per layout gather. Its index (rows x 24 x 8 bytes) stays below glibc's
-# 128 kB mmap threshold: freeing a larger block raises that threshold, and
-# later large strings then fragment the heap (measured +4 MB peak RSS).
-_GATHER_ROWS = 512
+# Values per pass through the vectorized path; bounds the temporaries to
+# about 2 MB. The benchmark's trajectory workload ran 7% slower at 2048.
+CHUNK = 4096
 
 _K_MIN, _K_MAX = -324, 292  # decimal exponents of finite normal doubles
 _U = np.uint64
@@ -185,14 +180,10 @@ def _format_normal(values: np.ndarray) -> list[str]:
     source[:, :5] = t["four"].take(chunks)
     source[:, 5] = t["four"].take(np.abs(exponent))
     source[:, 6:] = t["constants"]
-    layouts = t["layouts"].take(((bits >> _U(63)).astype(np.intp) * 18 + n) * _CODES + code, axis=0)
-    flat = source.view(np.uint8).ravel()
-    cells: list[str] = []
-    for start in range(0, len(values), _GATHER_ROWS):
-        rows = layouts[start:start + _GATHER_ROWS]
-        index = np.add(rows, np.arange(start * _ROW, (start + len(rows)) * _ROW, _ROW)[:, None], dtype=np.intp)
-        cells += flat.take(index).astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
-    return cells
+    key = ((bits >> _U(63)).astype(np.intp) * 18 + n) * _CODES + code
+    index = np.add(t["layouts"].take(key, axis=0), np.arange(0, len(values) * _ROW, _ROW)[:, None], dtype=np.intp)
+    text = source.view(np.uint8).ravel().take(index)
+    return text.astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
 
 
 def repr_many(values: np.ndarray) -> list[str]:
