@@ -32,7 +32,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from . import catalog, dissipation, dynamics, field, floatfmt, linear
+from . import catalog, dissipation, dynamics, field, linear
 from .core import DiffusionParams, Matrix2, Point2, SystemSpec
 from .errors import AodecompError, NonFinite, NotFiniteQuantity
 from .tolerances import LYAPUNOV_RESIDUAL_TOL, master_tol
@@ -195,7 +195,11 @@ def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
         else:
             sets.append((bits.view(np.float64), inverse))
     large = [values for values, _ in sets if len(values) >= _NUMPY_MIN_VALUES]
-    texts = iter(floatfmt.repr_many(np.concatenate(large)) if large else ())
+    texts = iter(())
+    if large:
+        from . import floatfmt  # on first use, so start-up does not load it
+
+        texts = iter(floatfmt.repr_many(np.concatenate(large)))
     cells = []
     for values, inverse in sets:
         if len(values) >= _NUMPY_MIN_VALUES:
