@@ -47,6 +47,7 @@ _DOT, _ZERO, _MINUS, _E, _PLUS, _PAD = range(24, 30)
 _WIDTH = 24  # longest repr of a normal double: -1.2345678901234567e-308
 _CODES = 24  # 20 positional decimal points (-3..16), then 4 exponent forms
 
+
 def _layout(neg: bool, n: int, code: int) -> list[int]:
     """Source columns of the text for a sign, a digit count and a layout code."""
     digits = [_DIGIT0 + j for j in range(n)]
