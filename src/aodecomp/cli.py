@@ -5,17 +5,21 @@ separators and '\\n' line endings; floats are serialized with shortest
 round-trip precision so parse(emit(x)) == x. All outputs are deterministic
 for identical arguments.
 
-Columns are serialized a block of rows at a time, and each distinct float of
-a block is formatted once (``_float_cells``): the distinct sets of 256
-values or more, from all float columns of the block, in one
-``floatfmt.repr_many`` call, which prints exactly what ``repr`` prints, and
-smaller sets through ``repr``. CSV folds -0.0 to 0.0. Report
-documents are rendered from their columns in the exact layout of
-``json.dumps(doc, indent=2)`` and keep -0.0; every other JSON document goes
-through ``json.dumps``. No document holds NaN or an infinity: a batch
-quantity that is not finite raises NotFiniteQuantity, which exits 1 with no
-output and a message naming the flag, its value and the quantity, and
-``json.dumps(allow_nan=False)`` guards every other JSON document.
+Columns are serialized a block of rows at a time, as bytes. Each distinct
+float of a block is formatted once (``_float_cells``): when the block has
+256 distinct values or more, all of them go to one ``floatfmt.repr_many``
+call, which returns exactly what ``repr`` prints as NUL-padded byte rows;
+fewer go through ``repr`` into the same rows. Verdict and flag cells come
+from small byte tables. ``_assemble`` lays a block's rows out in one byte
+buffer, cells between constant separators, drops every NUL at once and the
+block is decoded once, so no Python string is made per float cell. CSV
+folds -0.0 to 0.0. Report documents are rendered from their columns in the
+exact layout of ``json.dumps(doc, indent=2)`` and keep -0.0; every other
+JSON document goes through ``json.dumps``. No document holds NaN or an
+infinity: a batch quantity that is not finite raises NotFiniteQuantity,
+which exits 1 with no output and a message naming the flag, its value and
+the quantity, and ``json.dumps(allow_nan=False)`` guards every other JSON
+document.
 
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up.
@@ -28,7 +32,6 @@ import json
 import math
 import sys
 from functools import partial
-from itertools import islice, repeat
 
 import numpy as np
 
@@ -52,21 +55,23 @@ QUANTITIES = (
 
 # CSV and report JSON text is built this many rows at a time (see _emit_csv).
 _BLOCK_ROWS = 2048
-# Distinct floats of a block column from which one numpy formatting pass
-# (about 0.25 ms however few values it gets) is cheaper than repr per value.
+# Distinct floats of a block, over all its float columns, from which one numpy
+# formatting pass (about 0.25 ms however few values it gets) is cheaper than
+# repr per value.
 _NUMPY_MIN_VALUES = 256
-_VERDICT_CELLS = np.array(dissipation.VERDICTS, dtype=object)
-_BOOL_CELLS = np.array(["false", "true"], dtype=object)
+_VERDICT_CELLS = np.array([verdict.encode() for verdict in dissipation.VERDICTS])
+_BOOL_CELLS = np.array([b"false", b"true"])
 
 # A report document in the layout of json.dumps(doc, indent=2): the head, one
-# point (its %s slots filled in order, points joined with ",\n") and the tail.
+# point (its %s slots filled in order, each point followed by ",\n" but the
+# last) and the tail.
 _REPORT_HEAD = '{\n  "kind": "dissipation_report",\n  "system": %s,\n  "zero_tol": %s,\n  "points": [\n'
 _REPORT_POINT = (
     '    {\n      "at": [\n        %s,\n        %s\n      ],\n      "h_p": %s,\n      "div_f": %s,\n'
     '      "phi_rate": %s,\n      "identity_gap": %s,\n      "verdict_power": "%s",\n'
     '      "verdict_divergence": "%s",\n      "agree": %s\n    }'
 )
-_REPORT_POINT_TEXT = _REPORT_POINT.split("%s")
+_REPORT_POINT_BYTES = [piece.encode() for piece in (_REPORT_POINT + ",\n").split("%s")]
 _REPORT_TAIL = '\n  ],\n  "summary": {\n    "points": %d,\n    "disagreements": %d\n  }\n}\n'
 
 
@@ -180,34 +185,62 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", out)
 
 
-def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
-    """``repr`` of each value of each float64 column of a block, each distinct value formatted once.
+def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """``repr`` of each value of each float64 column of a block, as NUL-padded uint8 rows.
 
-    Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct. The
-    distinct sets of at least ``_NUMPY_MIN_VALUES`` values, from all columns,
-    go through one ``floatfmt.repr_many`` call; smaller ones through ``repr``.
+    Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct, and
+    each distinct value of a column is formatted once. When the block has at
+    least ``_NUMPY_MIN_VALUES`` distinct values, all of them go through one
+    ``floatfmt.repr_many`` call; otherwise through ``repr``.
     """
+    from . import floatfmt  # on first use, so start-up does not load it
+
     sets = []
     for column in columns:
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        if len(bits) == len(column):  # no repeats: keep the row order, skip the expansion
+        bits = column.view(np.int64)
+        ordered = np.sort(bits)
+        distinct = np.empty(len(ordered), dtype=bool)
+        distinct[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+        if distinct.all():  # no repeats: keep the row order, skip the expansion
             sets.append((column, None))
         else:
-            sets.append((bits.view(np.float64), inverse))
-    large = [values for values, _ in sets if len(values) >= _NUMPY_MIN_VALUES]
-    texts = iter(())
-    if large:
-        from . import floatfmt  # on first use, so start-up does not load it
+            ordered = ordered[distinct]
+            sets.append((ordered.view(np.float64), np.searchsorted(ordered, bits)))
+    values = np.concatenate([values for values, _ in sets])
+    format_all = floatfmt.repr_many if len(values) >= _NUMPY_MIN_VALUES else floatfmt.repr_each
+    rows = np.split(format_all(values), np.cumsum([len(values) for values, _ in sets[:-1]]))
+    return [text if inverse is None else text.take(inverse, axis=0) for text, (_, inverse) in zip(rows, sets)]
 
-        texts = iter(floatfmt.repr_many(np.concatenate(large)))
-    cells = []
-    for values, inverse in sets:
-        if len(values) >= _NUMPY_MIN_VALUES:
-            text = list(islice(texts, len(values)))
-        else:
-            text = list(map(repr, values.tolist()))
-        cells.append(text if inverse is None else np.array(text, dtype=object)[inverse].tolist())
-    return cells
+
+def _text_cells(column) -> np.ndarray:
+    """A column of ready cells (an ``S`` array, or strings encoded as UTF-8) as NUL-padded uint8 rows."""
+    if not isinstance(column, np.ndarray):
+        if "\0" in "".join(column):
+            raise ValueError("a CSV cell holds a NUL character")
+        column = np.array([cell.encode() for cell in column], dtype=bytes)
+    column = np.ascontiguousarray(column)
+    return column.view(np.uint8).reshape(len(column), column.itemsize)
+
+
+def _assemble(pieces: list[bytes], cells: list[np.ndarray]) -> np.ndarray:
+    """The bytes of a block of rows, each row ``pieces[0] cells[0] pieces[1] ... cells[-1] pieces[-1]``.
+
+    ``cells`` are NUL-padded uint8 rows. Every row of one buffer starts as
+    the constant pieces with zeroed cell slots, the cells are copied into
+    their slots, and every NUL is dropped at once.
+    """
+    template, slots = [pieces[0]], []
+    for cell, piece in zip(cells, pieces[1:]):
+        slots.append(sum(map(len, template)))
+        template += [bytes(cell.shape[1]), piece]
+    template = np.frombuffer(b"".join(template), dtype=np.uint8)
+    buffer = np.empty((len(cells[0]), len(template)), dtype=np.uint8)
+    buffer[:] = template
+    for cell, start in zip(cells, slots):
+        buffer[:, start:start + cell.shape[1]] = cell
+    flat = buffer.ravel()
+    return flat[flat != 0]
 
 
 def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | None = None) -> None:
@@ -215,16 +248,19 @@ def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | 
 
     A float64 column prints in shortest round-trip form, with -0.0 folded to
     0.0 and each distinct value of a block formatted once; any other column
-    holds ready cell strings. The text is built a block of rows at a time, so
-    only one block's cell strings exist at once.
+    holds ready cells, as an ``S`` array or as strings. Each block of rows is
+    laid out as bytes and decoded once, so no string is made per cell.
     """
     floats = [i for i, column in enumerate(columns) if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
+    cells = [column if i in floats else _text_cells(column) for i, column in enumerate(columns)]
+    pieces = [b""] + [b","] * (len(columns) - 1) + [b"\n"]
     blocks = [",".join(header) + "\n"]
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        cells = [column[start:start + _BLOCK_ROWS] for column in columns]
-        for i, text in zip(floats, _float_cells([cells[i] + 0.0 for i in floats])):
-            cells[i] = text
-        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+        block = [column[start:start + _BLOCK_ROWS] for column in cells]
+        if floats:
+            for i, text in zip(floats, _float_cells([block[i] + 0.0 for i in floats])):
+                block[i] = text
+        blocks.append(_assemble(pieces, block).tobytes().decode())
     if trailer is not None:
         blocks.append(trailer + "\n")
     _write_output("".join(blocks), out)
@@ -413,7 +449,7 @@ def cmd_simulate(args) -> int:
     else:
         header = ["t", "x1", "x2", "phi", "phi_rate", "h_p", "div_f"]
         samples = (traj.phi, traj.phi_rate, traj.h_p, traj.div_f)
-        columns += [[""] * len(traj) if c is None else c for c in samples]
+        columns += [np.zeros(len(traj), dtype="S1") if c is None else c for c in samples]
     _emit_csv(header, columns, args.out, trailer=None if failure is None else f"# truncated: {failure}")
     if failure is None:
         return 0
@@ -434,16 +470,14 @@ def _report_json(
         rows = slice(start, start + _BLOCK_ROWS)
         cells = _float_cells([column[rows] for column in floats])
         cells += [
-            _VERDICT_CELLS[rep.verdict_power[rows]].tolist(),
-            _VERDICT_CELLS[rep.verdict_divergence[rows]].tolist(),
-            _BOOL_CELLS[rep.agree[rows].view(np.int8)].tolist(),
+            _text_cells(_VERDICT_CELLS.take(rep.verdict_power[rows])),
+            _text_cells(_VERDICT_CELLS.take(rep.verdict_divergence[rows])),
+            _text_cells(_BOOL_CELLS.take(rep.agree[rows].view(np.int8))),
         ]
-        n = len(cells[0])
-        pieces = [repeat(_REPORT_POINT_TEXT[0], n)]
-        for column, text in zip(cells, _REPORT_POINT_TEXT[1:]):
-            pieces += [column, repeat(text, n)]
-        parts += [",\n".join(map("".join, zip(*pieces))), ",\n"]
-    parts[-1] = _REPORT_TAIL % (len(x1), len(x1) - int(np.count_nonzero(rep.agree)))
+        parts.append(_assemble(_REPORT_POINT_BYTES, cells).tobytes().decode())
+    # every point ends in ",\n"; the last one ends the list instead
+    parts[-1] = parts[-1][:-2]
+    parts.append(_REPORT_TAIL % (len(x1), len(x1) - int(np.count_nonzero(rep.agree))))
     return "".join(parts)
 
 
@@ -479,8 +513,8 @@ def cmd_report(args) -> int:
     ]
     columns = [
         x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap,
-        _VERDICT_CELLS[rep.verdict_power], _VERDICT_CELLS[rep.verdict_divergence],
-        _BOOL_CELLS[rep.agree.view(np.int8)],
+        _VERDICT_CELLS.take(rep.verdict_power), _VERDICT_CELLS.take(rep.verdict_divergence),
+        _BOOL_CELLS.take(rep.agree.view(np.int8)),
     ]
     _emit_csv(header, columns, args.out)
     return 0

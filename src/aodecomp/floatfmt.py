@@ -1,6 +1,10 @@
 """``repr`` of many float64 values at once, byte for byte.
 
-``repr_many(values)`` returns exactly ``list(map(repr, values.tolist()))``.
+``repr_many(values)`` returns an ``(n, WIDTH)`` uint8 array whose row i holds
+the ASCII bytes of ``repr(values[i])``, padded with NUL bytes: exactly the
+rows ``repr_each`` builds by calling ``repr`` on every value. Callers lay the
+rows into larger byte buffers and drop the padding with one mask, so no
+Python string is made per value.
 Finite normal values take Schubfach (R. Giulietti, "The Schubfach way to
 render doubles", 2020), in the same output class as Ryu: of the shortest
 decimals that round to the value it picks the closest, breaking a tie to the
@@ -18,8 +22,8 @@ arrays, a chunk at a time:
   does: decimal exponents -4..15 positionally, with ``.0`` on integers,
   others as ``d.ddde±XX`` with at least two exponent digits.
 
-Zeros, subnormals, infinities and NaN go through ``repr`` itself. The tables
-are built on first use, not at import.
+Zeros, subnormals, infinities and NaN go through ``repr`` itself, encoded
+into the same rows. The tables are built on first use, not at import.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ from functools import cache
 
 import numpy as np
 
-# Values per pass through the vectorized path; bounds the temporaries to
-# about 2 MB. The benchmark's trajectory workload ran 7% slower at 2048.
+# Values per pass through the vectorized path, about 2 MB of temporaries. A
+# pass costs about 0.25 ms however few values it gets, so a short tail joins
+# the pass before it and a pass takes at most 1.5 CHUNK values. The
+# benchmark's trajectory workload ran 7% slower at 2048.
 CHUNK = 4096
 
 _K_MIN, _K_MAX = -324, 292  # decimal exponents of finite normal doubles
@@ -44,7 +50,7 @@ _ROW = 32
 _DIGIT0 = 2
 _EXP = 20
 _DOT, _ZERO, _MINUS, _E, _PLUS, _PAD = range(24, 30)
-_WIDTH = 24  # longest repr of a normal double: -1.2345678901234567e-308
+WIDTH = 24  # longest repr of any double: -1.2345678901234567e-308
 _CODES = 24  # 20 positional decimal points (-3..16), then 4 exponent forms
 
 
@@ -64,7 +70,7 @@ def _layout(neg: bool, n: int, code: int) -> list[int]:
         negative_exp, three = divmod(code - 20, 2)
         out += digits[:1] + ([_DOT] + digits[1:] if n > 1 else [])
         out += [_E, _MINUS if negative_exp else _PLUS] + list(range(_EXP + 2 - three, _EXP + 4))
-    return out + [_PAD] * (_WIDTH - len(out))
+    return out + [_PAD] * (WIDTH - len(out))
 
 
 @cache
@@ -79,7 +85,7 @@ def _tables() -> dict:
         g = num // den + 1
         g1.append(g >> 63)
         g0.append(g & ((1 << 63) - 1))
-    layouts = np.full((2 * 18 * _CODES, _WIDTH), _PAD, dtype=np.uint8)
+    layouts = np.full((2 * 18 * _CODES, WIDTH), _PAD, dtype=np.uint8)
     for row, (neg, n, code) in enumerate(np.ndindex(2, 18, _CODES)):
         if n:
             layouts[row] = _layout(bool(neg), n, code)
@@ -149,8 +155,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, k
 
 
-def _format_normal(values: np.ndarray) -> list[str]:
-    """repr of finite normal float64 values."""
+def _format_normal(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the repr rows of finite normal float64 values into ``out``, an (n, WIDTH) uint8 array."""
     t = _tables()
     bits = values.view(np.uint64)
     d, k = _shortest(bits)
@@ -183,23 +189,30 @@ def _format_normal(values: np.ndarray) -> list[str]:
     source[:, 6:] = t["constants"]
     key = ((bits >> _U(63)).astype(np.intp) * 18 + n) * _CODES + code
     index = np.add(t["layouts"].take(key, axis=0), np.arange(0, len(values) * _ROW, _ROW)[:, None], dtype=np.intp)
-    text = source.view(np.uint8).ravel().take(index)
-    return text.astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
+    source.view(np.uint8).ravel().take(index, out=out, mode="clip")
 
 
-def repr_many(values: np.ndarray) -> list[str]:
-    """``list(map(repr, values.tolist()))`` for a 1-D float64 array, computed in numpy."""
+def repr_each(values: np.ndarray) -> np.ndarray:
+    """The rows of ``repr_many``, built by calling ``repr`` on every value."""
+    text = np.array(list(map(repr, np.asarray(values, dtype=np.float64).tolist())), dtype=f"S{WIDTH}")
+    return text.view(np.uint8).reshape(len(text), WIDTH)
+
+
+def repr_many(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of a 1-D float64 array as a NUL-padded (n, WIDTH) uint8 row, computed in numpy."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    cells: list[str] = []
-    for start in range(0, len(values), CHUNK):
-        chunk = values[start:start + CHUNK]
+    rows = np.empty((len(values), WIDTH), dtype=np.uint8)
+    size = -(-len(values) // max(1, round(len(values) / CHUNK))) or CHUNK
+    for start in range(0, len(values), size):
+        chunk = values[start:start + size]
+        out = rows[start:start + size]
         biased = (chunk.view(np.uint64) >> _U(52)) & _U(0x7FF)
         normal = (biased != 0) & (biased != 0x7FF)
         if normal.all():
-            cells += _format_normal(chunk)
+            _format_normal(chunk, out)
             continue
-        text = np.empty(len(chunk), dtype=object)
-        text[normal] = _format_normal(chunk[normal])
-        text[~normal] = list(map(repr, chunk[~normal].tolist()))
-        cells += text.tolist()
-    return cells
+        text = np.empty((np.count_nonzero(normal), WIDTH), dtype=np.uint8)
+        _format_normal(chunk[normal], text)
+        out[normal] = text
+        out[~normal] = repr_each(chunk[~normal])
+    return rows

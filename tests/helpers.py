@@ -48,3 +48,15 @@ def gradient_flow_system() -> SystemSpec:
         VectorField(lambda x1, x2: (-x1, -x2), divergence_fn=lambda x1, x2: -2.0),
         potential=phi,
     )
+
+
+def row_texts(rows: np.ndarray) -> list[str]:
+    """The strings held in NUL-padded uint8 rows, as ``floatfmt.repr_many`` returns them.
+
+    Only trailing NULs are padding: a NUL inside a row, or any other byte
+    after the text, stays in the string and so fails a comparison with ``repr``.
+    """
+    from aodecomp.floatfmt import WIDTH
+
+    assert rows.dtype == np.uint8 and rows.shape == (len(rows), WIDTH)
+    return [text.decode() for text in np.ascontiguousarray(rows).view(f"S{WIDTH}").ravel().tolist()]

@@ -1,7 +1,9 @@
 """``floatfmt.repr_many`` against ``repr``, value for value, and the batched CSV cells built on it.
 
-Every check compares with ``list(map(repr, values.tolist()))``: the
-vectorized formatter must print the very bytes Python prints, over random
+``repr_many`` returns NUL-padded uint8 rows; every check reads them back as
+strings (``helpers.row_texts``) and compares with
+``list(map(repr, values.tolist()))``: the vectorized formatter must print
+the very bytes Python prints, over random
 bit patterns of every exponent and over the values where a shortest
 round-trip formatter is most likely to slip: powers of two and ten and their
 neighbours, exact ties, integers at the edge of exactness, the thresholds of
@@ -17,7 +19,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aodecomp import cli, floatfmt
-from aodecomp.floatfmt import repr_many
+from helpers import row_texts
+
+
+def repr_many(values) -> list[str]:
+    return row_texts(floatfmt.repr_many(values))
 
 SLICE = 1 << 17  # values per comparison, to keep the lists of strings small
 
@@ -151,12 +157,13 @@ def test_float_cells_mixes_small_and_large_distinct_sets(monkeypatch):
     descending = np.sort(rng.uniform(-1e6, 1e6, n))[::-1].copy()
     columns = [large_unique, small_repeats, large_repeats, descending]
     cells = cli._float_cells(columns)
-    assert cells == [list(map(repr, column.tolist())) for column in columns]
+    assert [row_texts(rows) for rows in cells] == [list(map(repr, column.tolist())) for column in columns]
     distinct_large_repeats = len(np.unique(large_repeats))
     assert distinct_large_repeats >= cli._NUMPY_MIN_VALUES
-    assert calls == [2 * n + distinct_large_repeats]  # the large sets of the block, in one call
+    # every distinct value of the block, in one call
+    assert calls == [2 * n + len(np.unique(small_repeats.view(np.int64))) + distinct_large_repeats]
     calls.clear()
-    assert cli._float_cells([small_unique]) == [list(map(repr, small_unique.tolist()))]
+    assert [row_texts(rows) for rows in cli._float_cells([small_unique])] == [list(map(repr, small_unique.tolist()))]
     assert calls == []  # below the break-even every value goes through repr
 
 

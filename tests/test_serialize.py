@@ -1,7 +1,10 @@
 """The serializer against the plain formatting it replaces, byte for byte.
 
-``_float_cells`` formats each distinct value of a block once; it must give
-exactly ``repr`` of every value. ``_report_json`` renders report documents
+``_float_cells`` formats each distinct value of a block once, into NUL-padded
+byte rows; read back as strings they must be exactly ``repr`` of every
+value. ``_emit_csv`` lays float, ``S`` and string columns out as bytes; it
+must give exactly the CSV written cell by cell with ``repr`` and ``str``.
+``_report_json`` renders report documents
 from columns; it must give exactly what ``json.dumps(indent=2)`` writes for
 the same document built as a dict, including ``-0.0``.
 """
@@ -17,8 +20,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aodecomp import get, list_systems
-from aodecomp.cli import _BLOCK_ROWS, _emit_csv, _float_cells, _parse_grid, _report_json, main
+from aodecomp.cli import _BLOCK_ROWS, _BOOL_CELLS, _VERDICT_CELLS, _emit_csv, _parse_grid, _report_json, main
+from aodecomp.cli import _float_cells as float_rows
 from aodecomp.dissipation import VERDICTS, report_many
+from helpers import row_texts
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1.0]
 
@@ -27,8 +32,20 @@ def reference_cells(block: np.ndarray) -> list[str]:
     return list(map(repr, block.tolist()))
 
 
-def reference_csv(header: list[str], columns: list[np.ndarray]) -> str:
-    rows = zip(*(reference_cells(column + 0.0) for column in columns))
+def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
+    return [row_texts(rows) for rows in float_rows(columns)]
+
+
+def reference_csv(header: list[str], columns: list) -> str:
+    """CSV written cell by cell: repr of a float (with -0.0 folded), a decoded bytes cell, or the string."""
+    def cells(column):
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            return reference_cells(column + 0.0)
+        if isinstance(column, np.ndarray):
+            return [cell.decode() for cell in column.tolist()]
+        return list(column)
+
+    rows = zip(*map(cells, columns))
     return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
@@ -100,6 +117,9 @@ def test_float_cells_match_repr_on_random_columns(block, pool):
     assert _float_cells([repeated])[0] == reference_cells(repeated)
 
 
+TEXT_CELLS = ["", "plain", '"quoted, with commas"', "Lyapunov–Ao φ", "a"]
+
+
 @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 2 * 2048 + 3])
 def test_emit_csv_matches_repr_across_block_edges(n, capsys):
     assert _BLOCK_ROWS == 2048
@@ -107,11 +127,23 @@ def test_emit_csv_matches_repr_across_block_edges(n, capsys):
     distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     repeats = rng.choice(np.array(SPECIAL), size=n)
     constant = np.full(n, -0.0)
-    header = ["distinct", "repeats", "constant"]
-    _emit_csv(header, [distinct, repeats, constant], None)
+    verdicts = _VERDICT_CELLS[rng.integers(0, len(VERDICTS), n)]
+    agree = _BOOL_CELLS[rng.integers(0, 2, n)]
+    empty = np.zeros(n, dtype="S1")
+    text = [TEXT_CELLS[i] for i in rng.integers(0, len(TEXT_CELLS), n)]
+    header = ["distinct", "repeats", "verdict", "text", "agree", "empty", "constant"]
+    columns = [distinct, repeats, verdicts, text, agree, empty, constant]
+    _emit_csv(header, columns, None, trailer="# end")
     out = capsys.readouterr().out
-    assert_same_text(out, reference_csv(header, [distinct, repeats, constant]))
-    assert out.endswith(",0.0\n")
+    assert_same_text(out, reference_csv(header, columns) + "# end\n")
+    assert out.endswith(",,0.0\n# end\n")
+
+
+@pytest.mark.parametrize("cells", [["a", "b\0c"], ["\0"], ["x\0"]])
+def test_emit_csv_rejects_a_nul_cell(cells, capsys):
+    with pytest.raises(ValueError, match="NUL"):
+        _emit_csv(["key", "value"], [["k"] * len(cells), cells], None)
+    assert capsys.readouterr().out == ""
 
 
 POTENTIAL_SYSTEMS = [name for name in list_systems() if get(name).system.potential is not None]
