@@ -22,7 +22,9 @@ the quantity, and ``json.dumps(allow_nan=False)`` guards every other JSON
 document.
 
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
-request, 3 numerical blow-up.
+request, 3 numerical blow-up. A ``--grid`` of more than ``MAX_GRID_POINTS``
+points and a ``simulate`` of more than ``dynamics.MAX_STEPS`` steps are
+input errors, refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ QUANTITIES = (
     "phi_rate",
     "criteria_agreement",
 )
+
+# Most points a --grid may have (nx * ny), checked before any allocation: a
+# report holds a few hundred bytes per point, so this keeps a run within
+# about 1 GB. The benchmark's largest grid has about 26k points.
+MAX_GRID_POINTS = 1_000_000
 
 # CSV and report JSON text is built this many rows at a time (see _emit_csv).
 _BLOCK_ROWS = 2048
@@ -124,6 +131,8 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
         )
     if nx < 2 or ny < 2:
         raise _UsageError(f"grid needs nx, ny >= 2, got nx={nx}, ny={ny}")
+    if nx * ny > MAX_GRID_POINTS:
+        raise _UsageError(f"--grid {text} has nx * ny = {nx * ny} points, more than {MAX_GRID_POINTS}")
     with np.errstate(all="ignore"):  # a span that overflows yields inf/nan, rejected below
         xs = xmin + (xmax - xmin) * np.arange(nx) / (nx - 1)
         ys = ymin + (ymax - ymin) * np.arange(ny) / (ny - 1)
@@ -421,6 +430,11 @@ def cmd_simulate(args) -> int:
     dt, t_end = args.dt, args.t_end
     if not (dt > 0.0 and math.isfinite(t_end) and t_end >= dt):
         raise _UsageError(f"need dt > 0 and a finite t_end >= dt, got dt={dt!r}, t_end={t_end!r}")
+    if not t_end / dt <= dynamics.MAX_STEPS:
+        raise _UsageError(
+            f"--t-end {t_end!r} / --dt {dt!r} asks for more than {dynamics.MAX_STEPS} steps; "
+            "raise --dt or lower --t-end"
+        )
 
     if args.polar:
         if entry.name != catalog.HOPF:
@@ -598,8 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate a trajectory to CSV")
     p_sim.add_argument("--system", required=True)
     p_sim.add_argument("--x0", required=True, help="x1,x2 initial state")
-    p_sim.add_argument("--dt", type=float, default=dynamics.DEFAULT_DT)
-    p_sim.add_argument("--t-end", type=float, default=10.0, dest="t_end")
+    steps = f"t_end / dt is at most {dynamics.MAX_STEPS} steps"
+    p_sim.add_argument("--dt", type=float, default=dynamics.DEFAULT_DT, help=f"RK4 step ({steps})")
+    p_sim.add_argument("--t-end", type=float, default=10.0, dest="t_end", help=f"end time ({steps})")
     p_sim.add_argument("--polar", action="store_true", help="integrate the builtin polar form")
     add_common(p_sim, fmt=False)
     p_sim.set_defaults(func=cmd_simulate)
@@ -607,13 +622,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="dissipation criteria at points or on a grid")
     p_rep.add_argument("--system", required=True)
     p_rep.add_argument("--at", action="append", default=None, help="x1,x2 (repeatable)")
-    p_rep.add_argument("--grid", default=None, help="xmin,xmax,ymin,ymax,nx,ny")
+    grid_help = f"xmin,xmax,ymin,ymax,nx,ny with nx * ny at most {MAX_GRID_POINTS}"
+    p_rep.add_argument("--grid", default=None, help=grid_help)
     add_common(p_rep)
     p_rep.set_defaults(func=cmd_report)
 
     p_grd = sub.add_parser("grid", help="sample a quantity over a rectangular grid")
     p_grd.add_argument("--system", required=True)
-    p_grd.add_argument("--grid", required=True, help="xmin,xmax,ymin,ymax,nx,ny")
+    p_grd.add_argument("--grid", required=True, help=grid_help)
     p_grd.add_argument("--quantity", required=True, choices=QUANTITIES)
     add_common(p_grd, fmt=False)
     p_grd.set_defaults(func=cmd_grid)

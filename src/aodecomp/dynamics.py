@@ -21,6 +21,10 @@ from .errors import MissingPotential, NonFinite
 from .tolerances import BLOWUP_LIMIT, master_tol
 
 DEFAULT_DT = 1e-3
+# Most RK4 steps one trajectory may take (t_end / dt), so a tiny dt is an
+# input error instead of a loop that runs until memory runs out; 50 times the
+# longest run the benchmark makes.
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,8 @@ def _steps(dt: float, t_end: float) -> int:
         raise ValueError(f"dt must be positive, got {dt!r}")
     if not t_end >= dt:
         raise ValueError(f"t_end must be at least dt, got t_end={t_end!r}, dt={dt!r}")
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt must be finite, got t_end={t_end!r}, dt={dt!r}")
+    if not t_end / dt <= MAX_STEPS:
+        raise ValueError(f"t_end / dt must be at most MAX_STEPS = {MAX_STEPS}, got t_end={t_end!r}, dt={dt!r}")
     return int(round(t_end / dt))
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aodecomp import cli, dynamics
 from aodecomp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -285,6 +286,34 @@ def test_grid_usage_errors(capsys):
         capsys, "grid", "--system", "hopf_limit_cycle", "--grid", "-2,2,-2,2,10,10",
         "--quantity", "nope",
     )[0] == 1
+
+
+@pytest.mark.parametrize("command", [("grid", "--quantity", "potential"), ("report", "--format", "json")])
+def test_grid_point_cap_exits_1_before_allocating(capsys, command):
+    name, *rest = command
+    grid = "0,1,0,1,1000000,1000000"  # 10^12 points: 7.3 TiB per float64 column
+    code, out, err = run(capsys, name, "--system", "hopf_limit_cycle", "--grid", grid, *rest)
+    assert (code, out) == (1, "")
+    assert err == f"aodecomp: --grid {grid} has nx * ny = 1000000000000 points, more than {cli.MAX_GRID_POINTS}\n"
+
+
+def test_grid_point_cap_boundary():
+    assert cli.MAX_GRID_POINTS == 1000 * 1000
+    x1, x2 = cli._parse_grid("0,1,0,1,1000,1000")
+    assert len(x1) == len(x2) == cli.MAX_GRID_POINTS
+    with pytest.raises(cli._UsageError, match="more than 1000000"):
+        cli._parse_grid("0,1,0,1,1001,1000")
+
+
+@pytest.mark.parametrize("dt, t_end", [("1e-300", "1"), ("1e-06", "1.0000001"), ("5e-324", "0.5")])
+def test_simulate_step_cap_exits_1_naming_the_flags(capsys, dt, t_end):
+    assert dynamics.MAX_STEPS == 1_000_000  # checked first: without the cap these argvs would not end
+    code, out, err = run(capsys, "simulate", "--system", "hopf_limit_cycle", "--x0", "0.5,0", "--dt", dt, "--t-end", t_end)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"aodecomp: --t-end {float(t_end)!r} / --dt {float(dt)!r} asks for more than 1000000 steps; "
+        "raise --dt or lower --t-end\n"
+    )
 
 
 def test_catalog_listing(capsys):

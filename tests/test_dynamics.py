@@ -21,6 +21,7 @@ from aodecomp import (
     integrate_polar,
     radial_solution,
 )
+from aodecomp import dynamics
 from aodecomp.catalog import HOPF_POLAR
 from helpers import reversed_system
 
@@ -58,6 +59,14 @@ def test_integrate_validates_steps(hopf):
         integrate(hopf.system, Point2(0.1, 0.0), dt=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         integrate(hopf.system, Point2(0.1, 0.0), dt=0.1, t_end=0.01)
+
+
+def test_step_count_is_capped():
+    assert dynamics.MAX_STEPS >= 50 * 20_000  # the benchmark's longest run is 20k steps
+    assert dynamics._steps(1.0, float(dynamics.MAX_STEPS)) == dynamics.MAX_STEPS
+    for dt, t_end in ((1e-300, 1.0), (1.0, float(dynamics.MAX_STEPS) * (1 + 2**-52))):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            dynamics._steps(dt, t_end)
 
 
 def test_integrate_blowup_carries_partial_trajectory():

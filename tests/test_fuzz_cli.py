@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from aodecomp import list_systems
-from aodecomp.cli import QUANTITIES, main
+from aodecomp.cli import MAX_GRID_POINTS, QUANTITIES, main
 
 EDGE_NUMBERS = (
     "0", "-0.0", "0.0", "1", "-1", "0.5", "-2.5", "5e-324", "-5e-324", "2.2250738585072014e-308",
@@ -51,7 +51,7 @@ def numbers(n: int, clean: bool):
 
 @st.composite
 def grids(draw, clean: bool):
-    """xmin,xmax,ymin,ymax,nx,ny with few points; if ``clean``, ordered finite bounds and counts >= 2."""
+    """xmin,xmax,ymin,ymax,nx,ny with few points or more than MAX_GRID_POINTS; if ``clean``, ordered finite bounds and counts >= 2."""
     if not clean and draw(st.booleans()):
         return draw(st.sampled_from(("-1e308,1e308,-1,1,3,3",) + MALFORMED))
     if clean:  # moderate bounds, or bounds where a quantity may overflow
@@ -60,8 +60,12 @@ def grids(draw, clean: bool):
     else:
         bounds = draw(st.lists(number, min_size=4, max_size=4))
     counts = st.integers(2, 5) if clean else st.one_of(st.integers(-1, 5), st.sampled_from(("2.5", "x")))
+    nx, ny = draw(counts), draw(counts)
+    if draw(st.integers(0, 9)) == 0:
+        # over MAX_GRID_POINTS with any ny >= 2, so no draw allocates a large grid
+        nx = draw(st.integers(MAX_GRID_POINTS // 2 + 1, 10**18))
     x, y = sorted(bounds[:2], key=float), sorted(bounds[2:], key=float)
-    return ",".join(x + y + [str(draw(counts)), str(draw(counts))])
+    return ",".join(x + y + [str(nx), str(ny)])
 
 
 def option(flag: str, value):
@@ -80,9 +84,9 @@ def argvs(draw):
         quantity = draw(st.sampled_from(QUANTITIES))
         return ["grid", "--system", draw(system), "--grid", draw(grids(clean)), "--quantity", quantity]
     if command == "simulate":
-        # these step sizes keep t_end / dt to a few thousand steps or reject it
-        dt = draw(st.sampled_from(("0.1", "0.25") if clean else ("0", "-0.1", "nan", "inf", "-inf", "5e-324", "1e308")))
-        t_end = draw(st.sampled_from(("0.5", "3") if clean else ("0", "-1", "nan", "inf", "1e-320", "1e308")))
+        # these step sizes keep t_end / dt to a few thousand steps or reject it, some as over MAX_STEPS
+        dt = draw(st.sampled_from(("0.1", "0.25") if clean else ("0", "-0.1", "nan", "inf", "-inf", "5e-324", "1e-6", "1e308")))
+        t_end = draw(st.sampled_from(("0.5", "3") if clean else ("0", "-1", "nan", "inf", "1e-320", "2", "1e308")))
         argv = ["simulate", "--system", draw(system), "--x0", draw(numbers(2, clean)), f"--dt={dt}", f"--t-end={t_end}"]
         return argv + (["--polar"] if draw(st.booleans()) else [])
     argv = [command]
@@ -130,6 +134,9 @@ def assert_clean_csv(text: str) -> None:
 @example(["grid", "--system", "stable_spiral", "--grid", "-1e200,1e200,-1e200,1e200,3,3", "--quantity", "criteria_agreement"])
 @example(["grid", "--system", "hopf_limit_cycle", "--grid", "-1e200,1e200,-1,1,3,3", "--quantity", "potential"])
 @example(["decompose", "--system", "stable_node", "--at", "1e200,0", "--format", "csv"])
+# grids and step counts over the caps
+@example(["grid", "--system", "hopf_limit_cycle", "--grid", "0,1,0,1,1000000,1000000", "--quantity", "potential"])
+@example(["simulate", "--system", "hopf_limit_cycle", "--x0", "0.5,0", "--dt=1e-300", "--t-end=1"])
 def test_every_argv_ends_in_a_document_or_a_documented_exit(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
