@@ -3,11 +3,11 @@
 ``repr_many`` returns NUL-padded uint8 rows; every check reads them back as
 strings (``helpers.row_texts``) and compares with
 ``list(map(repr, values.tolist()))``: the vectorized formatter must print
-the very bytes Python prints, over random
-bit patterns of every exponent and over the values where a shortest
-round-trip formatter is most likely to slip: powers of two and ten and their
-neighbours, exact ties, integers at the edge of exactness, the thresholds of
-repr's positional and scientific layouts, subnormals and the non-finite values.
+the very bytes Python prints, over random bit patterns of every exponent
+and over the values where a shortest round-trip formatter is most likely to
+slip: powers of two and ten and their neighbours, exact ties, integers at
+the edge of exactness, the thresholds of repr's positional and scientific
+layouts, subnormals and the non-finite values.
 """
 
 from __future__ import annotations

@@ -51,7 +51,10 @@ def numbers(n: int, clean: bool):
 
 @st.composite
 def grids(draw, clean: bool):
-    """xmin,xmax,ymin,ymax,nx,ny with few points or more than MAX_GRID_POINTS; if ``clean``, ordered finite bounds and counts >= 2."""
+    """xmin,xmax,ymin,ymax,nx,ny with few points, or more than MAX_GRID_POINTS.
+
+    If ``clean``, the bounds are ordered and finite and the counts >= 2.
+    """
     if not clean and draw(st.booleans()):
         return draw(st.sampled_from(("-1e308,1e308,-1,1,3,3",) + MALFORMED))
     if clean:  # moderate bounds, or bounds where a quantity may overflow

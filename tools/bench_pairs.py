@@ -34,8 +34,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# peak RSS runs in two modes about 4 MB apart (glibc's dynamic mmap threshold)
-RSS_MODE_GAP_MB = 2.0
+# peak RSS runs in two modes about 4 MB apart (glibc's dynamic mmap threshold),
+# with sorted runs at most about 1 MB apart within a mode
+RSS_MODE_GAP_MB = 1.5
 
 
 def _seeds(text: str) -> list[int]:
