@@ -200,10 +200,9 @@ def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
     Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct, and
     each distinct value of a column is formatted once. When the block has at
     least ``_NUMPY_MIN_VALUES`` distinct values, all of them go through one
-    ``floatfmt.repr_many`` call; otherwise through ``repr``.
+    ``floatfmt.repr_many`` call; otherwise through ``repr``, and floatfmt is
+    not loaded.
     """
-    from . import floatfmt  # on first use, so start-up does not load it
-
     sets = []
     for column in columns:
         bits = column.view(np.int64)
@@ -217,8 +216,14 @@ def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
             ordered = ordered[distinct]
             sets.append((ordered.view(np.float64), np.searchsorted(ordered, bits)))
     values = np.concatenate([values for values, _ in sets])
-    format_all = floatfmt.repr_many if len(values) >= _NUMPY_MIN_VALUES else floatfmt.repr_each
-    rows = np.split(format_all(values), np.cumsum([len(values) for values, _ in sets[:-1]]))
+    if len(values) >= _NUMPY_MIN_VALUES:
+        from . import floatfmt  # on first use, so start-up does not load it
+
+        formatted = floatfmt.repr_many(values)
+    else:
+        # the rows floatfmt gives, 24 bytes wide: the longest repr of a double
+        formatted = _text_cells(np.array(list(map(repr, values.tolist())), dtype="S24"))
+    rows = np.split(formatted, np.cumsum([len(values) for values, _ in sets[:-1]]))
     return [text if inverse is None else text.take(inverse, axis=0) for text, (_, inverse) in zip(rows, sets)]
 
 

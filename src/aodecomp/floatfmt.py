@@ -32,10 +32,8 @@ from functools import cache
 
 import numpy as np
 
-# Values per pass through the vectorized path, about 2 MB of temporaries. A
-# pass costs about 0.25 ms however few values it gets, so a short tail joins
-# the pass before it and a pass takes at most 1.5 CHUNK values. The
-# benchmark's trajectory workload ran 7% slower at 2048.
+# Values per pass through the vectorized path; bounds the temporaries to
+# about 2 MB. The benchmark's trajectory workload ran 7% slower at 2048.
 CHUNK = 4096
 
 _K_MIN, _K_MAX = -324, 292  # decimal exponents of finite normal doubles
@@ -202,10 +200,9 @@ def repr_many(values: np.ndarray) -> np.ndarray:
     """``repr`` of each value of a 1-D float64 array as a NUL-padded (n, WIDTH) uint8 row, computed in numpy."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     rows = np.empty((len(values), WIDTH), dtype=np.uint8)
-    size = -(-len(values) // max(1, round(len(values) / CHUNK))) or CHUNK
-    for start in range(0, len(values), size):
-        chunk = values[start:start + size]
-        out = rows[start:start + size]
+    for start in range(0, len(values), CHUNK):
+        chunk = values[start:start + CHUNK]
+        out = rows[start:start + CHUNK]
         biased = (chunk.view(np.uint64) >> _U(52)) & _U(0x7FF)
         normal = (biased != 0) & (biased != 0x7FF)
         if normal.all():

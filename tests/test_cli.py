@@ -434,6 +434,22 @@ def _decompose_in_fresh_interpreter(matrix: str) -> subprocess.CompletedProcess:
     )
 
 
+@pytest.mark.parametrize("grid, loaded", [("0,1,0,1,3,3", False), ("0,1,0,1,40,40", True)])
+def test_floatfmt_loads_only_for_a_block_of_many_distinct_values(grid, loaded):
+    # a one-shot CSV of a few cells stays on repr and does not pay floatfmt's import
+    code = (
+        "import sys; from aodecomp.cli import main; "
+        f"main(['grid', '--system', 'hopf_limit_cycle', '--grid', '{grid}', '--quantity', 'potential']); "
+        "print('aodecomp.floatfmt' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={"PYTHONPATH": str(SRC)}, timeout=60, check=True,
+    )
+    assert proc.stderr == f"{loaded}\n"
+    assert proc.stdout.count("\n") == 1 + math.prod(map(int, grid.split(",")[4:]))
+
+
 def test_large_matrix_decomposes_with_u_equal_minus_a():
     # squares of 1e200 overflow; the tolerance scales must not square as a float power
     proc = _decompose_in_fresh_interpreter("1e200,0,0,1e200")

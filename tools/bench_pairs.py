@@ -3,14 +3,15 @@
 Usage, from the repository root:
 
     python3 tools/bench_pairs.py --parent <rev> --change <rev> --out BENCH_<n>.json \\
-        --workload grid_sweep --workload trajectory --seeds 901-910 [--seconds 30] \\
+        --workload grid_sweep --workload trajectory --seeds 901-910 \\
         [--trace-seed 951] [--what TEXT] [--claim TEXT]
 
 Each commit is exported with ``git archive`` into its own directory, and every
 run is ``python3 bench/run.py --workload W --seed S --seconds N --trace T``
-from that export, so both sides run the same benchmark code on the committed
-files alone. For each workload and seed one pair runs, parent and change
-back to back, and the side that runs first alternates from pair to pair.
+from that export, with N the ``run_seconds`` of ``BENCHMARK.json``, so both
+sides run the same benchmark code for the same time on the committed files
+alone. For each workload and seed one pair runs, parent and change back to
+back, and the side that runs first alternates from pair to pair.
 ``--trace-seed`` adds one traced pair per workload for the per-layer
 metrics; the summary counts untraced runs only.
 
@@ -40,12 +41,9 @@ RSS_MODE_GAP_MB = 1.5
 
 
 def _seeds(text: str) -> list[int]:
-    """``901-910`` or ``901,903,905``."""
-    seeds = []
-    for part in text.split(","):
-        first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
-    return seeds
+    """``901-910``: the seeds 901 to 910."""
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
 
 
 def _export(rev: str, directory: Path) -> str:
@@ -127,7 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", default="HEAD", help="change commit (default HEAD)")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, type=_seeds, help="one pair per seed, e.g. 901-910")
-    parser.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json)")
     parser.add_argument("--trace-seed", type=int, default=None, help="one traced pair per workload at this seed")
     parser.add_argument("--out", required=True, type=Path, help="the BENCH_<n>.json to write")
     parser.add_argument("--what", default="", help="what the change does")
@@ -135,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         exports = {side: Path(scratch) / side for side in ("parent", "change")}
         commits = {side: _export(getattr(args, side), exports[side]) for side in exports}
