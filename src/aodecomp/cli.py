@@ -5,21 +5,21 @@ separators and '\\n' line endings; floats are serialized with shortest
 round-trip precision so parse(emit(x)) == x. All outputs are deterministic
 for identical arguments.
 
-Columns are serialized a block of rows at a time, as bytes. Each distinct
-float of a block is formatted once (``_float_cells``): when the block has
-256 distinct values or more, all of them go to one ``floatfmt.repr_many``
-call, which returns exactly what ``repr`` prints as NUL-padded byte rows;
-fewer go through ``repr`` into the same rows. Verdict and flag cells come
-from small byte tables. ``_assemble`` lays a block's rows out in one byte
-buffer, cells between constant separators, drops every NUL at once and the
-block is decoded once, so no Python string is made per float cell. CSV
-folds -0.0 to 0.0. Report documents are rendered from their columns in the
-exact layout of ``json.dumps(doc, indent=2)`` and keep -0.0; every other
-JSON document goes through ``json.dumps``. No document holds NaN or an
-infinity: a batch quantity that is not finite raises NotFiniteQuantity,
-which exits 1 with no output and a message naming the flag, its value and
-the quantity, and ``json.dumps(allow_nan=False)`` guards every other JSON
-document.
+Columns are serialized as bytes. Each distinct float of a document is
+formatted once, before any row is laid out (``_float_cells``): when the
+document has 256 distinct values or more, all of them go to one
+``floatfmt.repr_many`` call, which returns exactly what ``repr`` prints as
+NUL-padded byte rows; fewer go through ``repr`` into the same rows. Verdict
+and flag cells come from small byte tables. ``_assemble`` then lays the rows
+out a block of ``_BLOCK_ROWS`` at a time in one byte buffer, cells between
+constant separators, drops every NUL at once and decodes the block once, so
+no Python string is made per float cell. CSV folds -0.0 to 0.0. Report
+documents are rendered from their columns in the exact layout of
+``json.dumps(doc, indent=2)`` and keep -0.0; every other JSON document goes
+through ``json.dumps``. No document holds NaN or an infinity: a batch
+quantity that is not finite raises NotFiniteQuantity, which exits 1 with no
+output and a message naming the flag, its value and the quantity, and
+``json.dumps(allow_nan=False)`` guards every other JSON document.
 
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up. A ``--grid`` of more than ``MAX_GRID_POINTS``
@@ -60,11 +60,12 @@ QUANTITIES = (
 # about 1 GB. The benchmark's largest grid has about 26k points.
 MAX_GRID_POINTS = 1_000_000
 
-# CSV and report JSON text is built this many rows at a time (see _emit_csv).
+# CSV and report JSON text is laid out this many rows at a time (see _emit_csv),
+# which bounds the assembly buffer; the floats are formatted for the whole document.
 _BLOCK_ROWS = 2048
-# Distinct floats of a block, over all its float columns, from which one numpy
-# formatting pass (about 0.25 ms however few values it gets) is cheaper than
-# repr per value.
+# Distinct floats of a document, over all its float columns, from which one
+# numpy formatting pass (about 0.3 ms however few values it gets) is cheaper
+# than repr per value.
 _NUMPY_MIN_VALUES = 256
 _VERDICT_CELLS = np.array([verdict.encode() for verdict in dissipation.VERDICTS])
 _BOOL_CELLS = np.array([b"false", b"true"])
@@ -184,9 +185,12 @@ def _fold_comma_values(argv: list[str]) -> list[str]:
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
@@ -195,13 +199,14 @@ def _emit_json(doc: dict, out: str | None) -> None:
 
 
 def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
-    """``repr`` of each value of each float64 column of a block, as NUL-padded uint8 rows.
+    """``repr`` of each value of each float64 column of a document, as NUL-padded uint8 rows.
 
     Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct, and
-    each distinct value of a column is formatted once. When the block has at
-    least ``_NUMPY_MIN_VALUES`` distinct values, all of them go through one
-    ``floatfmt.repr_many`` call; otherwise through ``repr``, and floatfmt is
-    not loaded.
+    each distinct value of a column is formatted once. When the document has
+    at least ``_NUMPY_MIN_VALUES`` distinct values, all of them go through
+    one ``floatfmt.repr_many`` call; otherwise through ``repr``, and floatfmt
+    is not loaded. A column with no repeats gets a view of the one formatted
+    array, so a caller frees that array only by dropping every such column.
     """
     sets = []
     for column in columns:
@@ -261,20 +266,20 @@ def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | 
     """Write equal-length columns as CSV.
 
     A float64 column prints in shortest round-trip form, with -0.0 folded to
-    0.0 and each distinct value of a block formatted once; any other column
-    holds ready cells, as an ``S`` array or as strings. Each block of rows is
-    laid out as bytes and decoded once, so no string is made per cell.
+    0.0 and each distinct value of the document formatted once; any other
+    column holds ready cells, as an ``S`` array or as strings. Each block of
+    rows is laid out as bytes and decoded once, so no string is made per cell.
     """
     floats = [i for i, column in enumerate(columns) if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
-    cells = [column if i in floats else _text_cells(column) for i, column in enumerate(columns)]
+    formatted = dict(zip(floats, _float_cells([columns[i] + 0.0 for i in floats]))) if floats else {}
+    cells = [formatted[i] if i in formatted else _text_cells(column) for i, column in enumerate(columns)]
     pieces = [b""] + [b","] * (len(columns) - 1) + [b"\n"]
-    blocks = [",".join(header) + "\n"]
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [column[start:start + _BLOCK_ROWS] for column in cells]
-        if floats:
-            for i, text in zip(floats, _float_cells([block[i] + 0.0 for i in floats])):
-                block[i] = text
-        blocks.append(_assemble(pieces, block).tobytes().decode())
+    blocks = [",".join(header) + "\n"] + [
+        _assemble(pieces, [column[start:start + _BLOCK_ROWS] for column in cells]).tobytes().decode()
+        for start in range(0, len(columns[0]), _BLOCK_ROWS)
+    ]
+    # the float rows are views of one formatted array: free every one before the join
+    del formatted, cells
     if trailer is not None:
         blocks.append(trailer + "\n")
     _write_output("".join(blocks), out)
@@ -402,7 +407,7 @@ def cmd_decompose(args) -> int:
             )
         q = sol.q
         if args.q is not None:
-            q = float(args.q)
+            q = _parse_floats(args.q, 1, "--q")[0]
             residual = linear.lyapunov_equation_residual(a, d, q)
             if residual > LYAPUNOV_RESIDUAL_TOL * (1.0 + a.max_abs()) * (1.0 + d.max_abs()):
                 raise _UsageError(
@@ -483,17 +488,16 @@ def _report_json(
 
     The columns are finite: ``report_many`` rejects a non-finite one.
     """
-    floats = (x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap)
-    parts = [_REPORT_HEAD % (json.dumps(name), json.dumps(tol))]
-    for start in range(0, len(x1), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        cells = _float_cells([column[rows] for column in floats])
-        cells += [
-            _text_cells(_VERDICT_CELLS.take(rep.verdict_power[rows])),
-            _text_cells(_VERDICT_CELLS.take(rep.verdict_divergence[rows])),
-            _text_cells(_BOOL_CELLS.take(rep.agree[rows].view(np.int8))),
-        ]
-        parts.append(_assemble(_REPORT_POINT_BYTES, cells).tobytes().decode())
+    cells = _float_cells([x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap]) + [
+        _text_cells(_VERDICT_CELLS.take(rep.verdict_power)),
+        _text_cells(_VERDICT_CELLS.take(rep.verdict_divergence)),
+        _text_cells(_BOOL_CELLS.take(rep.agree.view(np.int8))),
+    ]
+    parts = [_REPORT_HEAD % (json.dumps(name), json.dumps(tol))] + [
+        _assemble(_REPORT_POINT_BYTES, [column[start:start + _BLOCK_ROWS] for column in cells]).tobytes().decode()
+        for start in range(0, len(x1), _BLOCK_ROWS)
+    ]
+    del cells  # views of one formatted array, freed before the join
     # every point ends in ",\n"; the last one ends the list instead
     parts[-1] = parts[-1][:-2]
     parts.append(_REPORT_TAIL % (len(x1), len(x1) - int(np.count_nonzero(rep.agree))))

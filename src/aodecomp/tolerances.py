@@ -59,7 +59,10 @@ def master_tol(override: float | None = None) -> float:
         raw = os.environ.get(MASTER_TOL_ENV)
         if not raw:
             return DEFAULT_MASTER_TOL
-        tol, source = float(raw), MASTER_TOL_ENV
+        try:
+            tol, source = float(raw), MASTER_TOL_ENV
+        except ValueError:
+            raise ValueError(f"{MASTER_TOL_ENV} must be a finite nonnegative tolerance, got {raw!r}") from None
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"{source} must be a finite nonnegative tolerance, got {tol!r}")
     return tol

@@ -75,6 +75,31 @@ def test_decompose_invalid_q_override(capsys):
     assert "violates" in err
 
 
+@pytest.mark.parametrize("q, reason", [("nan", "must be finite"), ("abc", "could not parse"), ("1e400", "must be finite")])
+def test_decompose_q_override_names_the_flag_and_value(capsys, q, reason):
+    code, out, err = run(capsys, "decompose", "--matrix", "1,0,0,1", "--q", q)
+    assert (code, out) == (1, "")
+    assert err.startswith("aodecomp: ") and reason in err
+    assert "--q" in err and repr(q) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid", "--system", "hopf_limit_cycle", "--grid", "0,1,0,1,2,2", "--quantity", "vector_field"],
+        ["catalog"],
+    ],
+    ids=["grid", "catalog"],
+)
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing_dir", "directory"])
+def test_unwritable_out_exits_one_naming_the_path(capsys, tmp_path, argv, target):
+    out = str(tmp_path / target)
+    code, stdout, err = run(capsys, *argv, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("aodecomp: ") and f"--out {out!r}" in err
+    assert "Traceback" not in err
+
+
 def test_decompose_usage_errors(capsys):
     assert run(capsys, "decompose")[0] == 1
     assert run(capsys, "decompose", "--matrix", "1,2,3")[0] == 1
@@ -418,7 +443,7 @@ def test_decompose_at_where_frame_products_overflow(capsys, fmt):
     assert abs(float(doc["transverse"]) - 10.0 / 23.0) <= 1e-15
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "abc"])
 def test_master_tol_rejects_invalid_env_values(capsys, monkeypatch, value):
     monkeypatch.setenv("AODECOMP_TOL", value)
     code, out, err = run(capsys, "report", "--system", "hopf_limit_cycle", "--at", "1,0")

@@ -12,6 +12,7 @@ a dict, including ``-0.0``.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,3 +203,68 @@ def test_report_with_non_finite_power_exits_1_without_output(capsys, monkeypatch
     assert captured.err == (
         "aodecomp: the dissipation power of 'stable_node' overflows float64 at --grid -1e200,1e200,-1e200,1e200,7,5\n"
     )
+
+
+def _distinct_bits(columns) -> list[int]:
+    """The distinct bit patterns of each column, over all columns: what one formatter call gets."""
+    return sorted(np.concatenate([np.unique(np.array(c, dtype=np.float64).view(np.int64)) for c in columns]).tolist())
+
+
+def _csv_columns(text: str) -> list[list[float]]:
+    return [list(map(float, column)) for column in zip(*(row.split(",") for row in text.splitlines()[1:]))]
+
+
+def _report_columns(text: str) -> list[list[float]]:
+    points = json.loads(text)["points"]
+    keys = ("h_p", "div_f", "phi_rate", "identity_gap")
+    return [[p["at"][0] for p in points], [p["at"][1] for p in points]] + [[p[k] for p in points] for k in keys]
+
+
+@pytest.mark.parametrize(
+    "argv, columns_of, rows",
+    [
+        (["grid", "--system", "hopf_limit_cycle", "--grid", "-2,2,-2,2,100,100", "--quantity", "potential"],
+         _csv_columns, 100 * 100),
+        (["report", "--system", "hopf_limit_cycle", "--grid", "-2,2,-1.5,1.5,70,70", "--format", "json"],
+         _report_columns, 70 * 70),
+        (["simulate", "--system", "hopf_limit_cycle", "--x0", "0.3,0.1", "--dt", "0.002", "--t-end", "10"],
+         _csv_columns, 5001),
+    ],
+    ids=["grid", "report_json", "simulate"],
+)
+def test_a_document_formats_its_floats_in_one_call(argv, columns_of, rows, capsys, monkeypatch):
+    # every distinct value of a multi-block document goes to one formatter call
+    from aodecomp import floatfmt
+
+    calls = []
+    original = floatfmt.repr_many
+
+    def counted(values):
+        calls.append(values.view(np.int64).tolist())
+        return original(values)
+
+    monkeypatch.setattr(floatfmt, "repr_many", counted)
+    monkeypatch.delenv("AODECOMP_TOL", raising=False)
+    assert main(argv) == 0
+    columns = columns_of(capsys.readouterr().out)
+    assert len(columns[0]) == rows > 2 * _BLOCK_ROWS
+    assert len(calls) == 1
+    assert sorted(calls[0]) == _distinct_bits(columns)
+
+
+def test_emit_csv_peak_memory_stays_within_a_few_times_its_output(tmp_path):
+    # the formatted rows of a document are freed before the join: left alive
+    # they add about 1.3x the output bytes to the peak
+    rng = np.random.default_rng(20)
+    n = 20_000
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n) for _ in range(7)]
+    header = [f"c{i}" for i in range(7)]
+    out = tmp_path / "doc.csv"
+    _emit_csv(header, columns, str(out))  # loads floatfmt's tables outside the trace
+    tracemalloc.start()
+    try:
+        _emit_csv(header, columns, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * out.stat().st_size
