@@ -160,7 +160,7 @@ def test_float_cells_mixes_small_and_large_distinct_sets(monkeypatch):
     assert [row_texts(rows) for rows in cells] == [list(map(repr, column.tolist())) for column in columns]
     distinct_large_repeats = len(np.unique(large_repeats))
     assert distinct_large_repeats >= cli._NUMPY_MIN_VALUES
-    # every distinct value of the block, in one call
+    # every distinct value of the columns, in one call
     assert calls == [2 * n + len(np.unique(small_repeats.view(np.int64))) + distinct_large_repeats]
     calls.clear()
     assert [row_texts(rows) for rows in cli._float_cells([small_unique])] == [list(map(repr, small_unique.tolist()))]

@@ -1,10 +1,10 @@
 """The serializer against the plain formatting it replaces, byte for byte.
 
-``_float_cells`` formats each distinct value of a block once, into NUL-padded
-byte rows; read back as strings they must be exactly ``repr`` of every
-value. ``_emit_csv`` lays float, ``S`` and string columns out as bytes; it
-must give exactly the CSV written cell by cell with ``repr`` and ``str``.
-``_report_json`` renders report documents from columns; it must give
+``_float_cells`` formats each distinct value of a document once, into
+NUL-padded byte rows; read back as strings they must be exactly ``repr`` of
+every value. ``_emit_csv`` lays float, ``S`` and string columns out as
+bytes; it must give exactly the CSV written cell by cell with ``repr`` and
+``str``. ``_report_json`` renders report documents from columns; it must give
 exactly what ``json.dumps(indent=2)`` writes for the same document built as
 a dict, including ``-0.0``.
 """
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aodecomp import get, list_systems
+from aodecomp import floatfmt, get, list_systems
 from aodecomp.cli import _BLOCK_ROWS, _BOOL_CELLS, _VERDICT_CELLS, _emit_csv, _parse_grid, _report_json, main
 from aodecomp.cli import _float_cells as float_rows
 from aodecomp.dissipation import VERDICTS, report_many
@@ -234,8 +234,6 @@ def _report_columns(text: str) -> list[list[float]]:
 )
 def test_a_document_formats_its_floats_in_one_call(argv, columns_of, rows, capsys, monkeypatch):
     # every distinct value of a multi-block document goes to one formatter call
-    from aodecomp import floatfmt
-
     calls = []
     original = floatfmt.repr_many
 
@@ -254,7 +252,7 @@ def test_a_document_formats_its_floats_in_one_call(argv, columns_of, rows, capsy
 
 def test_emit_csv_peak_memory_stays_within_a_few_times_its_output(tmp_path):
     # the formatted rows of a document are freed before the join: left alive
-    # they add about 1.3x the output bytes to the peak
+    # they add about 1.2x the output bytes to the peak
     rng = np.random.default_rng(20)
     n = 20_000
     columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n) for _ in range(7)]
