@@ -5,18 +5,20 @@ separators and '\\n' line endings; floats are serialized with shortest
 round-trip precision so parse(emit(x)) == x. All outputs are deterministic
 for identical arguments.
 
-Columns are serialized as bytes. Each distinct float of a document is
-formatted once, before any row is laid out (``_float_cells``): when the
-document has 256 distinct values or more, all of them go to one
-``floatfmt.repr_many`` call, which returns exactly what ``repr`` prints as
-NUL-padded byte rows; fewer go through ``repr`` into the same rows. Verdict
-and flag cells come from small byte tables. ``_assemble`` then lays the rows
-out a block of ``_BLOCK_ROWS`` at a time in one byte buffer, cells between
-constant separators, drops every NUL at once and decodes the block once, so
-no Python string is made per float cell. CSV folds -0.0 to 0.0. Report
-documents are rendered from their columns in the exact layout of
-``json.dumps(doc, indent=2)`` and keep -0.0; every other JSON document goes
-through ``json.dumps``. No document holds NaN or an infinity: a batch
+Every CSV and every report JSON document is one list of columns, rendered
+as bytes by ``_render`` between the constant pieces of its row: the CSV
+separators, or the report-JSON point text in the exact layout of
+``json.dumps(doc, indent=2)``. ``cmd_report`` builds its columns once for
+either format. Each distinct float of a document is formatted once, before
+any row is laid out (``_float_cells``): when the document has 256 distinct
+values or more, all of them go to one ``floatfmt.repr_many`` call, which
+returns exactly what ``repr`` prints as NUL-padded byte rows; fewer go
+through ``repr`` into the same rows. Verdict and flag cells come from small
+byte tables. ``_assemble`` then lays the rows out a block of ``_BLOCK_ROWS``
+at a time in one byte buffer, drops every NUL at once and decodes the block
+once, so no Python string is made per float cell. CSV folds -0.0 to 0.0;
+report JSON keeps it. Every other JSON document goes through
+``json.dumps``. No document holds NaN or an infinity: a batch
 quantity that is not finite raises NotFiniteQuantity, which exits 1 with no
 output and a message naming the flag, its value and the quantity, and
 ``json.dumps(allow_nan=False)`` guards every other JSON document.
@@ -33,6 +35,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -60,7 +63,7 @@ QUANTITIES = (
 # about 1 GB. The benchmark's largest grid has about 26k points.
 MAX_GRID_POINTS = 1_000_000
 
-# CSV and report JSON text is laid out this many rows at a time (see _emit_csv),
+# CSV and report JSON text is laid out this many rows at a time (see _render),
 # which bounds the assembly buffer; the floats are formatted for the whole document.
 _BLOCK_ROWS = 2048
 # Distinct floats of a document, over all its float columns, from which one
@@ -142,18 +145,24 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     return np.tile(xs, ny), np.repeat(ys, nx)
 
 
-def _raise_overflow(name: str, sources: list[tuple[str, str, np.ndarray, np.ndarray]], compute) -> None:
-    """Raise a _UsageError naming the first input at which ``compute`` overflows.
+@contextmanager
+def _naming_overflow(name: str, sources: list[tuple[str, str, np.ndarray, np.ndarray]], compute):
+    """Turn a ValueError raised in the block into a _UsageError naming the first input at which ``compute`` overflows.
 
     ``sources`` holds (flag, value, x1, x2) per input, in argument order, and
-    ``compute(x1, x2)`` is the batch computation the command ran; the message
-    names the quantity it rejected. Return normally if it rejects no input.
+    ``compute(x1, x2)`` is the batch computation the block runs; the message
+    names the quantity it rejected. If it rejects no input, the ValueError
+    propagates unchanged.
     """
-    for flag, value, x1, x2 in sources:
-        try:
-            compute(x1, x2)
-        except NotFiniteQuantity as exc:
-            raise _UsageError(f"the {exc.quantity} of {name!r} overflows float64 at {flag} {value}") from None
+    try:
+        yield
+    except ValueError:
+        for flag, value, x1, x2 in sources:
+            try:
+                compute(x1, x2)
+            except NotFiniteQuantity as exc:
+                raise _UsageError(f"the {exc.quantity} of {name!r} overflows float64 at {flag} {value}") from None
+        raise
 
 
 def _field_and_gradient(system: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> None:
@@ -262,27 +271,34 @@ def _assemble(pieces: list[bytes], cells: list[np.ndarray]) -> np.ndarray:
     return flat[flat != 0]
 
 
-def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | None = None) -> None:
-    """Write equal-length columns as CSV.
+def _render(pieces: list[bytes], columns: list) -> list[str]:
+    """A document's rows ``pieces[0] columns[0] pieces[1] ... pieces[-1]``, as text blocks of ``_BLOCK_ROWS`` rows.
 
-    A float64 column prints in shortest round-trip form, with -0.0 folded to
-    0.0 and each distinct value of the document formatted once; any other
-    column holds ready cells, as an ``S`` array or as strings. Each block of
-    rows is laid out as bytes and decoded once, so no string is made per cell.
+    A float64 column prints in shortest round-trip form, each distinct value
+    of the document formatted once; any other column holds ready cells, as an
+    ``S`` array or as strings. ``columns`` is dropped once formatted, so
+    copies made for the call need not live through the layout; the
+    formatted rows are freed on return, before the caller joins the blocks.
     """
     floats = [i for i, column in enumerate(columns) if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
-    formatted = dict(zip(floats, _float_cells([columns[i] + 0.0 for i in floats]))) if floats else {}
+    formatted = dict(zip(floats, _float_cells([columns[i] for i in floats]))) if floats else {}
     cells = [formatted[i] if i in formatted else _text_cells(column) for i, column in enumerate(columns)]
-    pieces = [b""] + [b","] * (len(columns) - 1) + [b"\n"]
-    blocks = [",".join(header) + "\n"] + [
+    del columns
+    return [
         _assemble(pieces, [column[start:start + _BLOCK_ROWS] for column in cells]).tobytes().decode()
-        for start in range(0, len(columns[0]), _BLOCK_ROWS)
+        for start in range(0, len(cells[0]), _BLOCK_ROWS)
     ]
-    # the float rows are views of one formatted array: free every one before the join
-    del formatted, cells
+
+
+def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | None = None) -> None:
+    """Write equal-length columns as CSV, through ``_render``, with -0.0 folded to 0.0."""
+    blocks = _render(
+        [b""] + [b","] * (len(columns) - 1) + [b"\n"],
+        [column + 0.0 if isinstance(column, np.ndarray) and column.dtype.kind == "f" else column for column in columns],
+    )
     if trailer is not None:
         blocks.append(trailer + "\n")
-    _write_output("".join(blocks), out)
+    _write_output("".join([",".join(header) + "\n", *blocks]), out)
 
 
 def _doc_cell(value) -> str:
@@ -321,11 +337,9 @@ def _csv_quoted(text: str) -> str:
 
 def _pointwise_doc(system: SystemSpec, text: str, name: str) -> dict:
     at = _parse_point(text, "--at")
-    try:
+    at_source = ("--at", text, np.array([at.x1]), np.array([at.x2]))
+    with _naming_overflow(name, [at_source], partial(_field_and_gradient, system)):  # field or gradient not finite
         pd = field.point_decomposition(system, at)
-    except ValueError:  # the field or the potential gradient is not finite at the point
-        _raise_overflow(name, [("--at", text, np.array([at.x1]), np.array([at.x2]))], partial(_field_and_gradient, system))
-        raise
     s, t = pd.friction, pd.transverse
     fv, gv = pd.drift, pd.potential_gradient
     frame_residual = max(
@@ -457,15 +471,13 @@ def cmd_simulate(args) -> int:
         system, start = catalog.HOPF_POLAR, Point2(r0, math.atan2(x0.x2, x0.x1))
     else:
         system, start = entry.system, x0
-    try:
-        traj = dynamics.integrate(system, start, dt=dt, t_end=t_end)
-        failure = None
-    except NonFinite as exc:
-        traj, failure = exc.trajectory, str(exc)
-    except ValueError:  # the sample columns at a state are not finite
-        x0_source = ("--x0", args.x0, np.array([x0.x1]), np.array([x0.x2]))
-        _raise_overflow(entry.name, [x0_source], partial(_field_and_gradient, entry.system))
-        raise
+    x0_source = ("--x0", args.x0, np.array([x0.x1]), np.array([x0.x2]))
+    with _naming_overflow(entry.name, [x0_source], partial(_field_and_gradient, entry.system)):  # samples not finite
+        try:
+            traj = dynamics.integrate(system, start, dt=dt, t_end=t_end)
+            failure = None
+        except NonFinite as exc:
+            traj, failure = exc.trajectory, str(exc)
 
     columns = [traj.t, traj.x[:, 0], traj.x[:, 1]]
     if args.polar:
@@ -481,27 +493,16 @@ def cmd_simulate(args) -> int:
     return 3
 
 
-def _report_json(
-    name: str, tol: float, x1: np.ndarray, x2: np.ndarray, rep: dissipation.ReportColumns
-) -> str:
-    """The report document, as ``json.dumps(doc, indent=2)`` writes it.
+def _report_json(name: str, tol: float, columns: list[np.ndarray], disagreements: int) -> str:
+    """The report document of ``cmd_report``'s columns, as ``json.dumps(doc, indent=2)`` writes it.
 
-    The columns are finite: ``report_many`` rejects a non-finite one.
+    The float columns are finite: ``report_many`` rejects a non-finite one.
     """
-    cells = _float_cells([x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap]) + [
-        _text_cells(_VERDICT_CELLS.take(rep.verdict_power)),
-        _text_cells(_VERDICT_CELLS.take(rep.verdict_divergence)),
-        _text_cells(_BOOL_CELLS.take(rep.agree.view(np.int8))),
-    ]
-    parts = [_REPORT_HEAD % (json.dumps(name), json.dumps(tol))] + [
-        _assemble(_REPORT_POINT_BYTES, [column[start:start + _BLOCK_ROWS] for column in cells]).tobytes().decode()
-        for start in range(0, len(x1), _BLOCK_ROWS)
-    ]
-    del cells  # views of one formatted array, freed before the join
+    points = _render(_REPORT_POINT_BYTES, columns)
     # every point ends in ",\n"; the last one ends the list instead
-    parts[-1] = parts[-1][:-2]
-    parts.append(_REPORT_TAIL % (len(x1), len(x1) - int(np.count_nonzero(rep.agree))))
-    return "".join(parts)
+    points[-1] = points[-1][:-2]
+    tail = _REPORT_TAIL % (len(columns[0]), disagreements)
+    return "".join([_REPORT_HEAD % (json.dumps(name), json.dumps(tol)), *points, tail])
 
 
 def cmd_report(args) -> int:
@@ -522,22 +523,20 @@ def cmd_report(args) -> int:
     x2 = np.concatenate([source[3] for source in sources])
     tol = master_tol()
     compute = partial(dissipation.report_many, entry.system, zero_tol=tol)
-    try:
+    with _naming_overflow(entry.name, sources, compute):  # a quantity of the report is not finite at a point
         rep = compute(x1, x2)
-    except ValueError:  # a quantity of the report is not finite at a point
-        _raise_overflow(entry.name, sources, compute)
-        raise
-    if args.format == "json":
-        _write_output(_report_json(entry.name, tol, x1, x2, rep), args.out)
-        return 0
-    header = [
-        "x1", "x2", "h_p", "div_f", "phi_rate", "identity_gap",
-        "verdict_power", "verdict_divergence", "agree",
-    ]
     columns = [
         x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap,
         _VERDICT_CELLS.take(rep.verdict_power), _VERDICT_CELLS.take(rep.verdict_divergence),
         _BOOL_CELLS.take(rep.agree.view(np.int8)),
+    ]
+    if args.format == "json":
+        disagreements = len(x1) - int(np.count_nonzero(rep.agree))
+        _write_output(_report_json(entry.name, tol, columns, disagreements), args.out)
+        return 0
+    header = [
+        "x1", "x2", "h_p", "div_f", "phi_rate", "identity_gap",
+        "verdict_power", "verdict_divergence", "agree",
     ]
     _emit_csv(header, columns, args.out)
     return 0
@@ -566,11 +565,8 @@ def cmd_grid(args) -> int:
     else:  # criteria_agreement
         def compute(x1, x2):
             return dissipation.report_many(system, x1, x2).agree.astype(float)
-    try:
+    with _naming_overflow(entry.name, [("--grid", args.grid, x1, x2)], compute):  # a quantity not finite at a point
         value = compute(x1, x2)
-    except ValueError:  # the quantity, or a value it is computed from, is not finite at a point
-        _raise_overflow(entry.name, [("--grid", args.grid, x1, x2)], compute)
-        raise
     if quantity == "vector_field":
         _emit_csv(["x1", "x2", "f1", "f2"], [x1, x2, *value], args.out)
     else:

@@ -522,6 +522,23 @@ def test_overflowing_report_point_message_names_the_flag(capsys):
     assert "vector field of 'hopf_limit_cycle'" in err
     code, out, err = run(capsys, "report", "--system", "hopf_limit_cycle", "--grid", "-1e200,1e200,-1,1,3,3")
     _assert_overflow_names_input(code, out, err, "--grid", "-1e200,1e200,-1,1,3,3")
+    # both sources overflow: the first in argument order is named
+    code, out, err = run(
+        capsys, "report", "--system", "hopf_limit_cycle", "--at", "1e200,0", "--grid", "-1e200,1e200,-1,1,3,3",
+    )
+    _assert_overflow_names_input(code, out, err, "--at", "1e200,0")
+    assert "--grid" not in err
+
+
+@pytest.mark.parametrize("sources", [[], [("--at", "1,0", np.array([1.0]), np.array([0.0]))]])
+def test_naming_overflow_lets_a_value_error_at_no_input_propagate_unchanged(sources):
+    computed = []
+    error = ValueError("not an overflow")
+    with pytest.raises(ValueError) as info:
+        with cli._naming_overflow("hopf_limit_cycle", sources, lambda x1, x2: computed.append((x1, x2))):
+            raise error
+    assert info.value is error
+    assert len(computed) == len(sources)
 
 
 def test_overflowing_grid_span_message_names_the_flag(capsys):

@@ -172,7 +172,11 @@ def test_report_json_matches_json_dumps(name):
     x1, x2 = _report_points()
     assert len(x1) > _BLOCK_ROWS
     rep = report_many(system, x1, x2, zero_tol=1e-9)
-    text = _report_json(name, 1e-9, x1, x2, rep)
+    columns = [
+        x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap, _VERDICT_CELLS.take(rep.verdict_power),
+        _VERDICT_CELLS.take(rep.verdict_divergence), _BOOL_CELLS.take(rep.agree.view(np.int8)),
+    ]
+    text = _report_json(name, 1e-9, columns, len(x1) - int(np.count_nonzero(rep.agree)))
     assert_same_text(text, reference_report(name, 1e-9, x1, x2, rep))
     assert '"at": [\n        -0.0,\n        -0.0\n      ]' in text
 
@@ -190,6 +194,24 @@ def test_report_cli_json_matches_json_dumps(name, capsys, monkeypatch):
     doc = json.loads(out)
     assert [p["at"] for p in doc["points"]] == [[a, b] for a, b in zip(x1.tolist(), x2.tolist())]
     assert_same_text(out, reference_report(name, doc["zero_tol"], x1, x2, report_many(get(name).system, x1, x2)))
+
+
+@pytest.mark.parametrize("name", POTENTIAL_SYSTEMS)
+def test_report_csv_and_json_carry_the_same_cells(name, capsys, monkeypatch):
+    # both formats render one column list: same rows, same floats (CSV folds -0.0), same verdicts and flags
+    monkeypatch.delenv("AODECOMP_TOL", raising=False)
+    argv = ["report", "--system", name, "--at", "-0.0,-0.0", "--at", "0.5,0.25", "--grid", GRID, "--format"]
+    assert main(argv + ["csv"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert main(argv + ["json"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert len(rows) == len(points) == 2 + len(_parse_grid(GRID)[0]) > _BLOCK_ROWS
+    assert points[0]["at"] == [-0.0, -0.0] and str(points[0]["at"]) == "[-0.0, -0.0]"
+    assert rows[0][:2] == ["0.0", "0.0"]
+    for row, p in zip(rows, points):
+        floats = [*p["at"], p["h_p"], p["div_f"], p["phi_rate"], p["identity_gap"]]
+        assert row[:6] == [repr(value + 0.0) for value in floats]
+        assert row[6:] == [p["verdict_power"], p["verdict_divergence"], json.dumps(p["agree"])]
 
 
 def test_report_with_non_finite_power_exits_1_without_output(capsys, monkeypatch):

@@ -41,9 +41,12 @@ RSS_MODE_GAP_MB = 1.5
 
 
 def _seeds(text: str) -> list[int]:
-    """``901-910``: the seeds 901 to 910."""
+    """``901-910``: the seeds 901 to 910. A range that holds no seed, such as ``910-901``, is an argparse error."""
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} holds no seed; give the lower seed first")
+    return seeds
 
 
 def _export(rev: str, directory: Path) -> str:
