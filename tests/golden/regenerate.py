@@ -42,6 +42,12 @@ SMALL_GRID = "-1.5,1.5,-1,1,7,5"
 # On the unit circle, the half-power circle, an off-axis point and the origin.
 REPORT_POINTS = ("1,0", "0.7071067811865476,0", "0.3,-1.2", "0,0")
 HOPF_POINTS = ("0.5,0", "1,0", "0.3,-1.2", "0,0")
+OVERFLOW_FRAME_POINTS = (
+    (("--system", "stable_node"), "1e200,0"),
+    (("--system", "stable_spiral"), "1e200,-3e199"),
+    (("--system", "hopf_limit_cycle"), "1.2e102,1.2e102"),
+    (("--matrix", "-1,0.5,0.2,-2"), "1e250,1e250"),
+)
 
 
 def corpus() -> list[list[str]]:
@@ -78,6 +84,11 @@ def corpus() -> list[list[str]]:
         argvs.append(["report", "--system", "stable_node", "--grid", huge, "--format", fmt])
         argvs.append(["report", "--system", "hopf_limit_cycle", "--grid", huge, "--format", fmt])
         argvs.append(["report", "--system", "hopf_limit_cycle", "--at", "-0.0,-0.0", "--at", "-0.0,1", "--format", fmt])
+    # Points where f.f, grad(phi).f or the transverse product overflows, so
+    # the frame is computed from f and grad(phi) rescaled by their largest components.
+    for fmt in FORMATS:
+        for source, point in OVERFLOW_FRAME_POINTS:
+            argvs.append(["decompose", *source, "--at", point, "--format", fmt])
     argvs.append(["grid", "--system", "hopf_limit_cycle", "--grid", "-0.0,1,-0.0,1,3,3", "--quantity", "vector_field"])
     argvs.append(["grid", "--system", "saddle_tracezero", "--grid", "-0.0,1,-1,-0.0,3,3", "--quantity", "dissipation_power"])
     return argvs
