@@ -42,12 +42,11 @@ from .linear import (
     reconstruct_drift,
     solve_gyration,
 )
-from .field import PointDecomposition, friction_scalar, point_decomposition, transverse_scalar
+from .field import DecompositionColumns, PointDecomposition, decompose_many, point_decomposition
 from .dissipation import DissipationReport, dissipation_power, divergence, phi_rate, report
 from .dynamics import (
     Definition2Report,
     Trajectory,
-    cartesian_polar_agreement,
     check_monotonicity,
     definition2_check,
     integrate,
@@ -61,6 +60,7 @@ __all__ = [
     "AsymmetricU",
     "CatalogEntry",
     "Definition2Report",
+    "DecompositionColumns",
     "DiffusionParams",
     "DissipationReport",
     "EquilibriumPoint",
@@ -82,15 +82,14 @@ __all__ = [
     "UnknownSystem",
     "VectorField",
     "assemble_decomposition",
-    "cartesian_polar_agreement",
     "central_divergence",
     "central_gradient",
     "check_monotonicity",
     "classify_spectrum",
+    "decompose_many",
     "definition2_check",
     "dissipation_power",
     "divergence",
-    "friction_scalar",
     "get",
     "integrate",
     "integrate_polar",
@@ -105,7 +104,6 @@ __all__ = [
     "report",
     "solve_gyration",
     "sym_antisym_split",
-    "transverse_scalar",
 ]
 
 __version__ = "0.1.0"

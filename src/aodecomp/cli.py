@@ -400,6 +400,9 @@ def cmd_decompose(args) -> int:
         raise _UsageError("decompose needs --system NAME or --matrix a11,a12,a21,a22")
 
     if args.system is not None:
+        for flag, value in (("--matrix", args.matrix), ("--d", args.d), ("--q", args.q)):
+            if value is not None:
+                raise _UsageError(f"decompose --system takes no {flag}: a catalog system has its own decomposition")
         entry = catalog.get(args.system)
         if args.at is not None:
             doc = _pointwise_doc(entry.system, args.at, entry.name)

@@ -44,9 +44,6 @@ class Point2:
     def norm(self) -> float:
         return math.hypot(self.x1, self.x2)
 
-    def dot(self, other: Point2) -> float:
-        return self.x1 * other.x1 + self.x2 * other.x2
-
     def __add__(self, other: Point2) -> Point2:
         return Point2(self.x1 + other.x1, self.x2 + other.x2)
 
@@ -273,10 +270,6 @@ class ScalarField:
 
     fn: Callable
     gradient_fn: Callable | None = None
-
-    @property
-    def has_analytic_gradient(self) -> bool:
-        return self.gradient_fn is not None
 
     def _gradient(self, x1, x2):
         if self.gradient_fn is not None:

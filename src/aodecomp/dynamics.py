@@ -135,23 +135,6 @@ def check_monotonicity(traj: Trajectory) -> float:
     return float(np.max(np.diff(traj.phi)))
 
 
-def cartesian_polar_agreement(x0: Point2, dt: float = DEFAULT_DT, t_end: float = 10.0) -> float:
-    """Max pointwise distance between the Cartesian and polar integrations.
-
-    Both runs integrate the builtin oscillator, once in each chart, then the
-    polar samples are mapped back to Cartesian coordinates for comparison.
-    """
-    r0 = x0.norm()
-    if r0 <= 0.0:
-        raise ValueError("x0 must be nonzero")
-    sys = catalog.get(catalog.HOPF).system
-    cart = integrate(sys, x0, dt=dt, t_end=t_end)
-    pol = integrate_polar(r0, math.atan2(x0.x2, x0.x1), dt=dt, t_end=t_end)
-    px = pol.x[:, 0] * np.cos(pol.x[:, 1])
-    py = pol.x[:, 0] * np.sin(pol.x[:, 1])
-    return float(np.max(np.hypot(cart.x[:, 0] - px, cart.x[:, 1] - py)))
-
-
 def definition2_check(
     sys: SystemSpec,
     region: tuple[float, float, float, float],

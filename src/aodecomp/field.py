@@ -14,11 +14,15 @@ f = -(D + Q) grad(phi) with D = d*I, Q = q*[[0,1],[-1,0]]:
 On the isopotential locus where friction and transverse both vanish (the
 limit cycle of the builtin oscillator) the dual pair does not exist and the
 decomposition is marked singular instead.
+
+The frame is computed on N points at once by ``decompose_many``, with the
+equilibria and the singular points as boolean masks; ``point_decomposition``
+is its N = 1 case, so the frame formula, the overflow rescale and the
+equilibrium rule (``equilibrium_mask``) each exist once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +46,31 @@ class PointDecomposition:
     singular_on_isopotential: bool
 
 
-def _equilibrium(f_norm, x_norm):
-    """The equilibrium rule on norms: |f| <= EQUILIBRIUM_TOL * (1 + |x|)."""
-    return f_norm <= EQUILIBRIUM_TOL * (1.0 + x_norm)
+@dataclass(frozen=True)
+class DecompositionColumns:
+    """``point_decomposition`` at N points: the drift f, the potential gradient g
+    and the frame as float64 columns, with two boolean masks.
+
+    The frame is undefined at an ``equilibrium`` row, which holds NaN in g and
+    in the four frame columns; a ``singular_on_isopotential`` row holds NaN in
+    diffusion and gyration.
+    """
+
+    f1: np.ndarray
+    f2: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    friction: np.ndarray
+    transverse: np.ndarray
+    diffusion: np.ndarray
+    gyration: np.ndarray
+    equilibrium: np.ndarray
+    singular_on_isopotential: np.ndarray
 
 
 def equilibrium_mask(x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Rows that are equilibria, decided with math.hypot norms as the scalar path does.
-
-    np.hypot can differ from math.hypot by 1 ulp, so rows whose decision
-    flips within a 1e-12 relative change of |f| are decided again with math.hypot.
-    """
-    f_norm, x_norm = np.hypot(f1, f2), np.hypot(x1, x2)
-    mask = _equilibrium(f_norm, x_norm)
-    near = _equilibrium(f_norm * (1.0 - 1e-12), x_norm) != _equilibrium(f_norm * (1.0 + 1e-12), x_norm)
-    for i in np.flatnonzero(near).tolist():
-        mask[i] = _equilibrium(math.hypot(f1[i], f2[i]), math.hypot(x1[i], x2[i]))
-    return mask
+    """Rows that are equilibria: |f| <= EQUILIBRIUM_TOL * (1 + |x|), with np.hypot norms."""
+    return np.hypot(f1, f2) <= EQUILIBRIUM_TOL * (1.0 + np.hypot(x1, x2))
 
 
 def friction_at(f1, f2, g1, g2):
@@ -71,51 +83,48 @@ def transverse_at(f1, f2, g1, g2):
     return (f1 * g2 - f2 * g1) / (f1 * f1 + f2 * f2)
 
 
-def _scalar_at(at, f_val: Point2, grad_phi: Point2) -> float:
-    """``at`` on one point; f is an equilibrium by the rule with |x| = 0, |f| <= EQUILIBRIUM_TOL."""
-    if _equilibrium(f_val.norm(), 0.0):
-        raise EquilibriumPoint(f"field value {f_val.as_tuple()} is an equilibrium; the frame is undefined there")
-    return at(f_val.x1, f_val.x2, grad_phi.x1, grad_phi.x2)
+def decompose_many(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> DecompositionColumns:
+    """The frame at N points; requires a potential.
 
-
-def friction_scalar(f_val: Point2, grad_phi: Point2) -> float:
-    """Friction coefficient s = -(grad(phi) . f) / (f . f)."""
-    return _scalar_at(friction_at, f_val, grad_phi)
-
-
-def transverse_scalar(f_val: Point2, grad_phi: Point2) -> float:
-    """Transverse coefficient t = (f1 * d2(phi) - f2 * d1(phi)) / (f . f)."""
-    return _scalar_at(transverse_at, f_val, grad_phi)
-
-
-def point_decomposition(sys: SystemSpec, x: Point2) -> PointDecomposition:
-    """Decompose the system at x; requires a potential and a non-equilibrium x.
-
-    Where a product of f and grad(phi) overflows, s and t (homogeneous of degree
-    -1 in f, 1 in grad(phi)) are computed from both divided by their largest components.
+    The potential gradient is evaluated off the equilibria only. Raises
+    NotFiniteQuantity where the field, or the gradient there, is not finite.
+    Where f . f, grad(phi) . f or f1 d2(phi) - f2 d1(phi) overflows, s and t
+    (homogeneous of degree -1 in f, 1 in grad(phi)) are computed from both
+    divided by their largest components and scaled back by g_max / f_max.
     """
     if sys.potential is None:
         raise MissingPotential(f"system {sys.name!r} has no potential")
-    f_val = sys.field.evaluate(x)
-    if _equilibrium(f_val.norm(), x.norm()):
+    f1, f2 = sys.field.evaluate_many(x1, x2)
+    with np.errstate(all="ignore"):  # an overflowing |f| or product is handled below
+        equilibrium = equilibrium_mask(x1, x2, f1, f2)
+        moving = ~equilibrium
+        g1, g2 = np.full(f1.shape, np.nan), np.full(f1.shape, np.nan)
+        # an equilibrium's g stays NaN, and so does its whole frame
+        g1[moving], g2[moving] = sys.potential.gradient_many(x1[moving], x2[moving])
+        overflow = ~(np.isfinite(f1 * f1 + f2 * f2) & np.isfinite(g1 * f1 + g2 * f2) & np.isfinite(f1 * g2 - f2 * g1))
+        f_max = np.where(overflow, np.maximum(abs(f1), abs(f2)), 1.0)
+        g_max = np.where(overflow, np.maximum(abs(g1), abs(g2)), 1.0)
+        g_max[g_max == 0.0] = 1.0
+        frame = (f1 / f_max, f2 / f_max, g1 / g_max, g2 / g_max)
+        s = friction_at(*frame) * (g_max / f_max)
+        t = transverse_at(*frame) * (g_max / f_max)
+        norm2 = s * s + t * t
+        singular = norm2 <= SINGULAR_SPLIT_TOL
+        d, q = np.where(singular, np.nan, s / norm2), np.where(singular, np.nan, -t / norm2)
+    return DecompositionColumns(f1, f2, g1, g2, s, t, d, q, equilibrium, singular)
+
+
+def point_decomposition(sys: SystemSpec, x: Point2) -> PointDecomposition:
+    """Decompose the system at x, as ``decompose_many`` at one point; requires a
+    potential and raises EquilibriumPoint at an equilibrium."""
+    cols = decompose_many(sys, np.array([x.x1]), np.array([x.x2]))
+    row = {name: column[0].item() for name, column in vars(cols).items()}
+    if row["equilibrium"]:
         raise EquilibriumPoint(f"{x.as_tuple()} is an equilibrium of {sys.name!r}")
-    grad_phi = sys.potential.gradient(x)
-    f1, f2, g1, g2 = f_val.x1, f_val.x2, grad_phi.x1, grad_phi.x2
-    scale = 1.0
-    if not all(map(math.isfinite, (f1 * f1 + f2 * f2, g1 * f1 + g2 * f2, f1 * g2 - f2 * g1))):
-        f_max, g_max = max(abs(f1), abs(f2)), max(abs(g1), abs(g2)) or 1.0
-        f1, f2, g1, g2, scale = f1 / f_max, f2 / f_max, g1 / g_max, g2 / g_max, g_max / f_max
-    s = friction_at(f1, f2, g1, g2) * scale
-    t = transverse_at(f1, f2, g1, g2) * scale
-    norm2 = s * s + t * t
-    if norm2 <= SINGULAR_SPLIT_TOL:
-        return PointDecomposition(
-            at=x, friction=s, transverse=t, drift=f_val,
-            potential_gradient=grad_phi, diffusion=None, gyration=None,
-            singular_on_isopotential=True,
-        )
+    singular = row["singular_on_isopotential"]
     return PointDecomposition(
-        at=x, friction=s, transverse=t, drift=f_val,
-        potential_gradient=grad_phi, diffusion=s / norm2, gyration=-t / norm2,
-        singular_on_isopotential=False,
+        at=x, friction=row["friction"], transverse=row["transverse"],
+        drift=Point2(row["f1"], row["f2"]), potential_gradient=Point2(row["g1"], row["g2"]),
+        diffusion=None if singular else row["diffusion"], gyration=None if singular else row["gyration"],
+        singular_on_isopotential=singular,
     )

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from aodecomp import DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, VectorField
+from aodecomp import DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, VectorField, get, integrate, integrate_polar
 
 
 def random_matrix(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.0) -> Matrix2:
@@ -27,6 +29,19 @@ def random_diffusion(rng: np.random.Generator, margin: float = 0.1) -> Diffusion
 
 def random_point(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.0) -> Point2:
     return Point2(float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi)))
+
+
+def dot(a: Point2, b: Point2) -> float:
+    return a.x1 * b.x1 + a.x2 * b.x2
+
+
+def cartesian_polar_distance(x0: Point2, dt: float, t_end: float) -> float:
+    """Largest distance between the oscillator's orbits from x0 integrated in
+    the Cartesian and in the polar chart, the polar samples mapped back."""
+    cart = integrate(get("hopf_limit_cycle").system, x0, dt=dt, t_end=t_end)
+    pol = integrate_polar(x0.norm(), math.atan2(x0.x2, x0.x1), dt=dt, t_end=t_end)
+    r, theta = pol.x[:, 0], pol.x[:, 1]
+    return float(np.max(np.hypot(cart.x[:, 0] - r * np.cos(theta), cart.x[:, 1] - r * np.sin(theta))))
 
 
 def reversed_system(sys: SystemSpec) -> SystemSpec:

@@ -17,13 +17,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aodecomp import Matrix2, NonFinite, Point2, ScalarField, SystemSpec, get, integrate, list_systems
+from aodecomp import (
+    EquilibriumPoint,
+    Matrix2,
+    NonFinite,
+    NotFiniteQuantity,
+    Point2,
+    ScalarField,
+    SystemSpec,
+    VectorField,
+    decompose_many,
+    get,
+    integrate,
+    list_systems,
+    point_decomposition,
+)
 from aodecomp.dissipation import VERDICTS, phi_rate_many, power_many, report_many
-from aodecomp.field import equilibrium_mask, friction_at, friction_scalar, transverse_at, transverse_scalar
+from aodecomp.field import friction_at, transverse_at
 from aodecomp.tolerances import EQUILIBRIUM_TOL, master_tol
 from aodecomp.catalog import HOPF_POLAR
 from aodecomp.cli import main
-from helpers import gradient_flow_system, reversed_system
+from helpers import dot, gradient_flow_system, reversed_system
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -86,7 +100,8 @@ def reference_power(sys: SystemSpec, p: Point2) -> float:
         return s.a11 * f.x1 * f.x1 + (s.a12 + s.a21) * f.x1 * f.x2 + s.a22 * f.x2 * f.x2
     if f.norm() <= EQUILIBRIUM_TOL * (1.0 + p.norm()):
         return 0.0
-    return friction_scalar(f, sys.potential.gradient(p)) * f.dot(f)
+    g = sys.potential.gradient(p)
+    return friction_at(f.x1, f.x2, g.x1, g.x2) * dot(f, f)
 
 
 def reference_report(sys: SystemSpec, p: Point2, tol: float) -> tuple:
@@ -98,7 +113,7 @@ def reference_report(sys: SystemSpec, p: Point2, tol: float) -> tuple:
     else:
         verdict_div = "expanding"
     h_p = reference_power(sys, p)
-    rate = sys.potential.gradient(p).dot(sys.field.evaluate(p))
+    rate = dot(sys.potential.gradient(p), sys.field.evaluate(p))
     verdict_power = "conservative" if abs(h_p) <= tol else "dissipative"
     return div, verdict_div, h_p, rate, abs(abs(rate) - h_p), verdict_power, verdict_power == verdict_div
 
@@ -117,12 +132,55 @@ def test_field_batches_match_point_loop(name):
     grads = [sys.potential.gradient(p) for p in pts]
     assert_same_bits(g1, [g.x1 for g in grads])
     assert_same_bits(g2, [g.x2 for g in grads])
-    # the frame scalars off the equilibria, where the scalar forms are defined
+    # the frame closures off the equilibria, where the frame is defined
     moving = np.array([f.norm() > EQUILIBRIUM_TOL for f in values])
     frame = (f1[moving], f2[moving], g1[moving], g2[moving])
-    pairs = [(f, g) for f, g, m in zip(values, grads, moving.tolist()) if m]
-    assert_same_bits(friction_at(*frame), [friction_scalar(f, g) for f, g in pairs])
-    assert_same_bits(transverse_at(*frame), [transverse_scalar(f, g) for f, g in pairs])
+    pairs = [(f.x1, f.x2, g.x1, g.x2) for f, g, m in zip(values, grads, moving.tolist()) if m]
+    assert_same_bits(friction_at(*frame), [friction_at(*pair) for pair in pairs])
+    assert_same_bits(transverse_at(*frame), [transverse_at(*pair) for pair in pairs])
+
+
+# Points where f . f or grad(phi) . f overflows for a linear system, and
+# where the oscillator's field or gradient overflows (1e200 and up) or stays
+# finite while its frame products overflow (1e102).
+_HUGE = np.random.default_rng(20261018).uniform(-1.0, 1.0, (3, 2, 20)) * np.array([1.2e102, 1e200, 1e250])[:, None, None]
+HUGE_X1 = np.concatenate([[1e200, 1e200, 1.2e102, 1e250], _HUGE[:, 0].ravel()])
+HUGE_X2 = np.concatenate([[0.0, -3e199, 1.2e102, 1e250], _HUGE[:, 1].ravel()])
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_decompose_many_matches_point_decomposition_loop(name):
+    sys = SYSTEMS[name]
+    x1, x2 = np.concatenate([X1, HUGE_X1]), np.concatenate([X2, HUGE_X2])
+    rows = []
+    for i, p in enumerate(Point2(a, b) for a, b in zip(x1.tolist(), x2.tolist())):
+        try:
+            rows.append((i, point_decomposition(sys, p)))
+        except EquilibriumPoint:
+            rows.append((i, None))
+        except NotFiniteQuantity:  # the field, or the gradient off an equilibrium, overflows here
+            with pytest.raises(NotFiniteQuantity):
+                decompose_many(sys, x1[i:i + 1], x2[i:i + 1])
+    kept = [i for i, _ in rows]
+    assert len(kept) >= len(X1)
+    cols = decompose_many(sys, x1[kept], x2[kept])
+    equilibrium = [pd is None for _, pd in rows]
+    assert cols.equilibrium.tolist() == equilibrium
+    assert cols.singular_on_isopotential.tolist() == [pd is not None and pd.singular_on_isopotential for _, pd in rows]
+    moving = [pd for _, pd in rows if pd is not None]
+    free = ~cols.equilibrium
+    assert_same_bits(cols.f1[free], [pd.drift.x1 for pd in moving])
+    assert_same_bits(cols.f2[free], [pd.drift.x2 for pd in moving])
+    assert_same_bits(cols.g1[free], [pd.potential_gradient.x1 for pd in moving])
+    assert_same_bits(cols.g2[free], [pd.potential_gradient.x2 for pd in moving])
+    assert_same_bits(cols.friction[free], [pd.friction for pd in moving])
+    assert_same_bits(cols.transverse[free], [pd.transverse for pd in moving])
+    nan = float("nan")
+    assert_same_bits(cols.diffusion[free], [nan if pd.diffusion is None else pd.diffusion for pd in moving])
+    assert_same_bits(cols.gyration[free], [nan if pd.gyration is None else pd.gyration for pd in moving])
+    # an equilibrium row holds NaN in g and the frame
+    for column in (cols.g1, cols.g2, cols.friction, cols.transverse, cols.diffusion, cols.gyration):
+        assert np.isnan(column[cols.equilibrium]).all()
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -152,20 +210,31 @@ def test_linear_divergence_keeps_the_sign_of_a_zero_trace():
     assert_same_bits(sys.field.divergence_many(X1, X2), np.full(len(X1), -0.0))
 
 
-def test_equilibrium_mask_matches_math_hypot_at_the_threshold():
-    # |f| placed within a few ulps of EQUILIBRIUM_TOL * (1 + |x|), where
-    # np.hypot and math.hypot can decide differently
+def test_equilibria_at_the_threshold_are_decided_alike_at_one_point_and_at_n():
+    # |f| placed within a few ulps of EQUILIBRIUM_TOL * (1 + |x|), through a
+    # field tabulated at these points
     rng = np.random.default_rng(7)
     x1, x2 = rng.uniform(-3.0, 3.0, (2, 20000))
     angle = rng.uniform(-math.pi, math.pi, 20000)
     bound = EQUILIBRIUM_TOL * (1.0 + np.hypot(x1, x2))
     scale = bound * (1.0 + rng.integers(-4, 5, 20000) * np.finfo(float).eps)
     f1, f2 = scale * np.cos(angle), scale * np.sin(angle)
-    expected = [
-        math.hypot(a, b) <= EQUILIBRIUM_TOL * (1.0 + math.hypot(c, d))
-        for a, b, c, d in zip(f1.tolist(), f2.tolist(), x1.tolist(), x2.tolist())
-    ]
-    assert equilibrium_mask(x1, x2, f1, f2).tolist() == expected
+    table = dict(zip(zip(x1.tolist(), x2.tolist()), zip(f1.tolist(), f2.tolist())))
+
+    def tabulated(a, b):
+        return tuple(np.array([table[p] for p in zip(a.tolist(), b.tolist())]).T)
+
+    sys = SystemSpec("tabulated", VectorField(tabulated), ScalarField(lambda a, b: a, lambda a, b: (1.0, 0.0)))
+    batch = decompose_many(sys, x1, x2).equilibrium.tolist()
+    single = []
+    for p in zip(x1.tolist(), x2.tolist()):
+        try:
+            point_decomposition(sys, Point2(*p))
+            single.append(False)
+        except EquilibriumPoint:
+            single.append(True)
+    assert batch == single
+    assert 0 < sum(single) < len(single)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -175,7 +244,7 @@ def test_integrate_columns_match_scalar_recomputation(name):
     pts = [Point2(a, b) for a, b in traj.x.tolist()]
     assert_same_bits(traj.t, [i * 0.01 for i in range(len(pts))])
     assert_same_bits(traj.phi, [sys.potential.evaluate(p) for p in pts])
-    assert_same_bits(traj.phi_rate, [sys.potential.gradient(p).dot(sys.field.evaluate(p)) for p in pts])
+    assert_same_bits(traj.phi_rate, [dot(sys.potential.gradient(p), sys.field.evaluate(p)) for p in pts])
     assert_same_bits(traj.h_p, [reference_power(sys, p) for p in pts])
     assert_same_bits(traj.div_f, [sys.field.divergence(p) for p in pts])
 

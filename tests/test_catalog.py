@@ -11,16 +11,14 @@ from aodecomp import (
     EquilibriumPoint,
     Point2,
     UnknownSystem,
-    friction_scalar,
     get,
     list_systems,
     lyapunov_equation_residual,
     phi_rate,
     point_decomposition,
     radial_solution,
-    transverse_scalar,
 )
-from helpers import random_point
+from helpers import dot, random_point
 
 EXPECTED_NAMES = [
     "hopf_limit_cycle",
@@ -77,10 +75,9 @@ def test_hopf_expected_closures_match_field_construction():
         if f.norm() <= 1e-6 or abs(1.0 - (x.x1**2 + x.x2**2)) <= 1e-6:
             continue
         checked += 1
-        g = entry.system.potential.gradient(x)
-        assert abs(friction_scalar(f, g) - exp.friction(x)) <= 1e-10
-        assert abs(transverse_scalar(f, g) - exp.transverse(x)) <= 1e-10
         pd = point_decomposition(entry.system, x)
+        assert abs(pd.friction - exp.friction(x)) <= 1e-10
+        assert abs(pd.transverse - exp.transverse(x)) <= 1e-10
         assert abs(pd.diffusion - exp.diffusion(x)) <= 1e-10 * (1.0 + abs(exp.diffusion(x)))
         assert abs(pd.gyration - exp.gyration(x)) <= 1e-10 * (1.0 + abs(exp.gyration(x)))
         assert abs(entry.system.potential.evaluate(x) - exp.potential(x)) <= 1e-12
@@ -108,7 +105,7 @@ def test_hopf_frame_identities_at_500_points():
         # d(phi)/dt = -r^2 (r^2 - 1)^2 and H_P = +r^2 (r^2 - 1)^2
         rate = phi_rate(entry.system, x)
         assert abs(rate - (-(r2) * (r2 - 1.0) ** 2)) <= 1e-10 * (1.0 + abs(rate))
-        assert abs(exp.dissipation_power(x) - s * f.dot(f)) <= 1e-10 * (1.0 + abs(rate))
+        assert abs(exp.dissipation_power(x) - s * dot(f, f)) <= 1e-10 * (1.0 + abs(rate))
         # divergence closed form 2 (1 - 2 r^2)
         assert abs(exp.divergence(x) - 2.0 * (1.0 - 2.0 * r2)) <= 1e-12
 

@@ -108,6 +108,17 @@ def test_decompose_usage_errors(capsys):
     assert run(capsys, "decompose", "--system", "hopf_limit_cycle")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--matrix", "-1,0,0,-2"), ("--d", "1,0.5,1"), ("--q", "0.3")], ids=["matrix", "d", "q"]
+)
+@pytest.mark.parametrize("at", [[], ["--at", "0.5,0"]], ids=["linear", "pointwise"])
+def test_decompose_system_rejects_matrix_flags_naming_the_flag(capsys, flag, value, at):
+    # the catalog system fixes its own decomposition, so these flags would be ignored
+    code, out, err = run(capsys, "decompose", "--system", "stable_node", flag, value, *at)
+    assert (code, out) == (1, "")
+    assert err.startswith("aodecomp: ") and flag in err and "Traceback" not in err
+
+
 def test_decompose_linear_catalog_document(capsys):
     code, out, _ = run(capsys, "decompose", "--system", "saddle_tracezero")
     assert code == 0

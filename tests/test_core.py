@@ -131,8 +131,8 @@ def test_central_gradient_matches_analytic():
 def test_scalar_field_fallback_flag():
     with_grad = ScalarField(lambda x1, x2: x1, gradient_fn=lambda x1, x2: (1.0, 0.0))
     without = ScalarField(lambda x1, x2: x1)
-    assert with_grad.has_analytic_gradient
-    assert not without.has_analytic_gradient
+    assert with_grad.gradient_fn is not None
+    assert without.gradient_fn is None
     g = without.gradient(Point2(0.3, -0.7))
     assert abs(g.x1 - 1.0) <= 1e-9 and abs(g.x2) <= 1e-9
 

@@ -25,7 +25,7 @@ from aodecomp import (
     solve_gyration,
 )
 from aodecomp.dissipation import CONSERVATIVE, DISSIPATIVE, EXPANDING, phi_rate_many, power_many, report_many
-from helpers import random_diffusion, random_matrix_nonzero_trace, random_point
+from helpers import dot, random_diffusion, random_matrix_nonzero_trace, random_point
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def test_power_fixture_off_cycle(hopf):
     x = Point2(0.5, 0.0)
     f = hopf.system.field.evaluate(x)
     g = hopf.system.potential.gradient(x)
-    s = -(g.dot(f)) / f.dot(f)
+    s = -(dot(g, f)) / dot(f, f)
     power = dissipation_power(Matrix2.diagonal(s, s), f)
     assert abs(power - 0.140625) <= 1e-15
 

@@ -13,7 +13,6 @@ from aodecomp import (
     NonFinite,
     Point2,
     SystemSpec,
-    cartesian_polar_agreement,
     check_monotonicity,
     definition2_check,
     get,
@@ -23,7 +22,7 @@ from aodecomp import (
 )
 from aodecomp import dynamics
 from aodecomp.catalog import HOPF_POLAR
-from helpers import reversed_system
+from helpers import cartesian_polar_distance, reversed_system
 
 
 @pytest.fixture(scope="module")
@@ -148,11 +147,11 @@ def test_monotonicity_needs_potential():
 
 
 def test_cartesian_polar_agreement_inside():
-    assert cartesian_polar_agreement(Point2(0.5, 0.0), dt=1e-3, t_end=10.0) <= 1e-6
+    assert cartesian_polar_distance(Point2(0.5, 0.0), dt=1e-3, t_end=10.0) <= 1e-6
 
 
 def test_cartesian_polar_agreement_on_circle(hopf):
-    assert cartesian_polar_agreement(Point2(1.0, 0.0), dt=1e-3, t_end=10.0) <= 1e-6
+    assert cartesian_polar_distance(Point2(1.0, 0.0), dt=1e-3, t_end=10.0) <= 1e-6
     traj = integrate(hopf.system, Point2(1.0, 0.0), dt=1e-3, t_end=10.0)
     radii = np.hypot(traj.x[:, 0], traj.x[:, 1])
     assert np.max(np.abs(radii - 1.0)) <= 1e-6

@@ -14,12 +14,12 @@ from aodecomp import (
     ScalarField,
     SystemSpec,
     VectorField,
-    friction_scalar,
+    decompose_many,
     get,
     list_systems,
     point_decomposition,
-    transverse_scalar,
 )
+from aodecomp.field import friction_at, transverse_at
 from aodecomp.tolerances import EQUILIBRIUM_TOL
 from helpers import gradient_flow_system, random_point
 
@@ -29,43 +29,49 @@ def hopf():
     return get("hopf_limit_cycle")
 
 
+def _frame(sys: SystemSpec, x: Point2) -> tuple[float, float, float, float]:
+    """f and grad(phi) at x, as the coordinates friction_at and transverse_at take."""
+    f, g = sys.field.evaluate(x), sys.potential.gradient(x)
+    return f.x1, f.x2, g.x1, g.x2
+
+
+def _constant_field(f1: float, f2: float) -> SystemSpec:
+    phi = ScalarField(lambda x1, x2: x1 + 2.0 * x2, gradient_fn=lambda x1, x2: (1.0, 2.0))
+    return SystemSpec("constant", VectorField(lambda x1, x2: (f1, f2)), potential=phi)
+
+
 def test_friction_fixture(hopf):
     # r^2 = 1/4: s = (3/4)^2 / (1 + (3/4)^2) = 0.36
-    x = Point2(0.5, 0.0)
-    f = hopf.system.field.evaluate(x)
-    g = hopf.system.potential.gradient(x)
-    assert abs(friction_scalar(f, g) - 0.36) <= 1e-15
+    assert abs(friction_at(*_frame(hopf.system, Point2(0.5, 0.0))) - 0.36) <= 1e-15
 
 
 def test_friction_zero_when_gradient_perpendicular():
-    assert friction_scalar(Point2(1.0, 0.0), Point2(0.0, 2.0)) == 0.0
+    assert friction_at(1.0, 0.0, 0.0, 2.0) == 0.0
 
 
 def test_friction_zero_on_cycle(hopf):
-    x = Point2(1.0, 0.0)
-    f = hopf.system.field.evaluate(x)
-    g = hopf.system.potential.gradient(x)
-    assert friction_scalar(f, g) == 0.0
+    assert friction_at(*_frame(hopf.system, Point2(1.0, 0.0))) == 0.0
 
 
 def test_transverse_fixture(hopf):
     # r^2 = 1/4: t = (3/4) / (1 + (3/4)^2) = 0.48
-    x = Point2(0.5, 0.0)
-    f = hopf.system.field.evaluate(x)
-    g = hopf.system.potential.gradient(x)
-    assert abs(transverse_scalar(f, g) - 0.48) <= 1e-15
+    assert abs(transverse_at(*_frame(hopf.system, Point2(0.5, 0.0))) - 0.48) <= 1e-15
 
 
 def test_transverse_zero_for_gradient_flow():
-    f = Point2(0.7, -0.3)
-    assert transverse_scalar(f, -f) == 0.0
+    assert transverse_at(0.7, -0.3, -0.7, 0.3) == 0.0
 
 
 def test_equilibrium_rejected():
+    # a field that vanishes everywhere: every point is an equilibrium
+    still = _constant_field(0.0, 0.0)
     with pytest.raises(EquilibriumPoint):
-        friction_scalar(Point2(0.0, 0.0), Point2(1.0, 0.0))
-    with pytest.raises(EquilibriumPoint):
-        transverse_scalar(Point2(0.0, 0.0), Point2(1.0, 0.0))
+        point_decomposition(still, Point2(0.3, -0.4))
+    cols = decompose_many(still, np.array([0.3, 0.0]), np.array([-0.4, 0.0]))
+    assert cols.equilibrium.tolist() == [True, True]
+    for column in (cols.g1, cols.g2, cols.friction, cols.transverse, cols.diffusion, cols.gyration):
+        assert np.isnan(column).all()
+    assert not cols.singular_on_isopotential.any()
 
 
 def test_frame_residual_at_random_points(hopf):
@@ -79,8 +85,8 @@ def test_frame_residual_at_random_points(hopf):
             continue
         checked += 1
         g = hopf.system.potential.gradient(x)
-        s = friction_scalar(f, g)
-        t = transverse_scalar(f, g)
+        s = friction_at(f.x1, f.x2, g.x1, g.x2)
+        t = transverse_at(f.x1, f.x2, g.x1, g.x2)
         res = Point2(s * f.x1 + t * f.x2 + g.x1, -t * f.x1 + s * f.x2 + g.x2)
         assert res.norm() <= 1e-10 * (1.0 + g.norm())
 
@@ -155,7 +161,7 @@ def test_transverse_part_does_no_work(hopf):
         if f.norm() <= 1e-8:
             continue
         g = hopf.system.potential.gradient(x)
-        t = transverse_scalar(f, g)
+        t = transverse_at(f.x1, f.x2, g.x1, g.x2)
         work = (t * f.x2) * f.x1 + (-t * f.x1) * f.x2
         assert abs(work) <= 1e-12 * (1.0 + f.norm() ** 2)
 
@@ -168,7 +174,7 @@ def test_cycle_is_zero_friction_isopotential_locus(hopf):
         f = hopf.system.field.evaluate(x)
         g = hopf.system.potential.gradient(x)
         assert g.norm() <= 1e-12
-        assert abs(friction_scalar(f, g)) <= 1e-12
+        assert abs(friction_at(f.x1, f.x2, g.x1, g.x2)) <= 1e-12
 
 
 OVERFLOW_POINTS = [Point2(1e200, 0.0), Point2(-3e250, 7e249), Point2(1e300, 1e300)]
@@ -204,15 +210,17 @@ def test_point_decomposition_overflow_with_zero_gradient():
 
 
 @pytest.mark.parametrize("steps", range(-3, 4))
-@pytest.mark.parametrize("scalar", [friction_scalar, transverse_scalar])
-def test_scalar_frame_equilibrium_rule_at_the_threshold(scalar, steps):
-    # |f| within a few ulps of EQUILIBRIUM_TOL: at or below it is an equilibrium
+@pytest.mark.parametrize("axis", [0, 1])
+def test_equilibrium_rule_at_the_threshold(axis, steps):
+    # a constant field at the origin with |f| within a few ulps of
+    # EQUILIBRIUM_TOL: at or below it is an equilibrium
     v = EQUILIBRIUM_TOL
     for _ in range(abs(steps)):
         v = math.nextafter(v, math.copysign(math.inf, steps))
-    for f in (Point2(v, 0.0), Point2(0.0, -v)):
-        if steps <= 0:
-            with pytest.raises(EquilibriumPoint):
-                scalar(f, Point2(1.0, 2.0))
-        else:
-            assert math.isfinite(scalar(f, Point2(1.0, 2.0)))
+    sys = _constant_field(v, 0.0) if axis == 0 else _constant_field(0.0, -v)
+    if steps <= 0:
+        with pytest.raises(EquilibriumPoint):
+            point_decomposition(sys, Point2(0.0, 0.0))
+    else:
+        pd = point_decomposition(sys, Point2(0.0, 0.0))
+        assert math.isfinite(pd.friction) and math.isfinite(pd.transverse)

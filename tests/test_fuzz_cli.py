@@ -137,6 +137,10 @@ def assert_clean_csv(text: str) -> None:
 @example(["grid", "--system", "stable_spiral", "--grid", "-1e200,1e200,-1e200,1e200,3,3", "--quantity", "criteria_agreement"])
 @example(["grid", "--system", "hopf_limit_cycle", "--grid", "-1e200,1e200,-1,1,3,3", "--quantity", "potential"])
 @example(["decompose", "--system", "stable_node", "--at", "1e200,0", "--format", "csv"])
+# a catalog system with a flag of the --matrix decomposition, which it rejects
+@example(["decompose", "--system", "stable_node", "--d", "1,0.5,1", "--format", "json"])
+@example(["decompose", "--system", "hopf_limit_cycle", "--matrix", "-1,0,0,-2", "--at", "0.5,0", "--format", "csv"])
+@example(["decompose", "--system", "saddle_tracezero", "--q", "0.3", "--format", "json"])
 # grids and step counts over the caps
 @example(["grid", "--system", "hopf_limit_cycle", "--grid", "0,1,0,1,1000000,1000000", "--quantity", "potential"])
 @example(["simulate", "--system", "hopf_limit_cycle", "--x0", "0.5,0", "--dt=1e-300", "--t-end=1"])
