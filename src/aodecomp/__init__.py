@@ -43,7 +43,7 @@ from .linear import (
     solve_gyration,
 )
 from .field import DecompositionColumns, PointDecomposition, decompose_many, point_decomposition
-from .dissipation import DissipationReport, dissipation_power, divergence, phi_rate, report
+from .dissipation import DissipationReport, divergence, phi_rate, report
 from .dynamics import (
     Definition2Report,
     Trajectory,
@@ -52,7 +52,7 @@ from .dynamics import (
     integrate,
     integrate_polar,
 )
-from .catalog import CatalogEntry, ExpectedForms, get, list_systems, radial_solution
+from .catalog import CatalogEntry, get, list_systems, radial_solution
 
 __all__ = [
     "AntisymScalar",
@@ -64,7 +64,6 @@ __all__ = [
     "DiffusionParams",
     "DissipationReport",
     "EquilibriumPoint",
-    "ExpectedForms",
     "LinearDecomposition",
     "Matrix2",
     "MissingPotential",
@@ -88,7 +87,6 @@ __all__ = [
     "classify_spectrum",
     "decompose_many",
     "definition2_check",
-    "dissipation_power",
     "divergence",
     "get",
     "integrate",

@@ -1,20 +1,17 @@
 """Builtin analytic example systems with their known decompositions.
 
-Each entry bundles the system itself with closed-form reference pieces used
-as test fixtures: the expected friction/transverse/diffusion/gyration
-closures for the nonlinear oscillator, and the constructed linear
-decomposition for the linear entries. The registry is built once at import
-and is read-only afterwards.
+Each entry bundles the system with its provenance and, for the linear
+entries, the constructed linear decomposition. The registry is built once at
+import and is read-only afterwards.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import linear
-from .core import DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, VectorField
+from .core import DiffusionParams, Matrix2, ScalarField, SystemSpec, VectorField
 from .errors import UnknownSystem
 
 HOPF = "hopf_limit_cycle"
@@ -28,37 +25,18 @@ HOPF_POLAR = SystemSpec(
 
 
 @dataclass(frozen=True)
-class ExpectedForms:
-    """Analytic reference closures for a system, where known in closed form.
-
-    The gyration closure is defined only off the unit circle; its sign is
-    fixed by inverting friction*I + transverse*J, giving -1/(1 - r^2).
-    """
-
-    friction: Callable[[Point2], float] | None = None
-    transverse: Callable[[Point2], float] | None = None
-    diffusion: Callable[[Point2], float] | None = None
-    gyration: Callable[[Point2], float] | None = None
-    potential: Callable[[Point2], float] | None = None
-    potential_gradient: Callable[[Point2], Point2] | None = None
-    divergence: Callable[[Point2], float] | None = None
-    dissipation_power: Callable[[Point2], float] | None = None
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     system: SystemSpec
     provenance: str
     decomposition: linear.LinearDecomposition | None = None
-    expected: ExpectedForms | None = None
 
 
 def _r2(x1, x2):
     return x1 * x1 + x2 * x2
 
 
-def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
+def _hopf_system() -> SystemSpec:
     def field(x1, x2):
         u = 1.0 - _r2(x1, x2)
         return -x2 + x1 * u, x1 + x2 * u
@@ -74,22 +52,7 @@ def _hopf_system() -> tuple[SystemSpec, ExpectedForms]:
         u = 1.0 - _r2(x1, x2)
         return -x1 * u, -x2 * u
 
-    system = SystemSpec(
-        HOPF,
-        VectorField(field, divergence_fn=div),
-        potential=ScalarField(phi, gradient_fn=grad),
-    )
-    expected = ExpectedForms(
-        friction=lambda p: (1.0 - _r2(p.x1, p.x2)) ** 2 / (1.0 + (1.0 - _r2(p.x1, p.x2)) ** 2),
-        transverse=lambda p: (1.0 - _r2(p.x1, p.x2)) / (1.0 + (1.0 - _r2(p.x1, p.x2)) ** 2),
-        diffusion=lambda p: 1.0,
-        gyration=lambda p: -1.0 / (1.0 - _r2(p.x1, p.x2)),
-        potential=system.potential.evaluate,
-        potential_gradient=system.potential.gradient,
-        divergence=system.field.divergence,
-        dissipation_power=lambda p: _r2(p.x1, p.x2) * (_r2(p.x1, p.x2) - 1.0) ** 2,
-    )
-    return system, expected
+    return SystemSpec(HOPF, VectorField(field, divergence_fn=div), potential=ScalarField(phi, gradient_fn=grad))
 
 
 def _linear_entry(
@@ -105,13 +68,11 @@ def _linear_entry(
 
 
 def _build_registry() -> dict[str, CatalogEntry]:
-    hopf_system, hopf_expected = _hopf_system()
     entries = [
         CatalogEntry(
             name=HOPF,
-            system=hopf_system,
+            system=_hopf_system(),
             provenance="planar oscillator with attracting unit circle; radial law dr/dt = r - r^3",
-            expected=hopf_expected,
         ),
         _linear_entry(
             "stable_node",

@@ -20,8 +20,11 @@ once, so no Python string is made per float cell. CSV folds -0.0 to 0.0;
 report JSON keeps it. Every other JSON document goes through
 ``json.dumps``. No document holds NaN or an infinity: a batch
 quantity that is not finite raises NotFiniteQuantity, which exits 1 with no
-output and a message naming the flag, its value and the quantity, and
-``json.dumps(allow_nan=False)`` guards every other JSON document.
+output and a message naming the quantity and the flag and value of the input
+that holds the first row at which it is not finite. A batch stops at the
+first quantity that fails, so where several inputs overflow the named one
+can be a later one. ``json.dumps(allow_nan=False)`` guards every other JSON
+document.
 
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up. A ``--grid`` of more than ``MAX_GRID_POINTS``
@@ -36,7 +39,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -146,30 +148,22 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @contextmanager
-def _naming_overflow(name: str, sources: list[tuple[str, str, np.ndarray, np.ndarray]], compute):
-    """Turn a ValueError raised in the block into a _UsageError naming the first input at which ``compute`` overflows.
+def _naming_overflow(name: str, sources: list[tuple[str, str, int]]):
+    """Turn a NotFiniteQuantity raised in the block into a _UsageError naming the input that holds its row.
 
-    ``sources`` holds (flag, value, x1, x2) per input, in argument order, and
-    ``compute(x1, x2)`` is the batch computation the block runs; the message
-    names the quantity it rejected. If it rejects no input, the ValueError
-    propagates unchanged.
+    ``sources`` holds (flag, value, rows) per input, in the order of the
+    rows of the batch the block computes. The error propagates unchanged
+    when its row lies past every input, and so does any other ValueError.
     """
     try:
         yield
-    except ValueError:
-        for flag, value, x1, x2 in sources:
-            try:
-                compute(x1, x2)
-            except NotFiniteQuantity as exc:
+    except NotFiniteQuantity as exc:
+        end = 0
+        for flag, value, rows in sources:
+            end += rows
+            if exc.row < end:
                 raise _UsageError(f"the {exc.quantity} of {name!r} overflows float64 at {flag} {value}") from None
         raise
-
-
-def _field_and_gradient(system: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> None:
-    """Evaluate the vector field, then the potential gradient; a non-finite result raises."""
-    system.field.evaluate_many(x1, x2)
-    if system.potential is not None:
-        system.potential.gradient_many(x1, x2)
 
 
 def _fold_comma_values(argv: list[str]) -> list[str]:
@@ -337,8 +331,7 @@ def _csv_quoted(text: str) -> str:
 
 def _pointwise_doc(system: SystemSpec, text: str, name: str) -> dict:
     at = _parse_point(text, "--at")
-    at_source = ("--at", text, np.array([at.x1]), np.array([at.x2]))
-    with _naming_overflow(name, [at_source], partial(_field_and_gradient, system)):  # field or gradient not finite
+    with _naming_overflow(name, [("--at", text, 1)]):  # field or gradient not finite
         pd = field.point_decomposition(system, at)
     s, t = pd.friction, pd.transverse
     fv, gv = pd.drift, pd.potential_gradient
@@ -474,8 +467,8 @@ def cmd_simulate(args) -> int:
         system, start = catalog.HOPF_POLAR, Point2(r0, math.atan2(x0.x2, x0.x1))
     else:
         system, start = entry.system, x0
-    x0_source = ("--x0", args.x0, np.array([x0.x1]), np.array([x0.x2]))
-    with _naming_overflow(entry.name, [x0_source], partial(_field_and_gradient, entry.system)):  # samples not finite
+    # a sampled column not finite at x0, the first row; every later state lies within BLOWUP_LIMIT
+    with _naming_overflow(entry.name, [("--x0", args.x0, 1)]):
         try:
             traj = dynamics.integrate(system, start, dt=dt, t_end=t_end)
             failure = None
@@ -525,9 +518,8 @@ def cmd_report(args) -> int:
     x1 = np.concatenate([source[2] for source in sources])
     x2 = np.concatenate([source[3] for source in sources])
     tol = master_tol()
-    compute = partial(dissipation.report_many, entry.system, zero_tol=tol)
-    with _naming_overflow(entry.name, sources, compute):  # a quantity of the report is not finite at a point
-        rep = compute(x1, x2)
+    with _naming_overflow(entry.name, [(flag, value, len(rows)) for flag, value, rows, _ in sources]):
+        rep = dissipation.report_many(entry.system, x1, x2, zero_tol=tol)
     columns = [
         x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap,
         _VERDICT_CELLS.take(rep.verdict_power), _VERDICT_CELLS.take(rep.verdict_divergence),
@@ -554,22 +546,19 @@ def cmd_grid(args) -> int:
     if needs_potential and system.potential is None:
         raise _UsageError(f"quantity {quantity!r} needs a potential, which {entry.name!r} lacks")
 
-    if quantity == "vector_field":
-        compute = system.field.evaluate_many
-    elif quantity == "potential":
-        compute = system.potential.evaluate_many
-    elif quantity == "divergence":
-        compute = system.field.divergence_many
-    elif quantity == "phi_rate":
-        compute = partial(dissipation.phi_rate_many, system)
-    elif quantity == "dissipation_power":
-        def compute(x1, x2):
-            return dissipation.power_many(system, x1, x2)[0]
-    else:  # criteria_agreement
-        def compute(x1, x2):
-            return dissipation.report_many(system, x1, x2).agree.astype(float)
-    with _naming_overflow(entry.name, [("--grid", args.grid, x1, x2)], compute):  # a quantity not finite at a point
-        value = compute(x1, x2)
+    with _naming_overflow(entry.name, [("--grid", args.grid, len(x1))]):  # a quantity not finite at a point
+        if quantity == "vector_field":
+            value = system.field.evaluate_many(x1, x2)
+        elif quantity == "potential":
+            value = system.potential.evaluate_many(x1, x2)
+        elif quantity == "divergence":
+            value = system.field.divergence_many(x1, x2)
+        elif quantity == "phi_rate":
+            value = dissipation.phi_rate_many(system, x1, x2)
+        elif quantity == "dissipation_power":
+            value = dissipation.power_many(system, x1, x2)[0]
+        else:  # criteria_agreement
+            value = dissipation.report_many(system, x1, x2).agree.astype(float)
     if quantity == "vector_field":
         _emit_csv(["x1", "x2", "f1", "f2"], [x1, x2, *value], args.out)
     else:

@@ -239,13 +239,14 @@ def central_divergence(f: Callable, x1, x2):
 
 
 def check_finite(quantity: str, *columns: np.ndarray) -> None:
-    """Raise NotFiniteQuantity naming ``quantity`` and its first non-finite value, in row order."""
+    """Raise NotFiniteQuantity naming ``quantity``, its first non-finite row and a non-finite value there."""
     finite = np.isfinite(columns[0])
     for column in columns[1:]:
         finite &= np.isfinite(column)
     if not finite.all():
         i = int(finite.argmin())
-        raise NotFiniteQuantity(quantity, next(v for v in (float(c[i]) for c in columns) if not math.isfinite(v)))
+        value = next(v for v in (float(c[i]) for c in columns) if not math.isfinite(v))
+        raise NotFiniteQuantity(quantity, value, i)
 
 
 def _many(fn: Callable, x1: np.ndarray, x2: np.ndarray, pair: bool = False):

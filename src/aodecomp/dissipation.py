@@ -93,14 +93,6 @@ def _friction_power(s: Matrix2, f1, f2):
     return s.a11 * f1 * f1 + (s.a12 + s.a21) * f1 * f2 + s.a22 * f2 * f2
 
 
-def dissipation_power(s: Matrix2, xdot: Point2) -> float:
-    """Quadratic form xdot^T S xdot for a symmetric PSD friction matrix.
-
-    Raises NotPSD when S fails symmetry or semidefiniteness beyond slack.
-    """
-    return _friction_power(s, xdot.x1, xdot.x2)
-
-
 def divergence(sys: SystemSpec, x: Point2) -> float:
     """Divergence of the field at x; exactly trace(A) for linear systems."""
     return float(sys.field.divergence_many(*_single(x))[0])

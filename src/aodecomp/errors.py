@@ -55,13 +55,15 @@ class NonFinite(AodecompError):
 class NotFiniteQuantity(AodecompError, ValueError):
     """A quantity computed at N points is NaN or infinite at one of them.
 
-    Carries the quantity's name, so a caller can say which result overflowed.
+    Carries the quantity's name and the first row at which it is not finite,
+    so a caller can say which result overflowed at which input.
     """
 
-    def __init__(self, quantity: str, value: float):
+    def __init__(self, quantity: str, value: float, row: int):
         super().__init__(f"the {quantity} is not finite: {value!r}")
         self.quantity = quantity
         self.value = value
+        self.row = row
 
 
 class UnknownSystem(AodecompError):

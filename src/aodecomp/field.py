@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Point2, SystemSpec
-from .errors import EquilibriumPoint, MissingPotential
+from .errors import EquilibriumPoint, MissingPotential, NotFiniteQuantity
 from .tolerances import EQUILIBRIUM_TOL, SINGULAR_SPLIT_TOL
 
 
@@ -87,7 +87,8 @@ def decompose_many(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> Decomposi
     """The frame at N points; requires a potential.
 
     The potential gradient is evaluated off the equilibria only. Raises
-    NotFiniteQuantity where the field, or the gradient there, is not finite.
+    NotFiniteQuantity where the field, or the gradient there, is not finite;
+    its row indexes x1 and x2.
     Where f . f, grad(phi) . f or f1 d2(phi) - f2 d1(phi) overflows, s and t
     (homogeneous of degree -1 in f, 1 in grad(phi)) are computed from both
     divided by their largest components and scaled back by g_max / f_max.
@@ -100,7 +101,11 @@ def decompose_many(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> Decomposi
         moving = ~equilibrium
         g1, g2 = np.full(f1.shape, np.nan), np.full(f1.shape, np.nan)
         # an equilibrium's g stays NaN, and so does its whole frame
-        g1[moving], g2[moving] = sys.potential.gradient_many(x1[moving], x2[moving])
+        try:
+            g1[moving], g2[moving] = sys.potential.gradient_many(x1[moving], x2[moving])
+        except NotFiniteQuantity as exc:  # its row counts the moving rows only
+            exc.row = int(np.flatnonzero(moving)[exc.row])
+            raise
         overflow = ~(np.isfinite(f1 * f1 + f2 * f2) & np.isfinite(g1 * f1 + g2 * f2) & np.isfinite(f1 * g2 - f2 * g1))
         f_max = np.where(overflow, np.maximum(abs(f1), abs(f2)), 1.0)
         g_max = np.where(overflow, np.maximum(abs(g1), abs(g2)), 1.0)

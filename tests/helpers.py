@@ -3,12 +3,37 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from aodecomp import (
     DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, VectorField, get, integrate, integrate_polar,
 )
+from aodecomp.dissipation import power_many
+
+
+def _r2(p: Point2) -> float:
+    return p.x1 * p.x1 + p.x2 * p.x2
+
+
+# Closed forms of the builtin oscillator's frame at a point. The gyration is
+# defined only off the unit circle; its sign is fixed by inverting
+# friction*I + transverse*J, giving -1/(1 - r^2).
+HOPF_FORMS = SimpleNamespace(
+    friction=lambda p: (1.0 - _r2(p)) ** 2 / (1.0 + (1.0 - _r2(p)) ** 2),
+    transverse=lambda p: (1.0 - _r2(p)) / (1.0 + (1.0 - _r2(p)) ** 2),
+    diffusion=lambda p: 1.0,
+    gyration=lambda p: -1.0 / (1.0 - _r2(p)),
+    dissipation_power=lambda p: _r2(p) * (_r2(p) - 1.0) ** 2,
+)
+
+
+def friction_power(s: Matrix2, xdot1, xdot2) -> np.ndarray:
+    """xdot^T S xdot at each (xdot1, xdot2): ``power_many`` of x' = x with friction S, at x = xdot."""
+    system = SystemSpec.linear("identity", Matrix2.identity(), friction=s)
+    xdot1, xdot2 = np.atleast_1d(np.asarray(xdot1, dtype=float)), np.atleast_1d(np.asarray(xdot2, dtype=float))
+    return power_many(system, xdot1, xdot2)[0]
 
 
 def random_matrix(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.0) -> Matrix2:

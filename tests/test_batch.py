@@ -12,10 +12,13 @@ import math
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aodecomp import (
     EquilibriumPoint,
@@ -306,3 +309,56 @@ def test_overflow_grid_prints_only_the_message_in_a_fresh_interpreter():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"aodecomp: the potential of 'hopf_limit_cycle' overflows float64 at --grid {HUGE}\n"
+
+
+def _square(x1, x2):
+    return x1 * x1  # not finite where |x1| > 1.4e154
+
+
+def _identity(x1, x2):
+    return x1, x2
+
+
+def _square_first(x1, x2):
+    return x1 * x1, x2
+
+
+# One batch function per entry, on a field built so that it raises at the rows
+# where x1 = 1e200 and nowhere else.
+ROW_CASES = {
+    "ScalarField.evaluate_many": (ScalarField(_square).evaluate_many, "potential"),
+    "ScalarField.gradient_many": (ScalarField(_square, gradient_fn=_square_first).gradient_many, "potential gradient"),
+    "VectorField.evaluate_many": (VectorField(_square_first).evaluate_many, "vector field"),
+    "VectorField.divergence_many": (VectorField(_identity, divergence_fn=_square).divergence_many, "divergence"),
+    "phi_rate_many": (
+        partial(phi_rate_many, SystemSpec("rate", VectorField(_identity), ScalarField(_square, _identity))),
+        "rate of change of the potential",
+    ),
+    "power_many": (
+        partial(power_many, SystemSpec.linear("power", Matrix2.identity(), friction=Matrix2.identity())),
+        "dissipation power",
+    ),
+    "report_many": (
+        partial(report_many, SystemSpec.linear("report", Matrix2.identity(), ScalarField(_square, _identity))),
+        "dissipation power",
+    ),
+    # the origin is an equilibrium of x' = x, where decompose_many evaluates no gradient
+    "decompose_many": (
+        partial(decompose_many, SystemSpec("frame", VectorField(_identity), ScalarField(_square, _square_first))),
+        "potential gradient",
+    ),
+}
+ROW_COORDINATES = {"finite": (0.5, -0.25), "equilibrium": (0.0, 0.0), "overflow": (1e200, 0.0)}
+
+
+@pytest.mark.parametrize("name", ROW_CASES)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kinds=st.lists(st.sampled_from(tuple(ROW_COORDINATES)), max_size=12).filter(lambda k: "overflow" in k))
+@example(kinds=["equilibrium", "equilibrium", "finite", "overflow", "finite", "overflow"])
+def test_not_finite_quantity_row_is_the_first_non_finite_row(name, kinds):
+    compute, quantity = ROW_CASES[name]
+    x1, x2 = (np.array(column) for column in zip(*(ROW_COORDINATES[kind] for kind in kinds)))
+    with pytest.raises(NotFiniteQuantity) as excinfo:
+        compute(x1, x2)
+    assert excinfo.value.quantity == quantity
+    assert excinfo.value.row == kinds.index("overflow")

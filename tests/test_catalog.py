@@ -1,4 +1,4 @@
-"""Catalog registry: the 9 builtin systems and their reference closures."""
+"""Catalog registry: the 9 builtin systems, checked against closed forms."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from aodecomp import (
     point_decomposition,
     radial_solution,
 )
-from helpers import dot, random_point
+from helpers import HOPF_FORMS, dot, random_point
 
 EXPECTED_NAMES = [
     "hopf_limit_cycle",
@@ -66,7 +66,7 @@ def test_linear_entries_satisfy_constraint():
 
 def test_hopf_expected_closures_match_field_construction():
     entry = get("hopf_limit_cycle")
-    exp = entry.expected
+    exp = HOPF_FORMS
     rng = np.random.default_rng(103)
     checked = 0
     while checked < 200:
@@ -80,14 +80,15 @@ def test_hopf_expected_closures_match_field_construction():
         assert abs(pd.transverse - exp.transverse(x)) <= 1e-10
         assert abs(pd.diffusion - exp.diffusion(x)) <= 1e-10 * (1.0 + abs(exp.diffusion(x)))
         assert abs(pd.gyration - exp.gyration(x)) <= 1e-10 * (1.0 + abs(exp.gyration(x)))
-        assert abs(entry.system.potential.evaluate(x) - exp.potential(x)) <= 1e-12
-        assert (entry.system.potential.gradient(x) - exp.potential_gradient(x)).norm() <= 1e-12
-        assert abs(entry.system.field.divergence(x) - exp.divergence(x)) <= 1e-12
+        r2 = x.x1**2 + x.x2**2
+        assert abs(entry.system.potential.evaluate(x) - 0.25 * r2 * (r2 - 2.0)) <= 1e-12
+        assert (entry.system.potential.gradient(x) - x.scaled(r2 - 1.0)).norm() <= 1e-12
+        assert abs(entry.system.field.divergence(x) - 2.0 * (1.0 - 2.0 * r2)) <= 1e-12
 
 
 def test_hopf_frame_identities_at_500_points():
     entry = get("hopf_limit_cycle")
-    exp = entry.expected
+    exp = HOPF_FORMS
     rng = np.random.default_rng(107)
     checked = 0
     while checked < 500:
@@ -107,7 +108,7 @@ def test_hopf_frame_identities_at_500_points():
         assert abs(rate - (-(r2) * (r2 - 1.0) ** 2)) <= 1e-10 * (1.0 + abs(rate))
         assert abs(exp.dissipation_power(x) - s * dot(f, f)) <= 1e-10 * (1.0 + abs(rate))
         # divergence closed form 2 (1 - 2 r^2)
-        assert abs(exp.divergence(x) - 2.0 * (1.0 - 2.0 * r2)) <= 1e-12
+        assert abs(entry.system.field.divergence(x) - 2.0 * (1.0 - 2.0 * r2)) <= 1e-12
 
 
 def test_linear_entries_drift_matches_matrix():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aodecomp import cli, dynamics
+from aodecomp import NotFiniteQuantity, cli, dynamics
 from aodecomp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -533,7 +533,7 @@ def test_overflowing_report_point_message_names_the_flag(capsys):
     assert "vector field of 'hopf_limit_cycle'" in err
     code, out, err = run(capsys, "report", "--system", "hopf_limit_cycle", "--grid", "-1e200,1e200,-1,1,3,3")
     _assert_overflow_names_input(code, out, err, "--grid", "-1e200,1e200,-1,1,3,3")
-    # both sources overflow: the first in argument order is named
+    # both sources overflow: the --at point holds the first non-finite row, so it is named
     code, out, err = run(
         capsys, "report", "--system", "hopf_limit_cycle", "--at", "1e200,0", "--grid", "-1e200,1e200,-1,1,3,3",
     )
@@ -541,15 +541,46 @@ def test_overflowing_report_point_message_names_the_flag(capsys):
     assert "--grid" not in err
 
 
-@pytest.mark.parametrize("sources", [[], [("--at", "1,0", np.array([1.0]), np.array([0.0]))]])
-def test_naming_overflow_lets_a_value_error_at_no_input_propagate_unchanged(sources):
-    computed = []
-    error = ValueError("not an overflow")
+@pytest.mark.parametrize("sources", [[], [("--x0", "1,0", 1)]], ids=["no-input", "one-input"])
+@pytest.mark.parametrize(
+    "error",
+    [ValueError("not an overflow"), NotFiniteQuantity("dissipation power", math.inf, 1)],
+    ids=["value-error", "row-past-every-input"],
+)
+def test_naming_overflow_lets_a_value_error_at_no_input_propagate_unchanged(sources, error):
     with pytest.raises(ValueError) as info:
-        with cli._naming_overflow("hopf_limit_cycle", sources, lambda x1, x2: computed.append((x1, x2))):
+        with cli._naming_overflow("hopf_limit_cycle", sources):
             raise error
     assert info.value is error
-    assert len(computed) == len(sources)
+
+
+@pytest.mark.parametrize("row, named", [(0, "--at 1,0"), (1, "--at 2,0"), (2, "--grid g"), (10, "--grid g")])
+def test_naming_overflow_names_the_input_that_holds_the_row(row, named):
+    sources = [("--at", "1,0", 1), ("--at", "2,0", 1), ("--grid", "g", 9)]
+    with pytest.raises(cli._UsageError) as info:
+        with cli._naming_overflow("hopf_limit_cycle", sources):
+            raise NotFiniteQuantity("divergence", math.nan, row)
+    assert str(info.value) == f"the divergence of 'hopf_limit_cycle' overflows float64 at {named}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--system", "stable_node", "--x0", "1e200,0"],
+         "the dissipation power of 'stable_node' overflows float64 at --x0 1e200,0"),
+        (["simulate", "--system", "hopf_limit_cycle", "--x0", "1e77,0"],
+         "the dissipation power of 'hopf_limit_cycle' overflows float64 at --x0 1e77,0"),
+        # the polar run overflows in its own divergence at r = 1e200, not in the Cartesian vector field
+        (["simulate", "--system", "hopf_limit_cycle", "--x0", "1e200,0", "--polar"],
+         "the divergence of 'hopf_limit_cycle' overflows float64 at --x0 1e200,0"),
+        # the vector field fails first, on the grid; the power at the --at point would fail after it
+        (["report", "--system", "hopf_limit_cycle", "--at", "1e77,0", "--grid", "-1e200,1e200,-1,1,3,3"],
+         "the vector field of 'hopf_limit_cycle' overflows float64 at --grid -1e200,1e200,-1,1,3,3"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_overflow_message_names_the_input_of_the_first_non_finite_row(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"aodecomp: {message}\n")
 
 
 def test_overflowing_grid_span_message_names_the_flag(capsys):

@@ -17,7 +17,6 @@ from aodecomp import (
     SystemSpec,
     VectorField,
     assemble_decomposition,
-    dissipation_power,
     divergence,
     get,
     phi_rate,
@@ -25,7 +24,7 @@ from aodecomp import (
     solve_gyration,
 )
 from aodecomp.dissipation import CONSERVATIVE, DISSIPATIVE, EXPANDING, phi_rate_many, power_many, report_many
-from helpers import dot, random_diffusion, random_matrix_nonzero_trace, random_point
+from helpers import dot, friction_power, random_diffusion, random_matrix_nonzero_trace, random_point
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +43,7 @@ def test_power_fixture_off_cycle(hopf):
     f = hopf.system.field.evaluate(x)
     g = hopf.system.potential.gradient(x)
     s = -(dot(g, f)) / dot(f, f)
-    power = dissipation_power(Matrix2.diagonal(s, s), f)
+    power = friction_power(Matrix2.diagonal(s, s), f.x1, f.x2)[0]
     assert abs(power - 0.140625) <= 1e-15
 
 
@@ -57,7 +56,8 @@ def test_power_zero_on_cycle(hopf):
 def test_power_saddle_fixture(saddle):
     dec = saddle.decomposition
     x = Point2(1.0, 0.0)
-    power = dissipation_power(dec.friction, saddle.system.field.evaluate(x))
+    f = saddle.system.field.evaluate(x)
+    power = friction_power(dec.friction, f.x1, f.x2)[0]
     assert abs(power - 0.5) <= 1e-15
     # closed form for the trace-zero case: l1^2 (d22 x1^2 + d11 x2^2) / (d11 d22 + q^2)
     closed = 1.0 * (1.0 * 1.0 + 1.0 * 0.0) / (1.0 + 1.0)
@@ -66,9 +66,9 @@ def test_power_saddle_fixture(saddle):
 
 def test_power_rejects_non_psd():
     with pytest.raises(NotPSD):
-        dissipation_power(Matrix2.diagonal(-1.0, 1.0), Point2(1.0, 0.0))
+        friction_power(Matrix2.diagonal(-1.0, 1.0), 1.0, 0.0)
     with pytest.raises(NotPSD):
-        dissipation_power(Matrix2(1.0, 0.5, -0.5, 1.0), Point2(1.0, 0.0))
+        friction_power(Matrix2(1.0, 0.5, -0.5, 1.0), 1.0, 0.0)
 
 
 def test_divergence_on_cycle(hopf):

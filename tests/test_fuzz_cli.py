@@ -6,7 +6,8 @@ comma lists, and runs them through ``cli.main``. The runs are derandomized,
 so the suite sees the same examples on every run.
 
 - The exit code is 0, 1, 2 or 3; a nonzero exit writes no document and an
-  ``aodecomp:`` message without a traceback.
+  ``aodecomp:`` message without a traceback. An exit 1 never carries the
+  bare library text of a non-finite quantity: the message names the input.
 - Exit 0 writes strict JSON (no NaN or Infinity) or CSV with no ``nan`` or
   ``inf`` cell and the same field count in every row, and a second run
   writes the same bytes.
@@ -137,6 +138,9 @@ def assert_clean_csv(text: str) -> None:
 @example(["grid", "--system", "stable_spiral", "--grid", "-1e200,1e200,-1e200,1e200,3,3", "--quantity", "criteria_agreement"])
 @example(["grid", "--system", "hopf_limit_cycle", "--grid", "-1e200,1e200,-1,1,3,3", "--quantity", "potential"])
 @example(["decompose", "--system", "stable_node", "--at", "1e200,0", "--format", "csv"])
+# a start whose dissipation power overflows while its field and gradient are finite
+@example(["simulate", "--system", "stable_node", "--x0", "1e200,0"])
+@example(["simulate", "--system", "hopf_limit_cycle", "--x0", "1e77,0"])
 # a catalog system with a flag of the --matrix decomposition, which it rejects
 @example(["decompose", "--system", "stable_node", "--d", "1,0.5,1", "--format", "json"])
 @example(["decompose", "--system", "hopf_limit_cycle", "--matrix", "-1,0,0,-2", "--at", "0.5,0", "--format", "csv"])
@@ -150,6 +154,7 @@ def test_every_argv_ends_in_a_document_or_a_documented_exit(argv):
     assert "Traceback" not in err
     if code != 0:
         assert err.startswith("aodecomp:"), (argv, err)
+        assert code != 1 or " is not finite: " not in err, (argv, err)
         if code != 3:  # a blow-up writes the truncated trajectory with its trailer
             assert out == ""
         return

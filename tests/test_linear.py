@@ -16,7 +16,6 @@ from aodecomp import (
     SingularMatrix,
     assemble_decomposition,
     classify_spectrum,
-    dissipation_power,
     lyapunov_equation_residual,
     quadratic_potential,
     reconstruct_drift,
@@ -31,7 +30,7 @@ from aodecomp.linear import (
     REPEATED_DIAGONALIZABLE,
     UNIQUE,
 )
-from helpers import dot, random_diffusion, random_matrix_nonzero_trace, random_point
+from helpers import dot, friction_power, random_diffusion, random_matrix_nonzero_trace, random_point
 
 
 def test_classify_real_distinct():
@@ -238,7 +237,7 @@ def test_random_decompositions_satisfy_frame_identities():
             assert (lhs + rhs).norm() <= 1e-9 * (1.0 + rhs.norm())
             # |d(phi)/dt| equals the dissipation power
             rate = dot(u.apply(x), xdot)
-            power = dissipation_power(dec.friction, xdot)
+            power = friction_power(dec.friction, xdot.x1, xdot.x2)[0]
             assert abs(abs(rate) - power) <= 1e-9 * (1.0 + abs(rate))
 
 

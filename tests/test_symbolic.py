@@ -4,8 +4,8 @@ For the builtin oscillator, f and phi are the only inputs. The divergence
 (the trace of the Jacobian), the gradient, the frame scalars s and t (solved from
 (s I + t J) f = -grad(phi)), the dual pair d and q (from inverting
 s I + t J) and H_P = f^T S f are derived symbolically and evaluated in
-50-digit arithmetic at seeded points. The catalog closures and
-``ExpectedForms`` must match them to a relative 1e-12. For linear systems,
+50-digit arithmetic at seeded points. The catalog closures and the closed
+forms in ``helpers.HOPF_FORMS`` must match them to a relative 1e-12. For linear systems,
 the scalar gyration constraint is derived from A Q + Q A^T = A D - D A^T
 and compared with ``linear.constraint_rhs``.
 """
@@ -22,6 +22,7 @@ import sympy as sp
 from aodecomp import DiffusionParams, Matrix2, Point2, get, point_decomposition
 from aodecomp.dissipation import power_many
 from aodecomp.linear import constraint_rhs
+from helpers import HOPF_FORMS
 
 REL = 1e-12
 X1, X2 = sp.symbols("x1 x2", real=True)
@@ -102,17 +103,12 @@ def test_hopf_closures_match_sympy(x):
 
 @pytest.mark.parametrize("x", POINTS, ids=lambda x: f"{x.x1:.3f},{x.x2:.3f}")
 def test_expected_forms_match_sympy(x):
-    expected = get("hopf_limit_cycle").expected
     for name, value in (
-        ("s", expected.friction(x)),
-        ("t", expected.transverse(x)),
-        ("d", expected.diffusion(x)),
-        ("q", expected.gyration(x)),
-        ("phi", expected.potential(x)),
-        ("grad1", expected.potential_gradient(x).x1),
-        ("grad2", expected.potential_gradient(x).x2),
-        ("div", expected.divergence(x)),
-        ("h_p", expected.dissipation_power(x)),
+        ("s", HOPF_FORMS.friction(x)),
+        ("t", HOPF_FORMS.transverse(x)),
+        ("d", HOPF_FORMS.diffusion(x)),
+        ("q", HOPF_FORMS.gyration(x)),
+        ("h_p", HOPF_FORMS.dissipation_power(x)),
     ):
         assert_close(value, exact(name, x))
 
