@@ -518,7 +518,7 @@ def cmd_report(args) -> int:
     x1 = np.concatenate([source[2] for source in sources])
     x2 = np.concatenate([source[3] for source in sources])
     tol = master_tol()
-    with _naming_overflow(entry.name, [(flag, value, len(rows)) for flag, value, rows, _ in sources]):
+    with _naming_overflow(entry.name, [(flag, value, len(x)) for flag, value, x, _ in sources]):
         rep = dissipation.report_many(entry.system, x1, x2, zero_tol=tol)
     columns = [
         x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap,
