@@ -91,6 +91,10 @@ def corpus() -> list[list[str]]:
             argvs.append(["decompose", *source, "--at", point, "--format", fmt])
     argvs.append(["grid", "--system", "hopf_limit_cycle", "--grid", "-0.0,1,-0.0,1,3,3", "--quantity", "vector_field"])
     argvs.append(["grid", "--system", "saddle_tracezero", "--grid", "-0.0,1,-1,-0.0,3,3", "--quantity", "dissipation_power"])
+    # Stepper blow-ups on the oscillator: r**3 raises OverflowError in the
+    # polar chart, and the Cartesian state leaves the blow-up box.
+    argvs.append(["simulate", "--system", "hopf_limit_cycle", "--x0", "1e103,0", "--polar", "--dt", "0.01", "--t-end", "0.05"])
+    argvs.append(["simulate", "--system", "hopf_limit_cycle", "--x0", "1e5,0", "--dt", "0.01", "--t-end", "0.05"])
     return argvs
 
 
