@@ -16,11 +16,12 @@ from .errors import UnknownSystem
 
 HOPF = "hopf_limit_cycle"
 
-# The oscillator in the polar chart (r, theta), unregistered. Its divergence is
-# (1/r) d(r dr/dt)/dr = 2 (1 - 2 r^2), the Cartesian one at the mapped state.
+# The oscillator in the polar chart (r, theta) = (x1, x2), unregistered. Its
+# divergence is (1/r) d(r dr/dt)/dr = 2 (1 - 2 r^2), the Cartesian one at the
+# mapped state.
 HOPF_POLAR = SystemSpec(
     HOPF + "_polar",
-    VectorField(lambda r, _theta: (r - r**3, 1.0), divergence_fn=lambda r, _theta: 2.0 * (1.0 - 2.0 * r * r)),
+    VectorField.from_stage("f1, f2 = x1 - x1**3, 1.0", divergence_fn=lambda r, _theta: 2.0 * (1.0 - 2.0 * r * r)),
 )
 
 
@@ -36,11 +37,13 @@ def _r2(x1, x2):
     return x1 * x1 + x2 * x2
 
 
-def _hopf_system() -> SystemSpec:
-    def field(x1, x2):
-        u = 1.0 - _r2(x1, x2)
-        return -x2 + x1 * u, x1 + x2 * u
+# The oscillator's field, with _u = 1 - r^2 as in the closures below.
+_HOPF_STAGE = """\
+_u = 1.0 - (x1 * x1 + x2 * x2)
+f1, f2 = -x2 + x1 * _u, x1 + x2 * _u"""
 
+
+def _hopf_system() -> SystemSpec:
     def div(x1, x2):
         return 2.0 * (1.0 - 2.0 * _r2(x1, x2))
 
@@ -52,7 +55,8 @@ def _hopf_system() -> SystemSpec:
         u = 1.0 - _r2(x1, x2)
         return -x1 * u, -x2 * u
 
-    return SystemSpec(HOPF, VectorField(field, divergence_fn=div), potential=ScalarField(phi, gradient_fn=grad))
+    field = VectorField.from_stage(_HOPF_STAGE, divergence_fn=div)
+    return SystemSpec(HOPF, field, potential=ScalarField(phi, gradient_fn=grad))
 
 
 def _linear_entry(

@@ -11,11 +11,16 @@ call them on floats, and the ``*_many`` methods call the same
 closures on arrays of N points. The two agree bit for bit, because numpy
 rounds each elementwise operation like Python floats do. A ``*_many`` result
 that is NaN or infinite anywhere raises NotFiniteQuantity, a ValueError.
+A vector field may instead be given as a stage, source lines that set
+(f1, f2) from (x1, x2); ``VectorField.from_stage`` compiles its closure from
+that text, and the RK4 stepper inlines the same text.
 """
 
 from __future__ import annotations
 
+import builtins
 import math
+import textwrap
 from dataclasses import dataclass
 from typing import Callable
 
@@ -249,16 +254,32 @@ def check_finite(quantity: str, *columns: np.ndarray) -> None:
         raise NotFiniteQuantity(quantity, value, i)
 
 
+def _column(value, shape: tuple) -> np.ndarray:
+    """A float64 column of ``shape``: an array result as is, a constant broadcast (keeping the sign of a -0.0)."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.shape == shape:
+        return value
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
 def _many(fn: Callable, x1: np.ndarray, x2: np.ndarray, pair: bool = False):
     """A coordinate closure on arrays, as float64 columns shaped like x1.
 
-    A constant return is broadcast, which keeps the sign of a -0.0.
+    A column may be the closure's own array or a read-only broadcast, so no
+    caller writes into one.
     """
     with np.errstate(all="ignore"):  # overflow yields inf/nan silently, like Python floats
         value = fn(x1, x2)
+    shape = np.shape(x1)
     if pair:
-        return tuple(np.broadcast_to(np.asarray(v, dtype=float), np.shape(x1)) for v in value)
-    return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x1))
+        return tuple(_column(v, shape) for v in value)
+    return _column(value, shape)
+
+
+def define(source: str, name: str, namespace: dict | None = None) -> Callable:
+    """The function ``name`` defined by ``source``, compiled in ``namespace`` (empty by default)."""
+    namespace = {} if namespace is None else namespace
+    exec(compile(source, f"<aodecomp {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 @dataclass(frozen=True)
@@ -301,11 +322,27 @@ class VectorField:
     """Planar vector field with optional analytic divergence.
 
     ``fn(x1, x2)`` returns the pair (f1, f2) and ``divergence_fn(x1, x2)`` the
-    divergence.
+    divergence. A field built by ``from_stage`` keeps the ``stage`` source its
+    ``fn`` was compiled from, and the RK4 stepper inlines that same text.
     """
 
     fn: Callable
     divergence_fn: Callable | None = None
+    stage: str | None = None
+
+    @classmethod
+    def from_stage(cls, stage: str, divergence_fn: Callable | None = None) -> VectorField:
+        """The field whose ``fn`` runs ``stage``: Python lines that set f1, f2 from x1, x2.
+
+        A stage reads only x1, x2, literals, builtins and its own temporaries,
+        whose names start with ``_``, so it means the same inside the stepper.
+        """
+        fn = define("def fn(x1, x2):\n" + textwrap.indent(stage, "    ") + "\n    return f1, f2\n", "fn")
+        code = fn.__code__
+        temporaries = set(code.co_varnames) - {"x1", "x2", "f1", "f2"}
+        if any(not t.startswith("_") for t in temporaries) or not set(code.co_names) <= set(vars(builtins)):
+            raise ValueError(f"a stage may bind only f1, f2 and _-prefixed names and read no globals, got {stage!r}")
+        return cls(fn, divergence_fn, stage)
 
     def _divergence(self, x1, x2):
         if self.divergence_fn is not None:
@@ -355,10 +392,8 @@ class SystemSpec:
     ) -> SystemSpec:
         """The linear system x' = A x, with its divergence in closed form."""
         trace = a.trace
-        a11, a12, a21, a22 = a.a11, a.a12, a.a21, a.a22
-
-        def apply(x1, x2):  # A x; closure locals, as the RK4 stepper calls this 4 times a step
-            return a11 * x1 + a12 * x2, a21 * x1 + a22 * x2
-
-        field = VectorField(apply, divergence_fn=lambda _x1, _x2: trace)
+        # A x, with each coefficient's repr in parentheses: repr round-trips a
+        # float exactly, -0.0 included, so the stage rounds like Matrix2.apply_coords.
+        stage = "f1, f2 = ({!r}) * x1 + ({!r}) * x2, ({!r}) * x1 + ({!r}) * x2".format(a.a11, a.a12, a.a21, a.a22)
+        field = VectorField.from_stage(stage, divergence_fn=lambda _x1, _x2: trace)
         return cls(name=name, field=field, potential=potential, friction=friction)

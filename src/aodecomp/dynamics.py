@@ -1,8 +1,13 @@
 """Trajectory integration and trajectory-level checks.
 
 Fixed-step classical Runge-Kutta keeps runs bit-reproducible, which the
-command-line layer relies on for golden files. One stepper calls the field's
-closure on plain floats, in the Cartesian and the polar chart alike. Along a
+command-line layer relies on for golden files. There is one RK4 source text,
+``_RK4``. A step loop is compiled from it for each field stage on first use
+and cached by that text: a field built by ``VectorField.from_stage`` has its
+stage inlined four times a step, on plain floats, and any other field gets
+the same loop calling its ``fn``. The field's ``fn`` is compiled from the
+same stage, so the stepper and the field compute the same bits. The
+Cartesian and the polar chart run alike. Along a
 trajectory the sampled columns carry the potential, its rate of change, the
 dissipation power and the divergence, so the dissipation criteria can be
 audited against time series as well as closed forms; they are computed on
@@ -11,12 +16,15 @@ all states at once by the batched functions of ``dissipation``.
 
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import catalog, dissipation
-from .core import Point2, SystemSpec, check_finite
+from .core import Point2, SystemSpec, check_finite, define
 from .errors import MissingPotential, NonFinite
 from .tolerances import BLOWUP_LIMIT, master_tol
 
@@ -70,6 +78,50 @@ def _steps(dt: float, t_end: float) -> int:
     return int(round(t_end / dt))
 
 
+# The step loop, with {stage} standing for a stage indented into the loop
+# body. It returns the states and the step whose state left [-limit, limit],
+# or None. A stage binds only f1, f2 and _-prefixed names, so it cannot
+# clobber the loop's own variables.
+_RK4 = """\
+def loop(fn, a, b, dt, n, limit):
+    x1s, x2s = [a], [b]
+    half = 0.5 * dt
+    for i in range(1, n + 1):
+        try:
+            x1, x2 = a, b
+{stage}
+            k1a, k1b = f1, f2
+            x1, x2 = a + half * k1a, b + half * k1b
+{stage}
+            k2a, k2b = f1, f2
+            x1, x2 = a + half * k2a, b + half * k2b
+{stage}
+            k3a, k3b = f1, f2
+            x1, x2 = a + dt * k3a, b + dt * k3b
+{stage}
+            k4a, k4b = f1, f2
+            a = a + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
+            b = b + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
+        except OverflowError:  # a float power out of range, e.g. r**3
+            a = math.inf
+        # false for NaN and +-inf as well
+        if not (-limit <= a <= limit and -limit <= b <= limit):
+            return x1s, x2s, i
+        x1s.append(a)
+        x2s.append(b)
+    return x1s, x2s, None
+"""
+# The stage of a field with no stage of its own.
+_CALL_FN = "f1, f2 = fn(x1, x2)"
+
+
+@functools.lru_cache(maxsize=64)
+def _loop(stage: str):
+    """The step loop compiled with ``stage`` inlined, once per distinct text."""
+    source = _RK4.format(stage=textwrap.indent(stage, " " * 12))
+    return define(source, "loop", {"math": math})
+
+
 def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float = 10.0) -> Trajectory:
     """Integrate x' = f(x) from x0 with fixed-step RK4.
 
@@ -80,27 +132,10 @@ def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float 
     finite at a state inside that box.
     """
     n = _steps(dt, t_end)
-    deriv = sys.field.fn
-    a, b = x0.x1, x0.x2
-    x1s, x2s = [a], [b]
-    half = 0.5 * dt
-    failure = None
-    for i in range(1, n + 1):
-        try:
-            k1a, k1b = deriv(a, b)
-            k2a, k2b = deriv(a + half * k1a, b + half * k1b)
-            k3a, k3b = deriv(a + half * k2a, b + half * k2b)
-            k4a, k4b = deriv(a + dt * k3a, b + dt * k3b)
-            a = a + dt * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0
-            b = b + dt * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0
-        except OverflowError:  # a float power out of range, e.g. r**3
-            a = math.inf
-        # false for NaN and +-inf as well
-        if not (-BLOWUP_LIMIT <= a <= BLOWUP_LIMIT and -BLOWUP_LIMIT <= b <= BLOWUP_LIMIT):
-            failure = f"state blew up at t={i * dt!r} integrating {sys.name!r}"
-            break
-        x1s.append(a)
-        x2s.append(b)
+    field = sys.field
+    loop = _loop(_CALL_FN if field.stage is None else field.stage)
+    x1s, x2s, blown = loop(field.fn, x0.x1, x0.x2, dt, n, BLOWUP_LIMIT)
+    failure = None if blown is None else f"state blew up at t={blown * dt!r} integrating {sys.name!r}"
 
     x1, x2 = np.array(x1s, dtype=float), np.array(x2s, dtype=float)
     phi = rate = h_p = None

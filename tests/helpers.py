@@ -11,6 +11,7 @@ from aodecomp import (
     DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, VectorField, get, integrate, integrate_polar,
 )
 from aodecomp.dissipation import power_many
+from aodecomp.tolerances import BLOWUP_LIMIT
 
 
 def _r2(p: Point2) -> float:
@@ -69,6 +70,32 @@ def cartesian_polar_distance(x0: Point2, dt: float, t_end: float) -> float:
     pol = integrate_polar(x0.norm(), math.atan2(x0.x2, x0.x1), dt=dt, t_end=t_end)
     r, theta = pol.x[:, 0], pol.x[:, 1]
     return float(np.max(np.hypot(cart.x[:, 0] - r * np.cos(theta), cart.x[:, 1] - r * np.sin(theta))))
+
+
+def plain_rk4(fn, x0: Point2, dt: float, t_end: float, name: str) -> tuple[np.ndarray, str | None]:
+    """Classical RK4 of x' = fn(x) on floats, the reference for ``integrate``.
+
+    Returns the states, one row per step up to the blow-up, and the message
+    ``integrate`` raises there, or None. Like ``integrate``, a step stops
+    when a coordinate leaves [-BLOWUP_LIMIT, BLOWUP_LIMIT] or a float power
+    overflows.
+    """
+    x, y = x0.x1, x0.x2
+    rows = [(x, y)]
+    for i in range(1, int(round(t_end / dt)) + 1):
+        try:
+            p1, q1 = fn(x, y)
+            p2, q2 = fn(x + 0.5 * dt * p1, y + 0.5 * dt * q1)
+            p3, q3 = fn(x + 0.5 * dt * p2, y + 0.5 * dt * q2)
+            p4, q4 = fn(x + dt * p3, y + dt * q3)
+        except OverflowError:
+            return np.array(rows), f"state blew up at t={i * dt!r} integrating {name!r}"
+        x = x + dt * (p1 + 2.0 * (p2 + p3) + p4) / 6.0
+        y = y + dt * (q1 + 2.0 * (q2 + q3) + q4) / 6.0
+        if not (abs(x) <= BLOWUP_LIMIT and abs(y) <= BLOWUP_LIMIT):
+            return np.array(rows), f"state blew up at t={i * dt!r} integrating {name!r}"
+        rows.append((x, y))
+    return np.array(rows), None
 
 
 def reversed_system(sys: SystemSpec) -> SystemSpec:

@@ -141,3 +141,20 @@ def test_vector_field_divergence_fallback():
     field = VectorField(lambda x1, x2: (x1**2, -3.0 * x2))
     x = Point2(0.8, -1.1)
     assert abs(field.divergence(x) - (2.0 * x.x1 - 3.0)) <= 1e-6
+
+
+def test_many_returns_a_float64_column_as_is_and_broadcasts_the_rest():
+    x1, x2 = np.array([1.0, -2.0, 0.5]), np.array([0.5, 3.0, -0.0])
+    made = []
+
+    def fn(a, b):
+        made.append(a * b)
+        return made[-1], -0.0
+
+    f1, f2 = VectorField(fn).evaluate_many(x1, x2)
+    assert f1 is made[0]
+    assert not f2.flags.writeable and f2.shape == x1.shape and np.all(np.signbit(f2))
+    # an array of another dtype or shape is converted and broadcast
+    g1, g2 = VectorField(lambda a, b: (a.astype(np.float32), np.array([2.0]))).evaluate_many(x1, x2)
+    assert g1.dtype == np.float64 and g1.tolist() == [1.0, -2.0, 0.5]
+    assert g2.tolist() == [2.0, 2.0, 2.0]

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +17,20 @@ from aodecomp import (
     NonFinite,
     Point2,
     SystemSpec,
+    VectorField,
     check_monotonicity,
     definition2_check,
     get,
     integrate,
     integrate_polar,
+    list_systems,
     radial_solution,
 )
 from aodecomp import dynamics
 from aodecomp.catalog import HOPF_POLAR
-from helpers import cartesian_polar_distance, reversed_system
+from helpers import cartesian_polar_distance, plain_rk4, reversed_system
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +254,123 @@ def test_integrate_polar_radius_over_limit_is_a_blowup():
 def test_integrate_rejects_non_finite_step_counts(hopf, dt, t_end):
     with pytest.raises(ValueError):
         integrate(hopf.system, Point2(0.1, 0.0), dt=dt, t_end=t_end)
+
+
+def _run(system: SystemSpec, x0: Point2, dt: float, t_end: float) -> tuple[np.ndarray, str | None]:
+    """``integrate``'s states and its blow-up message, or None."""
+    try:
+        return integrate(system, x0, dt=dt, t_end=t_end).x, None
+    except NonFinite as exc:
+        return exc.trajectory.x, str(exc)
+
+
+def _assert_same_run(system: SystemSpec, x0: Point2, dt: float, t_end: float, fn=None) -> str | None:
+    """``integrate`` against ``plain_rk4`` calling ``fn`` (the field's own by default), bit for bit."""
+    states, failure = _run(system, x0, dt, t_end)
+    ref_states, ref_failure = plain_rk4(system.field.fn if fn is None else fn, x0, dt, t_end, system.name)
+    assert states.shape == ref_states.shape
+    # an int64 view tells -0.0 from 0.0
+    assert np.array_equal(states.view(np.int64), ref_states.view(np.int64))
+    assert failure == ref_failure
+    return failure
+
+
+# Every catalog system, its polar form and a field with no stage; the saddle
+# leaves the blow-up box (e^t * 0.5 passes 1e12 near t = 28.3).
+STEPPED = {name: get(name).system for name in list_systems()}
+STEPPED[HOPF_POLAR.name] = HOPF_POLAR
+STEPPED["reversed_hopf"] = reversed_system(get("hopf_limit_cycle").system)
+
+
+@pytest.mark.parametrize("name", STEPPED)
+def test_compiled_loop_matches_plain_rk4(name):
+    system = STEPPED[name]
+    assert (system.field.stage is None) == (name == "reversed_hopf")
+    failure = _assert_same_run(system, Point2(0.5, 0.25), dt=0.01, t_end=30.0)
+    assert (failure is not None) == (name == "saddle_tracezero")
+
+
+def _cubic(r, _theta):
+    return r - r**3, 1.0
+
+
+@pytest.mark.parametrize(
+    "system, x0, dt, t_end",
+    [
+        (get("saddle_tracezero").system, Point2(1.0, 0.5), 0.1, 30.0),  # leaves the box mid-run
+        (HOPF_POLAR, Point2(1e103, 0.0), 0.01, 0.05),  # r**3 raises OverflowError in the first stage
+        (HOPF_POLAR, Point2(1e60, 0.0), 0.01, 0.05),  # ... and in the second
+        (get("hopf_limit_cycle").system, Point2(1e5, 0.0), 0.01, 0.05),  # overflows to inf, no exception
+        # no stage: a finite-time blow-up, and a float power that overflows
+        (reversed_system(get("hopf_limit_cycle").system), Point2(1.5, 0.0), 0.01, 5.0),
+        (SystemSpec("cubic", VectorField(_cubic, lambda r, _: 1.0)), Point2(1e103, 0.0), 0.01, 1.0),
+    ],
+    ids=["saddle", "polar_first_stage", "polar_second_stage", "hopf_inf", "no_stage", "no_stage_overflow"],
+)
+def test_compiled_loop_blows_up_where_plain_rk4_does(system, x0, dt, t_end):
+    assert _assert_same_run(system, x0, dt, t_end).startswith("state blew up at t=")
+
+
+SIGNED_ZERO_MATRICES = [
+    Matrix2(-0.0, 0.0, -0.0, -0.0),
+    Matrix2(-0.0, 1.0, -1.0, -0.0),
+    Matrix2(0.0, -0.0, -0.0, -1.0),
+]
+
+
+def _ids(p) -> str:
+    return ",".join(map(repr, (p.a11, p.a12, p.a21, p.a22) if isinstance(p, Matrix2) else (p.x1, p.x2)))
+
+
+@pytest.mark.parametrize("a", SIGNED_ZERO_MATRICES, ids=_ids)
+@pytest.mark.parametrize("x0", [Point2(-0.0, -0.0), Point2(0.0, -0.0), Point2(-0.0, 1.0), Point2(1.0, 0.0)], ids=_ids)
+def test_linear_stage_keeps_signed_zero_coefficients(a, x0):
+    # the reference calls Matrix2.apply_coords, not the field's stage, so a
+    # stage that dropped the sign of a -0.0 coefficient differs here
+    _assert_same_run(SystemSpec.linear("signed_zeros", a), x0, dt=0.01, t_end=0.5, fn=a.apply_coords)
+
+
+# The polar stage is left out: numpy's x1**3 differs from Python's float
+# power in the last bit at some points.
+@pytest.mark.parametrize(
+    "system",
+    [*(get(name).system for name in list_systems()), *map(partial(SystemSpec.linear, "zeros"), SIGNED_ZERO_MATRICES)],
+    ids=lambda s: s.name,
+)
+def test_stage_fn_gives_the_same_bits_on_floats_and_arrays(system):
+    rng = np.random.default_rng(1311)
+    x1 = np.concatenate([rng.uniform(-3.0, 3.0, 200), [0.0, -0.0, 0.0, -0.0, 1e50]])
+    x2 = np.concatenate([rng.uniform(-3.0, 3.0, 200), [0.0, 0.0, -0.0, -0.0, -1e50]])
+    with np.errstate(all="ignore"):
+        f1, f2 = np.broadcast_arrays(*system.field.fn(x1, x2))
+    pairs = [system.field.fn(a, b) for a, b in zip(x1.tolist(), x2.tolist())]
+    assert np.array_equal(f1.view(np.int64), np.array([p[0] for p in pairs]).view(np.int64))
+    assert np.array_equal(f2.view(np.int64), np.array([p[1] for p in pairs]).view(np.int64))
+
+
+def test_stage_may_not_bind_loop_names_or_read_globals():
+    for stage in ("a = x1\nf1, f2 = a, x2", "f1, f2 = dt * x1, x2", "f1, f2 = math.sin(x1), x2"):
+        with pytest.raises(ValueError, match="stage"):
+            VectorField.from_stage(stage)
+    field = VectorField.from_stage("_s = abs(x1)\nf1, f2 = _s, -x2")
+    assert field.fn(-2.0, 3.0) == (2.0, -3.0)
+
+
+def test_integrate_reuses_one_loop_per_stage():
+    a = Matrix2(-0.25, 0.125, -0.125, -0.375)
+    first, second = SystemSpec.linear("first", a), SystemSpec.linear("second", a)
+    assert first.field.stage == second.field.stage
+    before = dynamics._loop.cache_info()
+    for system in (first, second, first):
+        integrate(system, Point2(1.0, 1.0), dt=0.1, t_end=1.0)
+    after = dynamics._loop.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+
+def test_importing_the_cli_compiles_no_step_loop():
+    code = "import aodecomp.cli; from aodecomp import dynamics; print(dynamics._loop.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+        timeout=60, check=True,
+    )
+    assert proc.stdout == "0\n"
