@@ -115,6 +115,8 @@ def loop(fn, a, b, dt, n, limit):
 _CALL_FN = "f1, f2 = fn(x1, x2)"
 
 
+# Bounded, so a program that steps many distinct linear systems does not keep
+# every loop it ever compiled; the catalog needs ten.
 @functools.lru_cache(maxsize=64)
 def _loop(stage: str):
     """The step loop compiled with ``stage`` inlined, once per distinct text."""
