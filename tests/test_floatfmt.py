@@ -12,6 +12,8 @@ layouts, subnormals and the non-finite values.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,73 @@ def test_chunks_mixing_normal_and_special_values():
     assert_repr(values[::-3])  # a strided view
 
 
+def _floor_log10_pow2(e: int) -> int:
+    """floor(log10(2^e)), exactly: 5^n is never a power of ten."""
+    return len(str(2**e)) - 1 if e >= 0 else len(str(5**-e)) - 1 + e
+
+
+def _floor_log2_pow10(k: int) -> int:
+    """floor(log2(10^k)), exactly: 10^k is a power of two only at k = 0."""
+    return (10**k).bit_length() - 1 if k >= 0 else -(10**-k).bit_length()
+
+
+def dragonbox_branch(x: float) -> str:
+    """Which branch of Dragonbox's nearest-to-even path decides ``x``, in exact integer arithmetic."""
+    bits = int(np.float64(x).view(np.uint64))
+    biased, fraction = (bits >> 52) & 0x7FF, bits & ((1 << 52) - 1)
+    e = biased - 1075
+    if fraction == 0 and biased > 1:
+        return "shorter interval, tie" if e == -77 else "shorter interval"
+    c = fraction | 1 << 52
+    k = 2 - _floor_log10_pow2(e)  # zi is the interval's right end times 10^k
+    shift = 127 - _floor_log2_pow10(k)
+    phi = -(-(10 ** max(k, 0) << max(shift, 0)) // (10 ** max(-k, 0) << max(-shift, 0)))
+    beta = e + _floor_log2_pow10(k)
+    product = ((2 * c + 1) << beta) * phi
+    zi, middle = product >> 128, (product >> 64) & ((1 << 64) - 1)
+    delta = (phi >> 64) >> (63 - beta)
+    s, r = divmod(zi, 1000)
+    if r == 0 and middle == 0 and c % 2:
+        return "right end excluded"
+    if r == delta:
+        return "left end decides"
+    if r < delta:
+        return "big divisor"
+    dist = r - delta // 2 + 50
+    if dist % 100:
+        return "small divisor"
+    # the parity of floor(2c phi 2^beta / 2^128), and whether its 64 bits below the point are 0
+    y = 2 * c * phi
+    if (y >> (128 - beta)) & 1 != ((dist ^ 50) & 1):
+        return "hundredths, parity correction"
+    if (y >> (64 - beta)) & ((1 << 64) - 1) == 0 and (10 * s + dist // 100) % 2:
+        return "hundredths, tie to even"
+    return "hundredths"
+
+
+def test_every_rare_branch_of_the_core_matches_repr():
+    rng = np.random.default_rng(1903)
+    odd = (1 << 52) + 1 + 10 * np.arange(64)  # 2c + 1 divisible by 5: exact right ends on s 10^3
+    quarter_odd = rng.integers(1 << 52, 1 << 53, size=512) | 1
+    values = np.concatenate([
+        np.ldexp(odd.astype(np.float64), 2),
+        np.ldexp(odd.astype(np.float64), 3),
+        np.ldexp(quarter_odd.astype(np.float64), -2),  # exact ties between 17-digit decimals
+        rng.integers(0, 1 << 64, size=1 << 14, dtype=np.uint64).view(np.float64),
+        np.arange(1, 4000) * 0.001,
+        np.ldexp(1.0, np.arange(-1021, 1024)),  # c = 2^52, e = -77 at 2^-25
+    ])
+    values = values[np.isfinite(values) & (np.abs(values) >= np.finfo(np.float64).tiny)]
+    branches = Counter(map(dragonbox_branch, values.tolist()))
+    assert set(branches) == {
+        "right end excluded", "left end decides", "big divisor", "small divisor", "hundredths",
+        "hundredths, parity correction", "hundredths, tie to even", "shorter interval", "shorter interval, tie",
+    }, branches
+    assert dragonbox_branch(2.0**-25) == "shorter interval, tie"
+    assert_repr(values)
+    assert_repr(-values)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.floats())
 def test_single_floats_match_repr(x):
@@ -156,14 +225,14 @@ def test_float_cells_mixes_small_and_large_distinct_sets(monkeypatch):
     small_unique = np.linspace(1.0, -1.0, 100)
     descending = np.sort(rng.uniform(-1e6, 1e6, n))[::-1].copy()
     columns = [large_unique, small_repeats, large_repeats, descending]
-    cells = cli._float_cells(columns)
+    cells = cli._float_cells(columns, False)
     assert [row_texts(rows) for rows in cells] == [list(map(repr, column.tolist())) for column in columns]
     distinct_large_repeats = len(np.unique(large_repeats))
     assert distinct_large_repeats >= cli._NUMPY_MIN_VALUES
     # every distinct value of the columns, in one call
     assert calls == [2 * n + len(np.unique(small_repeats.view(np.int64))) + distinct_large_repeats]
     calls.clear()
-    assert [row_texts(rows) for rows in cli._float_cells([small_unique])] == [list(map(repr, small_unique.tolist()))]
+    assert [row_texts(rows) for rows in cli._float_cells([small_unique], False)] == [list(map(repr, small_unique.tolist()))]
     assert calls == []  # below the break-even every value goes through repr
 
 
