@@ -201,11 +201,12 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", out)
 
 
-def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
+def _float_cells(columns: list[np.ndarray], fold_negative_zero: bool) -> list[np.ndarray]:
     """``repr`` of each value of each float64 column of a document, as NUL-padded uint8 rows.
 
     Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct, and
-    each distinct value of a column is formatted once. When the document has
+    each distinct value of a column is formatted once; with
+    ``fold_negative_zero`` a -0.0 prints as ``0.0``. When the document has
     at least ``_NUMPY_MIN_VALUES`` distinct values, all of them go through
     one ``floatfmt.repr_many`` call; otherwise through ``repr``, and floatfmt
     is not loaded. A column with no repeats gets a view of the one formatted
@@ -224,6 +225,8 @@ def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
             ordered = ordered[distinct]
             sets.append((ordered.view(np.float64), np.searchsorted(ordered, bits)))
     values = np.concatenate([values for values, _ in sets])
+    if fold_negative_zero:
+        values += 0.0  # -0.0 + 0.0 is 0.0; every other value is unchanged
     if len(values) >= _NUMPY_MIN_VALUES:
         from . import floatfmt  # on first use, so start-up does not load it
 
@@ -265,19 +268,18 @@ def _assemble(pieces: list[bytes], cells: list[np.ndarray]) -> np.ndarray:
     return flat[flat != 0]
 
 
-def _render(pieces: list[bytes], columns: list) -> list[str]:
+def _render(pieces: list[bytes], columns: list, fold_negative_zero: bool) -> list[str]:
     """A document's rows ``pieces[0] columns[0] pieces[1] ... pieces[-1]``, as text blocks of ``_BLOCK_ROWS`` rows.
 
     A float64 column prints in shortest round-trip form, each distinct value
-    of the document formatted once; any other column holds ready cells, as an
-    ``S`` array or as strings. ``columns`` is dropped once formatted, so
-    copies made for the call need not live through the layout; the
-    formatted rows are freed on return, before the caller joins the blocks.
+    of the document formatted once, with -0.0 as ``0.0`` if
+    ``fold_negative_zero``; any other column holds ready cells, as an ``S``
+    array or as strings. The formatted rows are freed on return, before the
+    caller joins the blocks.
     """
     floats = [i for i, column in enumerate(columns) if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
-    formatted = dict(zip(floats, _float_cells([columns[i] for i in floats]))) if floats else {}
+    formatted = dict(zip(floats, _float_cells([columns[i] for i in floats], fold_negative_zero))) if floats else {}
     cells = [formatted[i] if i in formatted else _text_cells(column) for i, column in enumerate(columns)]
-    del columns
     return [
         _assemble(pieces, [column[start:start + _BLOCK_ROWS] for column in cells]).tobytes().decode()
         for start in range(0, len(cells[0]), _BLOCK_ROWS)
@@ -286,13 +288,12 @@ def _render(pieces: list[bytes], columns: list) -> list[str]:
 
 def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | None = None) -> None:
     """Write equal-length columns as CSV, through ``_render``, with -0.0 folded to 0.0."""
-    blocks = _render(
-        [b""] + [b","] * (len(columns) - 1) + [b"\n"],
-        [column + 0.0 if isinstance(column, np.ndarray) and column.dtype.kind == "f" else column for column in columns],
-    )
+    blocks = _render([b""] + [b","] * (len(columns) - 1) + [b"\n"], columns, fold_negative_zero=True)
     if trailer is not None:
         blocks.append(trailer + "\n")
-    _write_output("".join([",".join(header) + "\n", *blocks]), out)
+    text = "".join([",".join(header) + "\n", *blocks])
+    del blocks  # not alive next to the text and the bytes the write encodes from it
+    _write_output(text, out)
 
 
 def _doc_cell(value) -> str:
@@ -494,7 +495,7 @@ def _report_json(name: str, tol: float, columns: list[np.ndarray], disagreements
 
     The float columns are finite: ``report_many`` rejects a non-finite one.
     """
-    points = _render(_REPORT_POINT_BYTES, columns)
+    points = _render(_REPORT_POINT_BYTES, columns, fold_negative_zero=False)
     # every point ends in ",\n"; the last one ends the list instead
     points[-1] = points[-1][:-2]
     tail = _REPORT_TAIL % (len(columns[0]), disagreements)

@@ -33,8 +33,8 @@ def reference_cells(block: np.ndarray) -> list[str]:
     return list(map(repr, block.tolist()))
 
 
-def _float_cells(columns: list[np.ndarray]) -> list[list[str]]:
-    return [row_texts(rows) for rows in float_rows(columns)]
+def _float_cells(columns: list[np.ndarray], fold_negative_zero: bool = False) -> list[list[str]]:
+    return [row_texts(rows) for rows in float_rows(columns, fold_negative_zero)]
 
 
 def reference_csv(header: list[str], columns: list) -> str:
@@ -104,6 +104,19 @@ def test_float_cells_heavy_repeats():
 def test_float_cells_keeps_a_broadcast_negative_zero():
     block = np.broadcast_to(np.asarray(-0.0), (5,))
     assert _float_cells([block])[0] == ["-0.0"] * 5
+
+
+@pytest.mark.parametrize("n", [5, 3 * _BLOCK_ROWS])
+def test_float_cells_fold_negative_zero_on_request_only(n):
+    # both zeros in one column stay distinct values and both print 0.0; the column itself is not changed
+    rng = np.random.default_rng(n)
+    column = rng.choice(np.array([-0.0, 0.0, -1.5, 2.25]), n)
+    column[:2] = [-0.0, 0.0]
+    unique = np.concatenate([[-0.0], rng.standard_normal(n - 1)])
+    before = column.view(np.int64).copy()
+    assert _float_cells([column, unique], True) == [reference_cells(column + 0.0), reference_cells(unique + 0.0)]
+    assert _float_cells([column, unique], False) == [reference_cells(column), reference_cells(unique)]
+    assert np.array_equal(column.view(np.int64), before)
 
 
 @settings(max_examples=300, deadline=None)
