@@ -8,8 +8,15 @@ A field's formulas are written once, as plain closures over coordinates
 (x1, x2) that take Python floats or float64 arrays; a closure may return a
 constant. The Point2 methods (``evaluate``, ``gradient``, ``divergence``)
 call them on floats, and the ``*_many`` methods call the same
-closures on arrays of N points. The two agree bit for bit, because numpy
-rounds each elementwise operation like Python floats do. A ``*_many`` result
+closures on arrays of N points. The two agree bit for bit where a closure
+uses only +, -, *, / and abs: IEEE 754 rounds each of these correctly, on
+float64 arrays as on Python floats, and the array evaluates the same
+expression in the same order. Powers and library functions are not
+covered: Python's float ``**`` calls the C library's pow, while numpy's
+array power has paths of its own, and the two can differ in the last bit
+(``x**3``: 6 of 200 uniform draws on [-3, 3]). The known case is the stage
+of ``catalog.HOPF_POLAR``, ``x1 - x1**3``, which no output evaluates on
+arrays. A ``*_many`` result
 that is NaN or infinite anywhere raises NotFiniteQuantity, a ValueError.
 A vector field may instead be given as a stage, source lines that set
 (f1, f2) from (x1, x2); ``VectorField.from_stage`` compiles its closure from
