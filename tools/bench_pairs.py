@@ -18,7 +18,7 @@ metrics; the summary counts untraced runs only.
 The output keeps ``BENCH_7.json``'s layout: ``summary`` gives, per workload
 and end-to-end metric of ``BENCHMARK.json``, each side's q1, median, q3 and
 runs, the median change, the pairs the change wins and the parent's
-interquartile range; ``peak_rss_mb_modes`` splits each side's peak RSS where
+interquartile range, also as a ratio of the parent's median; ``peak_rss_mb_modes`` splits each side's peak RSS where
 sorted runs jump by more than ``RSS_MODE_GAP_MB``; ``run_order`` lists the
 sides in the order they ran, and ``runs`` holds every run's full record, one
 line each.
@@ -103,6 +103,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
             "median_change_vs_parent": c["median"] / p["median"] - 1.0,
             "change_wins": f"{wins} of {len(pairs)}",
             "parent_iqr": p["q3"] - p["q1"],
+            # on the median's base, so it reads against median_change_vs_parent
+            "parent_iqr_ratio": (p["q3"] - p["q1"]) / p["median"],
         }
     rss = [[record["end_to_end"]["peak_rss_mb"]["value"] for record in pair] for pair in pairs]
     out["peak_rss_mb_modes"] = {
