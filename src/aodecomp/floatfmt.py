@@ -85,11 +85,6 @@ def _layout(neg: bool, n: int, code: int) -> list[int]:
     return out + [_PAD] * (WIDTH - len(out))
 
 
-def _floor_log10_pow2(e):
-    """floor(e log10 2), exact for |e| <= 2620."""
-    return (e * 315653) >> 20
-
-
 def _floor_log2_pow10(k):
     """floor(k log2 10), exact for |k| <= 1233."""
     return (k * 1741647) >> 19
@@ -109,7 +104,7 @@ def _tables() -> dict:
     # what _shortest reads per value, by biased exponent: the result's decimal exponent k (Dragonbox's
     # minus_k is k - 2), beta, the words of phi at 2 - k and the scaled interval width delta
     e = np.arange(2048) - 1075
-    k = _floor_log10_pow2(e)
+    k = (e * 315653) >> 20  # floor(e log10 2), exact for |e| <= 2620
     beta = (e + _floor_log2_pow10(2 - k)).astype(np.uint64)  # 6..9
     high = phi_high[2 - k - _K_MIN]
     layouts = np.full((2 * 18 * _CODES, WIDTH), _PAD, dtype=np.uint8)
