@@ -432,10 +432,11 @@ def cmd_decompose(args) -> int:
                 f"the decomposition of --matrix {args.matrix} overflows float64: "
                 "a gyration, friction or potential matrix entry is not finite"
             ) from None
-        doc = _linear_doc("custom", dec, sol.branch, sol.note)
         if args.at is not None:
             system = SystemSpec.linear("custom", a, potential=dec.potential(), friction=dec.friction)
             doc = _pointwise_doc(system, args.at, "custom")
+        else:
+            doc = _linear_doc("custom", dec, sol.branch, sol.note)
 
     if args.format == "json":
         _emit_json(doc, args.out)

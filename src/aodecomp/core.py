@@ -28,7 +28,7 @@ from __future__ import annotations
 import builtins
 import math
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -335,7 +335,7 @@ class VectorField:
 
     fn: Callable
     divergence_fn: Callable | None = None
-    stage: str | None = None
+    stage: str | None = field(default=None, init=False)  # set by from_stage alone, after its checks
 
     @classmethod
     def from_stage(cls, stage: str, divergence_fn: Callable | None = None) -> VectorField:
@@ -349,7 +349,9 @@ class VectorField:
         temporaries = set(code.co_varnames) - {"x1", "x2", "f1", "f2"}
         if any(not t.startswith("_") for t in temporaries) or not set(code.co_names) <= set(vars(builtins)):
             raise ValueError(f"a stage may bind only f1, f2 and _-prefixed names and read no globals, got {stage!r}")
-        return cls(fn, divergence_fn, stage)
+        vector_field = cls(fn, divergence_fn)
+        object.__setattr__(vector_field, "stage", stage)
+        return vector_field
 
     def _divergence(self, x1, x2):
         if self.divergence_fn is not None:

@@ -5,7 +5,7 @@ the ASCII bytes of ``repr(values[i])``, padded with NUL bytes: exactly the
 rows ``repr_each`` builds by calling ``repr`` on every value. Callers lay the
 rows into larger byte buffers and drop the padding with one mask, so no
 Python string is made per value.
-Finite normal values take the nearest-to-even path of Dragonbox (J. Jeon,
+Every row is laid out from the nearest-to-even path of Dragonbox (J. Jeon,
 "Dragonbox: A New Floating-Point Binary-to-Decimal Conversion Algorithm",
 2020): of the shortest decimals that round to the value it picks the
 closest, breaking a tie to the even digit, which is what ``repr`` prints.
@@ -15,26 +15,29 @@ Every step runs on whole uint64 arrays, a chunk at a time:
   k = floor(e log10 2) of the value c 2^e, a shift beta and the two words
   of phi = ceil(10^(2-k) 2^(127 - floor((2-k) log2 10)));
 - one 64x128-bit product, built from 32-bit limbs, of (2c + 1) 2^beta and
-  phi: zi, the right end of the rounding interval times 10^(2-k), and
-  whether zi is an integer; the interval's width on that scale, delta, lies
-  in [100, 1000);
-- zi // 1000 if that lies in the interval, whose right end an odd c
-  excludes; else the closest decimal one digit longer, from the distance in
-  hundredths;
-- two rare kinds of row also need the parity of a lower product, on those
-  rows alone: zi % 1000 = delta, where the left end decides, and a
-  distance of whole hundredths, where the digit may be one less or a tie
-  goes to the even digit. c = 2^52 above the smallest normal, whose interval
-  below is half as wide, takes Dragonbox's shorter-interval formulas;
+  phi: zi, the right end of the rounding interval times 10^(2-k); the
+  interval's width on that scale, delta, lies in [100, 1000);
+- zi // 1000 if that lies in the interval, else the closest decimal one
+  digit longer, from the distance in hundredths;
 - the digits through a table of 4-digit strings, laid out the way ``repr``
   does: decimal exponents -4..15 positionally, with ``.0`` on integers,
   others as ``d.ddde±XX`` with at least two exponent digits.
 
+The one product decides a row unless zi % 1000 is 0 (an odd c excludes the
+right end) or delta (the left end decides), or the distance is a whole
+number of hundredths (the digit may be one less, or a tie goes to the even
+digit): Dragonbox settles those with the parity of a second product. Those
+rows, about 0.9% of random normal values, go through ``repr`` itself
+(``repr_each``), and so do the rows the path does not cover: zeros,
+subnormals, infinities, NaN and the powers of two, whose interval below is
+half as wide. Every other row holds exactly the digits Dragonbox computes,
+so each row equals ``repr``. The layout runs on every row of a chunk and
+stays in range on the rows ``repr`` overwrites, since zi < 2^53 10^3 keeps
+the significand below 10^17.
+
 Dragonbox replaced Schubfach (R. Giulietti, 2020), which took three
 round-to-odd products a value; it is the one shortest-digit algorithm here.
-
-Zeros, subnormals, infinities and NaN go through ``repr`` itself, encoded
-into the same rows. The tables are built on first use, not at import.
+The tables are built on first use, not at import.
 """
 
 from __future__ import annotations
@@ -114,7 +117,6 @@ def _tables() -> dict:
     i = np.arange(10000, dtype=np.uint16)
     digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8) + ord("0")
     return {
-        "phi_high": phi_high,
         "k": k,
         "beta": beta,
         "high": high,
@@ -137,24 +139,15 @@ def _mul_high(a0, a1, b):
     return a1 * b1 + (t >> _U(32)) + (w >> _U(32))
 
 
-def _mul_parity(two_f, high, low, beta):
-    """Parity of floor(two_f phi 2^beta / 2^128), and whether it is exact (Dragonbox's ``compute_mul_parity``)."""
-    product_low = two_f * low
-    product_high = two_f * high + _mul_high(two_f & _MASK32, two_f >> _U(32), low)
-    parity = ((product_high >> (_U(64) - beta)) & _U(1)).astype(bool)
-    exact = ((product_high << beta) | (product_low >> (_U(64) - beta))) == 0
-    return parity, exact
-
-
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decimal significand d and exponent k with d 10^k the repr value of each normal double."""
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decimal significand d and exponent k with d 10^k the repr value of each normal double
+    whose c is not 2^52, and which rows the one product leaves undecided."""
     t = _tables()
     biased = (bits.view(np.int64) >> 52) & 0x7FF
     high, low, beta, delta = (t[name].take(biased) for name in ("high", "low", "beta", "delta"))
-    fraction = bits & _FRACTION
     # zi = floor((c + 1/2) 2^e 10^(2 - k)), the scaled right end of the rounding interval, is the
-    # high word of the one 64x128-bit product u phi; the middle word is 0 where zi is an integer
-    u = ((fraction << _U(1)) | _U((1 << 53) + 1)) << beta
+    # high word of the one 64x128-bit product u phi
+    u = (((bits & _FRACTION) << _U(1)) | _U((1 << 53) + 1)) << beta
     u0, u1 = u & _MASK32, u >> _U(32)
     product_low = u * high
     middle = product_low + _mul_high(u0, u1, low)
@@ -162,64 +155,21 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = zi // _U(1000)
     r = zi - s * _U(1000)
     big = r < delta  # s 10^(k + 1) lies in the interval
-    edge = np.flatnonzero((r == 0) | (r == delta))
-    if len(edge):
-        # r = 0 on an exact zi is the right end, excluded for an odd c: s - 1 takes the small divisor
-        # with r = 1000; at r = delta the left end decides, from the parity of (2c - 1) phi
-        fraction_edge, r_edge = fraction[edge], r[edge]
-        odd = (fraction_edge & _U(1)).astype(bool)
-        excluded = (r_edge == 0) & (middle[edge] == 0) & odd
-        parity, exact = _mul_parity(
-            (fraction_edge << _U(1)) + _U((1 << 53) - 1), high[edge], low[edge], beta[edge]
-        )
-        big[edge] = np.where(r_edge == delta[edge], parity | (exact & ~odd), ~excluded)
-        s[edge] -= excluded
-        r[edge] += excluded * _U(1000)
     # else one digit more: zi less its distance to the centre, in hundredths, rounded
     dist = r - (delta >> _U(1)) + _U(50)
     q = dist // _U(100)
     d = s * _U(10) + np.where(big, _U(0), q)
-    fix = np.flatnonzero(q * _U(100) == dist)
-    fix = fix[~big[fix]]
-    if len(fix):
-        # a whole number of hundredths: the parity of 2c phi tells whether the true distance is one
-        # less, and whether the centre is an exact tie, which goes to the even digit
-        parity, exact = _mul_parity((fraction[fix] << _U(1)) | _U(1 << 53), high[fix], low[fix], beta[fix])
-        d_fix = d[fix]
-        approx = ((dist[fix] ^ _U(50)) & _U(1)).astype(bool)
-        d[fix] = d_fix - ((parity != approx) | (exact & (d_fix & _U(1)).astype(bool)))
-    k = t["k"].take(biased)
-    shorter = np.flatnonzero(fraction == 0)
-    shorter = shorter[biased[shorter] > 1]
-    if len(shorter):
-        d[shorter], k[shorter] = _shortest_shorter(biased[shorter] - 1075)
-    return d, k
+    # at r = 0 an odd c may exclude the right end, at r = delta the left end decides, and at a
+    # whole number of hundredths the digit may be one less or a tie: each needs a lower product
+    undecided = (r == 0) | (r == delta) | (~big & (q * _U(100) == dist))
+    return d, t["k"].take(biased), undecided
 
 
-def _shortest_shorter(e):
-    """``_shortest`` where c = 2^52 above the smallest normal: the interval below is half as wide."""
+def _format(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lay out ``_shortest``'s decimal of each float64 bit pattern into ``out``, an (n, WIDTH) uint8
+    array; return the rows it leaves undecided."""
     t = _tables()
-    k = (e * 631305 - 261663) >> 21  # floor(e log10 2 - log10(4/3))
-    shift = (11 - e - _floor_log2_pow10(-k)).astype(np.uint64)  # 8..11
-    high = t["phi_high"].take(-k - _K_MIN)
-    # the interval ends (2^52 - 1/4) 2^e and (2^52 + 1/2) 2^e times 10^-k, both included: the left
-    # end rounded up (it is an integer only at e = 2, 3), the right end down
-    left = ((high - (high >> _U(54))) >> shift) + ((e < 2) | (e > 3))
-    right = (high + (high >> _U(53))) >> shift
-    d = right // _U(10) * _U(10)
-    # no multiple of 10 in the interval: the scaled value rounded half up, which is a tie only at
-    # e = -77, where it goes to the even digit
-    closest = ((high >> (shift - _U(1))) + _U(1)) >> _U(1)
-    tie = (e == -77) & (closest & _U(1)).astype(bool)
-    closest = np.where(tie, closest - _U(1), np.where(closest < left, closest + _U(1), closest))
-    return np.where(d >= left, d, closest), k
-
-
-def _format_normal(values: np.ndarray, out: np.ndarray) -> None:
-    """Write the repr rows of finite normal float64 values into ``out``, an (n, WIDTH) uint8 array."""
-    t = _tables()
-    bits = values.view(np.uint64)
-    d, k = _shortest(bits)
+    d, k, undecided = _shortest(bits)
     pow10 = t["pow10"]
     ndig = np.searchsorted(pow10, d, side="right")  # decimal digits of d
     aligned = d * pow10[18 - ndig]  # 18 digits, left aligned
@@ -243,13 +193,14 @@ def _format_normal(values: np.ndarray, out: np.ndarray) -> None:
         point + 3,
         20 + 2 * (exponent < 0) + (np.abs(exponent) >= 100),
     )
-    source = np.empty((len(values), _ROW // 4), dtype=np.uint32)
+    source = np.empty((len(bits), _ROW // 4), dtype=np.uint32)
     source[:, :5] = t["four"].take(chunks)
     source[:, 5] = t["four"].take(np.abs(exponent))
     source[:, 6:] = t["constants"]
     key = ((bits >> _U(63)).astype(np.intp) * 18 + n) * _CODES + code
-    index = np.add(t["layouts"].take(key, axis=0), np.arange(0, len(values) * _ROW, _ROW)[:, None], dtype=np.intp)
+    index = np.add(t["layouts"].take(key, axis=0), np.arange(0, len(bits) * _ROW, _ROW)[:, None], dtype=np.intp)
     source.view(np.uint8).ravel().take(index, out=out, mode="clip")
+    return undecided
 
 
 def repr_each(values: np.ndarray) -> np.ndarray:
@@ -265,13 +216,10 @@ def repr_many(values: np.ndarray) -> np.ndarray:
     for start in range(0, len(values), CHUNK):
         chunk = values[start:start + CHUNK]
         out = rows[start:start + CHUNK]
-        biased = (chunk.view(np.uint64) >> _U(52)) & _U(0x7FF)
-        normal = (biased != 0) & (biased != 0x7FF)
-        if normal.all():
-            _format_normal(chunk, out)
-            continue
-        text = np.empty((np.count_nonzero(normal), WIDTH), dtype=np.uint8)
-        _format_normal(chunk[normal], text)
-        out[normal] = text
-        out[~normal] = repr_each(chunk[~normal])
+        bits = chunk.view(np.uint64)
+        biased = (bits >> _U(52)) & _U(0x7FF)
+        # zeros, subnormals, infinities, NaN and powers of two (c = 2^52) lie outside the product's path
+        rare = (biased == 0) | (biased == 0x7FF) | ((bits & _FRACTION) == 0)
+        fallback = np.flatnonzero(rare | _format(bits, out))
+        out[fallback] = repr_each(chunk[fallback])
     return rows

@@ -356,6 +356,15 @@ def test_stage_may_not_bind_loop_names_or_read_globals():
     assert field.fn(-2.0, 3.0) == (2.0, -3.0)
 
 
+def test_only_from_stage_sets_a_stage():
+    # a stage given beside an fn it was not compiled from would step one field and evaluate another
+    with pytest.raises(TypeError):
+        VectorField(lambda x1, x2: (0.0, 0.0), None, "f1, f2 = -x1, -x2")
+    with pytest.raises(TypeError):
+        VectorField(lambda x1, x2: (0.0, 0.0), stage="a = 5.0\nf1, f2 = 0.0, 0.0")
+    assert VectorField(lambda x1, x2: (0.0, 0.0)).stage is None
+
+
 def test_integrate_reuses_one_loop_per_stage():
     a = Matrix2(-0.25, 0.125, -0.125, -0.375)
     first, second = SystemSpec.linear("first", a), SystemSpec.linear("second", a)

@@ -173,7 +173,8 @@ def dragonbox_branch(x: float) -> str:
     return "hundredths"
 
 
-def test_every_rare_branch_of_the_core_matches_repr():
+def rare_branch_values() -> np.ndarray:
+    """Finite normal values that take every branch of ``dragonbox_branch``."""
     rng = np.random.default_rng(1903)
     odd = (1 << 52) + 1 + 10 * np.arange(64)  # 2c + 1 divisible by 5: exact right ends on s 10^3
     quarter_odd = rng.integers(1 << 52, 1 << 53, size=512) | 1
@@ -185,7 +186,11 @@ def test_every_rare_branch_of_the_core_matches_repr():
         np.arange(1, 4000) * 0.001,
         np.ldexp(1.0, np.arange(-1021, 1024)),  # c = 2^52, e = -77 at 2^-25
     ])
-    values = values[np.isfinite(values) & (np.abs(values) >= np.finfo(np.float64).tiny)]
+    return values[np.isfinite(values) & (np.abs(values) >= np.finfo(np.float64).tiny)]
+
+
+def test_every_rare_branch_of_the_core_matches_repr():
+    values = rare_branch_values()
     branches = Counter(map(dragonbox_branch, values.tolist()))
     assert set(branches) == {
         "right end excluded", "left end decides", "big divisor", "small divisor", "hundredths",
@@ -194,6 +199,32 @@ def test_every_rare_branch_of_the_core_matches_repr():
     assert dragonbox_branch(2.0**-25) == "shorter interval, tie"
     assert_repr(values)
     assert_repr(-values)
+
+
+def test_repr_prints_every_row_the_one_product_leaves_open(monkeypatch):
+    sent = []
+    original = floatfmt.repr_each
+
+    def recorded(values):
+        sent.append(np.array(values))
+        return original(values)
+
+    monkeypatch.setattr(floatfmt, "repr_each", recorded)
+    values = rare_branch_values()
+    floatfmt.repr_many(values)
+    open_rows = np.array([dragonbox_branch(x) not in ("big divisor", "small divisor") for x in values.tolist()])
+    assert open_rows.any()
+    through_repr = np.isin(values.view(np.uint64), np.concatenate([np.empty(0), *sent]).view(np.uint64))
+    assert through_repr[open_rows].all()
+    # on random normal values repr is a rare fallback (0.9% of them)
+    sent.clear()
+    rng = np.random.default_rng(1915)
+    n = 1 << 20
+    sign = rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
+    biased = rng.integers(1, 0x7FF, size=n, dtype=np.uint64) << np.uint64(52)
+    fraction = rng.integers(0, 1 << 52, size=n, dtype=np.uint64)
+    floatfmt.repr_many((sign | biased | fraction).view(np.float64))
+    assert sum(map(len, sent)) <= 0.02 * n
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
