@@ -52,18 +52,21 @@ def main(argv: list[str] | None = None) -> int:
         fallback += len(values)
         return repr_each(values)
 
-    floatfmt.repr_each = counted
+    floatfmt.repr_each = counted  # restored below, so main leaves the module as it found it
     start = time.perf_counter()
-    for done in range(0, args.count, BATCH):
-        bits = patterns(rng, min(BATCH, args.count - done))
-        values = bits.view(np.float64)
-        got = floatfmt.repr_many(values).view(f"S{floatfmt.WIDTH}").ravel()
-        want = np.array(list(map(repr, values.tolist())), dtype=f"S{floatfmt.WIDTH}")
-        differ = np.flatnonzero(got != want)
-        if len(differ):
-            i = differ[0]
-            print(f"{bits[i]:#018x}: repr_many gives {got[i].decode()!r}, repr {want[i].decode()!r}")
-            return 1
+    try:
+        for done in range(0, args.count, BATCH):
+            bits = patterns(rng, min(BATCH, args.count - done))
+            values = bits.view(np.float64)
+            got = floatfmt.repr_many(values).view(f"S{floatfmt.WIDTH}").ravel()
+            want = np.array(list(map(repr, values.tolist())), dtype=f"S{floatfmt.WIDTH}")
+            differ = np.flatnonzero(got != want)
+            if len(differ):
+                i = differ[0]
+                print(f"{bits[i]:#018x}: repr_many gives {got[i].decode()!r}, repr {want[i].decode()!r}")
+                return 1
+    finally:
+        floatfmt.repr_each = repr_each
     print(f"{args.count} bit patterns (seed {args.seed}): repr_many equals repr on every one, "
           f"{fallback} of them through repr, {time.perf_counter() - start:.1f} s")
     return 0
