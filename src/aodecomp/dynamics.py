@@ -84,8 +84,8 @@ def _steps(dt: float, t_end: float) -> int:
 # clobber the loop's own variables.
 _RK4 = """\
 def loop(fn, a, b, dt, n, limit):
-    x1s, x2s = [a], [b]
-    half = 0.5 * dt
+    x1s, x2s = [a] * (n + 1), [b] * (n + 1)
+    half, low = 0.5 * dt, -limit
     for i in range(1, n + 1):
         try:
             x1, x2 = a, b
@@ -105,10 +105,10 @@ def loop(fn, a, b, dt, n, limit):
         except OverflowError:  # a float power out of range, e.g. r**3
             a = math.inf
         # false for NaN and +-inf as well
-        if not (-limit <= a <= limit and -limit <= b <= limit):
-            return x1s, x2s, i
-        x1s.append(a)
-        x2s.append(b)
+        if not (low <= a <= limit and low <= b <= limit):
+            return x1s[:i], x2s[:i], i
+        x1s[i] = a
+        x2s[i] = b
     return x1s, x2s, None
 """
 # The stage of a field with no stage of its own.

@@ -30,10 +30,11 @@ digit): Dragonbox settles those with the parity of a second product. Those
 rows, about 0.9% of random normal values, go through ``repr`` itself
 (``repr_each``), and so do the rows the path does not cover: zeros,
 subnormals, infinities, NaN and the powers of two, whose interval below is
-half as wide. Every other row holds exactly the digits Dragonbox computes,
-so each row equals ``repr``. The layout runs on every row of a chunk and
-stays in range on the rows ``repr`` overwrites, since zi < 2^53 10^3 keeps
-the significand below 10^17.
+half as wide. ``repr_each`` runs once per ``repr_many`` call, on the rows
+every chunk left open. Every other row holds exactly the digits Dragonbox
+computes, so each row equals ``repr``. The layout runs on every row of a
+chunk and stays in range on the rows ``repr`` overwrites, since
+zi < 2^53 10^3 keeps the significand below 10^17.
 
 Dragonbox replaced Schubfach (R. Giulietti, 2020), which took three
 round-to-odd products a value; it is the one shortest-digit algorithm here.
@@ -46,11 +47,14 @@ from functools import cache
 
 import numpy as np
 
-# Values per pass through the vectorized path; bounds the temporaries to
-# about 2 MB. On the values the benchmark's trajectory workload formats
-# (seed 7, 760k a pass, in-process on a 2-vCPU KVM guest), three runs took a
-# median 221-272 ms a pass at 4096, 247-316 at 2048 and 321-347 at 8192;
-# grid_sweep's 177k took 58-67 ms at 4096 and 50-57 at 8192.
+# Values per pass through the vectorized path; bounds a call's temporaries
+# to about 2 MB beyond its rows (tracemalloc: 1.1 MB at 2048, 3.9 at 8192,
+# 7.7 at 16384). On the values the benchmark formats in one seed-7 pass
+# (trajectory 760k, grid_sweep 177k; in-process on a 2-vCPU KVM guest, the
+# median of 15 interleaved passes in each of three runs), trajectory took
+# 230-261 ms at 2048, 203-220 at 4096, 193-205 at 8192 and 307-347 at 16384;
+# grid_sweep took 52-66, 47-54, 44-50 and 65-75 ms. 8192 saves 5-10% of the
+# formatter there, but its temporaries are 4 MB of a worker's ~47 MB peak.
 CHUNK = 4096
 
 _K_MIN, _K_MAX = -292, 326  # decimal exponents of the table: 2 - k for every biased exponent
@@ -139,11 +143,9 @@ def _mul_high(a0, a1, b):
     return a1 * b1 + (t >> _U(32)) + (w >> _U(32))
 
 
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shortest(bits: np.ndarray, biased: np.ndarray, t: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decimal significand d and exponent k with d 10^k the repr value of each normal double
     whose c is not 2^52, and which rows the one product leaves undecided."""
-    t = _tables()
-    biased = (bits.view(np.int64) >> 52) & 0x7FF
     high, low, beta, delta = (t[name].take(biased) for name in ("high", "low", "beta", "delta"))
     # zi = floor((c + 1/2) 2^e 10^(2 - k)), the scaled right end of the rounding interval, is the
     # high word of the one 64x128-bit product u phi
@@ -165,11 +167,13 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, t["k"].take(biased), undecided
 
 
-def _format(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _format(
+    bits: np.ndarray, biased: np.ndarray, t: dict, source: np.ndarray, offsets: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Lay out ``_shortest``'s decimal of each float64 bit pattern into ``out``, an (n, WIDTH) uint8
-    array; return the rows it leaves undecided."""
-    t = _tables()
-    d, k, undecided = _shortest(bits)
+    array, through ``source``, (n, _ROW // 4) uint32 rows whose constant columns are filled and
+    whose bytes start at ``offsets``; return the rows it leaves undecided."""
+    d, k, undecided = _shortest(bits, biased, t)
     pow10 = t["pow10"]
     ndig = np.searchsorted(pow10, d, side="right")  # decimal digits of d
     aligned = d * pow10[18 - ndig]  # 18 digits, left aligned
@@ -177,15 +181,24 @@ def _format(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     rest = aligned - top * pow10[16]
     high = rest // pow10[8]
     low = rest - high * pow10[8]
-    chunks = np.empty((len(d), 5), dtype=np.intp)
-    chunks[:, 0] = top
-    for j, part in ((1, high), (3, low)):
+    columns = [top]
+    for part in (high, low):
         quotient = part // pow10[4]
-        chunks[:, j] = quotient
-        chunks[:, j + 1] = part - quotient * pow10[4]
-    # trailing zeros of the 18 digits: whole zero chunks after the last nonzero one, then its own
-    last = 4 - (chunks[:, ::-1] != 0).argmax(axis=1)
-    n = 18 - 4 * (4 - last) - t["trailing"].take(chunks[np.arange(len(d)), last])
+        columns += [quotient, part - quotient * pow10[4]]
+    chunks = np.empty((len(d), 5), dtype=np.intp)
+    for j, column in enumerate(columns):
+        chunks[:, j] = column
+    # trailing zeros of the 18 digits: whole zero chunks after the last nonzero one (the first
+    # chunk, 10..99, never is zero), then that chunk's own
+    last = columns[4]
+    zero = last == 0
+    whole = zero.astype(np.intp)
+    for column in columns[3:0:-1]:
+        last = np.where(zero, column, last)
+        zero &= column == 0
+        whole += zero
+    last = np.where(zero, top, last)
+    n = 18 - 4 * whole - t["trailing"].take(last)
     point = ndig + k  # digits before the decimal point
     exponent = point - 1
     code = np.where(
@@ -193,12 +206,10 @@ def _format(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
         point + 3,
         20 + 2 * (exponent < 0) + (np.abs(exponent) >= 100),
     )
-    source = np.empty((len(bits), _ROW // 4), dtype=np.uint32)
     source[:, :5] = t["four"].take(chunks)
     source[:, 5] = t["four"].take(np.abs(exponent))
-    source[:, 6:] = t["constants"]
     key = ((bits >> _U(63)).astype(np.intp) * 18 + n) * _CODES + code
-    index = np.add(t["layouts"].take(key, axis=0), np.arange(0, len(bits) * _ROW, _ROW)[:, None], dtype=np.intp)
+    index = np.add(t["layouts"].take(key, axis=0), offsets, dtype=np.intp)
     source.view(np.uint8).ravel().take(index, out=out, mode="clip")
     return undecided
 
@@ -213,13 +224,22 @@ def repr_many(values: np.ndarray) -> np.ndarray:
     """``repr`` of each value of a 1-D float64 array as a NUL-padded (n, WIDTH) uint8 row, computed in numpy."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     rows = np.empty((len(values), WIDTH), dtype=np.uint8)
+    if not len(values):
+        return rows
+    t = _tables()
+    # one chunk's source rows and their byte offsets, reused by every chunk
+    source = np.empty((min(len(values), CHUNK), _ROW // 4), dtype=np.uint32)
+    source[:, 6:] = t["constants"]
+    offsets = np.arange(0, source.nbytes, _ROW)[:, None]
+    fallback = np.empty(len(values), dtype=bool)
     for start in range(0, len(values), CHUNK):
-        chunk = values[start:start + CHUNK]
-        out = rows[start:start + CHUNK]
-        bits = chunk.view(np.uint64)
-        biased = (bits >> _U(52)) & _U(0x7FF)
+        bits = values[start:start + CHUNK].view(np.uint64)
+        biased = (bits.view(np.int64) >> 52) & 0x7FF
         # zeros, subnormals, infinities, NaN and powers of two (c = 2^52) lie outside the product's path
         rare = (biased == 0) | (biased == 0x7FF) | ((bits & _FRACTION) == 0)
-        fallback = np.flatnonzero(rare | _format(bits, out))
-        out[fallback] = repr_each(chunk[fallback])
+        m = len(bits)
+        undecided = _format(bits, biased, t, source[:m], offsets[:m], rows[start:start + CHUNK])
+        np.bitwise_or(rare, undecided, out=fallback[start:start + CHUNK])
+    fallback = np.flatnonzero(fallback)
+    rows[fallback] = repr_each(values[fallback])
     return rows

@@ -99,6 +99,13 @@ def test_layout_thresholds():
     assert repr_many(np.array([1e-5, 1e-4, 1e16, 1e15, 1.5e300, 2.5e-300])) == [
         "1e-05", "0.0001", "1e+16", "1000000000000000.0", "1.5e+300", "2.5e-300",
     ]
+    # significands of 1..17 nonzero digits: in the 18-digit layout, 0-4 whole zero 4-digit chunks
+    # follow the last nonzero chunk, which ends in 0-3 zeros, at exponents on both sides of each threshold
+    digits = "12345678912345678"
+    exponents = (*range(-7, 20), -101, -100, 99, 100, 300)
+    shapes = np.array([float(f"{digits[:m]}e{e + 1 - m}") for m in range(1, 18) for e in exponents])
+    assert_repr(shapes)
+    assert_repr(-shapes)
 
 
 def test_multiples_of_a_thousandth():
@@ -225,6 +232,7 @@ def test_repr_prints_every_row_the_one_product_leaves_open(monkeypatch):
     fraction = rng.integers(0, 1 << 52, size=n, dtype=np.uint64)
     floatfmt.repr_many((sign | biased | fraction).view(np.float64))
     assert sum(map(len, sent)) <= 0.02 * n
+    assert len(sent) == 1  # the rows of all 256 chunks, in one call
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
