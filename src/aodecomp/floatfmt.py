@@ -9,7 +9,7 @@ Every row is laid out from the nearest-to-even path of Dragonbox (J. Jeon,
 "Dragonbox: A New Floating-Point Binary-to-Decimal Conversion Algorithm",
 2020): of the shortest decimals that round to the value it picks the
 closest, breaking a tie to the even digit, which is what ``repr`` prints.
-Every step runs on whole uint64 arrays, a chunk at a time:
+Every step runs on whole uint64 or uint32 arrays, a chunk at a time:
 
 - by table lookup on the biased exponent: the decimal exponent
   k = floor(e log10 2) of the value c 2^e, a shift beta and the two words
@@ -18,10 +18,15 @@ Every step runs on whole uint64 arrays, a chunk at a time:
   phi: zi, the right end of the rounding interval times 10^(2-k); the
   interval's width on that scale, delta, lies in [100, 1000);
 - zi // 1000 if that lies in the interval, else the closest decimal one
-  digit longer, from the distance in hundredths;
-- the digits through a table of 4-digit strings, laid out the way ``repr``
-  does: decimal exponents -4..15 positionally, with ``.0`` on integers,
-  others as ``d.ddde±XX`` with at least two exponent digits.
+  digit longer, from the distance in hundredths, in uint32 (every number
+  past zi // 1000 is below 2^11);
+- the significand d: c + 1/2 in [2^52, 2^53) and delta in [100, 1000) keep
+  it in [10^15, 10^17), so one compare with 10^16 tells 16 digits from 17;
+- its 17 digits (a 16-digit d times 10): the first, then two uint32 halves
+  of 8, each split into two 4-digit strings of a table;
+- by table lookup on the decimal exponent: its text and repr's layout,
+  decimal exponents -4..15 positionally, with ``.0`` on integers, others as
+  ``d.ddde±XX`` with at least two exponent digits.
 
 The one product decides a row unless zi % 1000 is 0 (an odd c may exclude the
 right end) or delta (the left end decides), or the distance is a whole
@@ -33,8 +38,8 @@ subnormals, infinities, NaN and the powers of two, whose interval below is
 half as wide. ``repr_each`` runs once per ``repr_many`` call, on the rows
 every chunk left open. Every other row holds exactly the digits Dragonbox
 computes, so each row equals ``repr``. The layout runs on every row of a
-chunk and stays in range on the rows ``repr`` overwrites, since
-zi < 2^53 10^3 keeps the significand below 10^17.
+chunk and stays in range on the rows ``repr`` overwrites, since the same
+bounds keep their significands in [10^15, 10^17).
 
 Dragonbox replaced Schubfach (R. Giulietti, 2020), which took three
 round-to-odd products a value; it is the one shortest-digit algorithm here.
@@ -48,29 +53,32 @@ from functools import cache
 import numpy as np
 
 # Values per pass through the vectorized path; bounds a call's temporaries
-# to about 2 MB beyond its rows (tracemalloc: 1.1 MB at 2048, 3.9 at 8192,
-# 7.7 at 16384). On the values the benchmark formats in one seed-7 pass
-# (trajectory 760k, grid_sweep 177k; in-process on a 2-vCPU KVM guest, the
-# median of 15 interleaved passes in each of three runs), trajectory took
-# 230-261 ms at 2048, 203-220 at 4096, 193-205 at 8192 and 307-347 at 16384;
-# grid_sweep took 52-66, 47-54, 44-50 and 65-75 ms. 8192 saves 5-10% of the
-# formatter there, but its temporaries are 4 MB of a worker's ~47 MB peak.
-CHUNK = 4096
+# to about 3 MB beyond its rows, half of it the (CHUNK, 24) intp gather index
+# (tracemalloc on 65,536 values: 1.6 MB at 4096, 2.9 at 8192, 5.7 at 16384).
+# On the values the benchmark formats in one seed-7 pass (trajectory 760k,
+# grid_sweep 177k; in-process on a 2-vCPU KVM guest, medians of 15
+# interleaved passes in each of three runs), 8192 took 0.90-0.95 of the time
+# of 4096 on trajectory and 0.90-0.94 on grid_sweep; 16384 took 1.19-1.22 of
+# the time of 8192 on trajectory and 0.96-1.00 on grid_sweep.
+CHUNK = 8192
 
 _K_MIN, _K_MAX = -292, 326  # decimal exponents of the table: 2 - k for every biased exponent
 _U = np.uint64
+_U32 = np.uint32
 _MASK32 = _U(0xFFFFFFFF)
 _FRACTION = _U((1 << 52) - 1)
 
 # Bytes of the per-value source row that a layout indexes: 20 digit
-# characters (two leading '0', then the 18-digit significand, left aligned),
-# 4 exponent characters ('0' and three digits), then constants and padding.
+# characters (three leading '0', then the 17-digit significand), 4 exponent
+# characters ('0' and three digits), then constants and padding.
 _ROW = 32
-_DIGIT0 = 2
+_DIGIT0 = 3
 _EXP = 20
 _DOT, _ZERO, _MINUS, _E, _PLUS, _PAD = range(24, 30)
 WIDTH = 24  # longest repr of any double: -1.2345678901234567e-308
 _CODES = 24  # 20 positional decimal points (-3..16), then 4 exponent forms
+_DIGITS = 17  # significand digits of the source row; a layout key counts 0..17 of them
+_NEG = (_DIGITS + 1) * _CODES  # key offset of the negative layouts
 
 
 def _layout(neg: bool, n: int, code: int) -> list[int]:
@@ -99,7 +107,7 @@ def _floor_log2_pow10(k):
 
 @cache
 def _tables() -> dict:
-    """The phi table of Dragonbox, the layouts and the digit tables (about 160 kB)."""
+    """The phi table of Dragonbox, the layouts and the digit and exponent tables (about 150 kB)."""
     phi = []
     for k in range(_K_MIN, _K_MAX + 1):
         shift = 127 - _floor_log2_pow10(k)
@@ -114,24 +122,30 @@ def _tables() -> dict:
     k = (e * 315653) >> 20  # floor(e log10 2), exact for |e| <= 2620
     beta = (e + _floor_log2_pow10(2 - k)).astype(np.uint64)  # 6..9
     high = phi_high[2 - k - _K_MIN]
-    layouts = np.full((2 * 18 * _CODES, WIDTH), _PAD, dtype=np.uint8)
-    for row, (neg, n, code) in enumerate(np.ndindex(2, 18, _CODES)):
+    layouts = np.full((2 * (_DIGITS + 1) * _CODES, WIDTH), _PAD, dtype=np.uint8)
+    for row, (neg, n, code) in enumerate(np.ndindex(2, _DIGITS + 1, _CODES)):
         if n:
             layouts[row] = _layout(bool(neg), n, code)
     i = np.arange(10000, dtype=np.uint16)
     digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8) + ord("0")
+    four = digits.view(np.uint32).ravel()  # "%04d" of 0..9999, 4 characters in one uint32
+    # by the decimal exponent x of the text d.ddd 10^x, which is k + 15 for 16 digits and k + 16 for 17,
+    # over every biased exponent: repr's layout code plus the key of 17 digits, and "%04d" of |x|
+    x = np.arange(k.min() + _DIGITS - 2, k.max() + _DIGITS)
+    code = np.where((x >= -4) & (x <= 15), x + 4, 20 + 2 * (x < 0) + (np.abs(x) >= 100))
+    trailing = np.where(i == 0, 4, sum((i % 10**j == 0).astype(np.intp) for j in (1, 2, 3)))
     return {
-        "k": k,
+        "at": k - k.min(),  # the row of x = k + 15 in the decimal-exponent tables
         "beta": beta,
         "high": high,
         "low": phi_low[2 - k - _K_MIN],
-        "delta": high >> (_U(63) - beta),  # 100 <= delta < 1000
+        "delta": (high >> (_U(63) - beta)).astype(np.uint32),  # 100 <= delta < 1000
         "layouts": layouts,
-        # "%04d" of 0..9999, 4 characters in one uint32, so a gather moves a whole chunk of digits
-        "four": digits.view(np.uint32).ravel(),
-        "trailing": np.where(i == 0, 4, sum((i % 10**j == 0).astype(np.int8) for j in (1, 2, 3))).astype(np.int8),
+        "four": four,
+        "trailing": (trailing * _CODES).astype(np.int8),  # trailing zeros of "%04d", in layout keys
+        "key": _DIGITS * _CODES + code,
+        "exponent": four[np.abs(x)],
         "constants": np.frombuffer(b".0-e+\0\0\0", dtype=np.uint32),
-        "pow10": np.array([10**i for i in range(19)], dtype=np.uint64),
     }
 
 
@@ -144,8 +158,8 @@ def _mul_high(a0, a1, b):
 
 
 def _shortest(bits: np.ndarray, biased: np.ndarray, t: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decimal significand d and exponent k with d 10^k the repr value of each normal double
-    whose c is not 2^52, and which rows the one product leaves undecided."""
+    """Decimal significand d of each normal double whose c is not 2^52, the row of its decimal
+    exponent tables (``t["at"]``), and which rows the one product leaves undecided."""
     high, low, beta, delta = (t[name].take(biased) for name in ("high", "low", "beta", "delta"))
     # zi = floor((c + 1/2) 2^e 10^(2 - k)), the scaled right end of the rounding interval, is the
     # high word of the one 64x128-bit product u phi
@@ -155,16 +169,17 @@ def _shortest(bits: np.ndarray, biased: np.ndarray, t: dict) -> tuple[np.ndarray
     middle = product_low + _mul_high(u0, u1, low)
     zi = _mul_high(u0, u1, high) + (middle < product_low)
     s = zi // _U(1000)
-    r = zi - s * _U(1000)
+    r = (zi - s * _U(1000)).astype(np.uint32)  # from here on every number is below 2^11
     big = r < delta  # s 10^(k + 1) lies in the interval
     # else one digit more: zi less its distance to the centre, in hundredths, rounded
-    dist = r - (delta >> _U(1)) + _U(50)
-    q = dist // _U(100)
-    d = s * _U(10) + np.where(big, _U(0), q)
+    dist = r - (delta >> _U32(1)) + _U32(50)
+    q = dist // _U32(100)
+    d = s * _U(10)
+    d += np.where(big, _U32(0), q)
     # at r = 0 an odd c may exclude the right end, at r = delta the left end decides, and at a
     # whole number of hundredths the digit may be one less or a tie: each needs a lower product
-    undecided = (r == 0) | (r == delta) | (~big & (q * _U(100) == dist))
-    return d, t["k"].take(biased), undecided
+    undecided = (r == 0) | (r == delta) | (~big & (q * _U32(100) == dist))
+    return d, t["at"].take(biased), undecided
 
 
 def _format(
@@ -173,42 +188,41 @@ def _format(
     """Lay out ``_shortest``'s decimal of each float64 bit pattern into ``out``, an (n, WIDTH) uint8
     array, through ``source``, (n, _ROW // 4) uint32 rows whose constant columns are filled and
     whose bytes start at ``offsets``; return the rows it leaves undecided."""
-    d, k, undecided = _shortest(bits, biased, t)
-    pow10 = t["pow10"]
-    ndig = np.searchsorted(pow10, d, side="right")  # decimal digits of d
-    aligned = d * pow10[18 - ndig]  # 18 digits, left aligned
-    top = aligned // pow10[16]
-    rest = aligned - top * pow10[16]
-    high = rest // pow10[8]
-    low = rest - high * pow10[8]
-    columns = [top]
-    for part in (high, low):
-        quotient = part // pow10[4]
-        columns += [quotient, part - quotient * pow10[4]]
-    chunks = np.empty((len(d), 5), dtype=np.intp)
-    for j, column in enumerate(columns):
-        chunks[:, j] = column
-    # trailing zeros of the 18 digits: whole zero chunks after the last nonzero one (the first
-    # chunk, 10..99, never is zero), then that chunk's own
-    last = columns[4]
+    d, at, undecided = _shortest(bits, biased, t)
+    # 10^15 <= d < 10^17 (c + 1/2 in [2^52, 2^53), delta in [100, 1000)): 16 or 17 digits
+    long = d >= _U(10**16)
+    at += long
+    digits = np.where(long, d, d * _U(10))  # 17 digits
+    upper = digits // _U(10**8)  # 9 digits
+    lower = (digits - upper * _U(10**8)).astype(np.uint32)
+    upper = upper.astype(np.uint32)
+    top = upper // _U32(10**8)
+    upper -= top * _U32(10**8)
+    four = t["four"]
+    four.take(top, out=source[:, 0], mode="clip")
+    columns = []
+    for j, half in ((1, upper), (3, lower)):
+        quotient = half // _U32(10**4)
+        half -= quotient * _U32(10**4)
+        four.take(quotient, out=source[:, j], mode="clip")
+        four.take(half, out=source[:, j + 1], mode="clip")
+        columns += [quotient, half]
+    t["exponent"].take(at, out=source[:, 5], mode="clip")
+    # the key counts the digits left after the trailing zeros: whole zero chunks after the last
+    # nonzero one (the top digit, 1..9, never is zero), then that chunk's own
+    last = columns[3]
     zero = last == 0
     whole = zero.astype(np.intp)
-    for column in columns[3:0:-1]:
+    for column in columns[2::-1]:
         last = np.where(zero, column, last)
         zero &= column == 0
         whole += zero
     last = np.where(zero, top, last)
-    n = 18 - 4 * whole - t["trailing"].take(last)
-    point = ndig + k  # digits before the decimal point
-    exponent = point - 1
-    code = np.where(
-        (exponent >= -4) & (exponent <= 15),
-        point + 3,
-        20 + 2 * (exponent < 0) + (np.abs(exponent) >= 100),
-    )
-    source[:, :5] = t["four"].take(chunks)
-    source[:, 5] = t["four"].take(np.abs(exponent))
-    key = ((bits >> _U(63)).astype(np.intp) * 18 + n) * _CODES + code
+    whole *= 4 * _CODES
+    key = t["key"].take(at)
+    key -= whole
+    key -= t["trailing"].take(last)
+    key += (bits.view(np.int64) < 0) * _NEG
     index = np.add(t["layouts"].take(key, axis=0), offsets, dtype=np.intp)
     source.view(np.uint8).ravel().take(index, out=out, mode="clip")
     return undecided

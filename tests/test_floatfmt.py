@@ -13,6 +13,7 @@ layouts, subnormals and the non-finite values.
 from __future__ import annotations
 
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -99,13 +100,40 @@ def test_layout_thresholds():
     assert repr_many(np.array([1e-5, 1e-4, 1e16, 1e15, 1.5e300, 2.5e-300])) == [
         "1e-05", "0.0001", "1e+16", "1000000000000000.0", "1.5e+300", "2.5e-300",
     ]
-    # significands of 1..17 nonzero digits: in the 18-digit layout, 0-4 whole zero 4-digit chunks
-    # follow the last nonzero chunk, which ends in 0-3 zeros, at exponents on both sides of each threshold
+    # significands of 1..17 nonzero digits: in the 17-digit layout (one digit, then four 4-digit chunks),
+    # 0-4 whole zero chunks follow the last nonzero one, which ends in 0-3 zeros, at exponents on both
+    # sides of each threshold
     digits = "12345678912345678"
     exponents = (*range(-7, 20), -101, -100, 99, 100, 300)
     shapes = np.array([float(f"{digits[:m]}e{e + 1 - m}") for m in range(1, 18) for e in exponents])
     assert_repr(shapes)
     assert_repr(-shapes)
+
+
+def test_significand_has_16_or_17_digits_at_every_exponent():
+    # the layout counts digits with one compare, d >= 10^16, and splits 17 digits; it runs on every
+    # row of a chunk, the ones repr overwrites included, so 10^15 <= d < 10^17 must hold for every c
+    # in [2^52, 2^53) at every biased exponent
+    rng = np.random.default_rng(1017)
+    fractions = np.concatenate([[0, 1, (1 << 52) - 1], rng.integers(0, 1 << 52, size=29)]).astype(np.uint64)
+    biased = np.arange(2048, dtype=np.uint64)
+    bits = ((biased[:, None] << np.uint64(52)) | fractions).ravel()
+    d, _, _ = floatfmt._shortest(bits, (bits >> np.uint64(52)).astype(np.intp), floatfmt._tables())
+    assert d.min() >= 10**15 and d.max() < 10**17
+
+
+@pytest.mark.parametrize("exponent", [-5, -4, 15, 16, -99, 99, -100, 100, -308, 308])
+def test_shortest_forms_of_16_and_17_digits(exponent):
+    # random doubles of one decade: lay out both digit counts on either side of repr's thresholds
+    low = max(float(f"1e{exponent}"), np.finfo(np.float64).tiny)
+    high = float(f"1e{exponent + 1}") if exponent < 308 else np.finfo(np.float64).max
+    lo, hi = np.array([low, high]).view(np.int64)
+    values = np.random.default_rng(exponent + 400).integers(lo, hi, size=4000).view(np.float64)
+    digits = np.array([len(Decimal(repr(x)).normalize().as_tuple().digits) for x in values.tolist()])
+    assert (digits == 16).sum() >= 100 and (digits == 17).sum() >= 100, Counter(digits.tolist())
+    chosen = values[(digits == 16) | (digits == 17)]
+    assert_repr(chosen)
+    assert_repr(-chosen)
 
 
 def test_multiples_of_a_thousandth():
@@ -232,7 +260,7 @@ def test_repr_prints_every_row_the_one_product_leaves_open(monkeypatch):
     fraction = rng.integers(0, 1 << 52, size=n, dtype=np.uint64)
     floatfmt.repr_many((sign | biased | fraction).view(np.float64))
     assert sum(map(len, sent)) <= 0.02 * n
-    assert len(sent) == 1  # the rows of all 256 chunks, in one call
+    assert len(sent) == 1  # the rows of every chunk, in one call
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
