@@ -69,9 +69,8 @@ MAX_GRID_POINTS = 1_000_000
 # which bounds the assembly buffer; the floats are formatted for the whole document.
 _BLOCK_ROWS = 2048
 # Distinct floats of a document, over all its float columns, from which one
-# numpy formatting pass (about 0.2 ms however few values it gets, on a 2-vCPU
-# KVM guest at its faster) is cheaper than repr per value; the two broke even
-# at 192-256 values.
+# numpy formatting pass (about 0.2 ms however few values it gets) is cheaper
+# than repr per value; on a 2-vCPU KVM guest the two broke even at 192-256.
 _NUMPY_MIN_VALUES = 256
 _VERDICT_CELLS = np.array([verdict.encode() for verdict in dissipation.VERDICTS])
 _BOOL_CELLS = np.array([b"false", b"true"])
