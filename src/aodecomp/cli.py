@@ -9,11 +9,15 @@ Every CSV and every report JSON document is one list of columns, rendered
 as bytes by ``_render`` between the constant pieces of its row: the CSV
 separators, or the report-JSON point text in the exact layout of
 ``json.dumps(doc, indent=2)``. ``cmd_report`` builds its columns once for
-either format. Each distinct float of a document is formatted once, before
-any row is laid out (``_float_cells``): when the document has 256 distinct
-values or more, all of them go to one ``floatfmt.repr_many`` call, which
-returns exactly what ``repr`` prints as NUL-padded byte rows; fewer go
-through ``repr`` into the same rows. Verdict and flag cells come from small
+either format. The floats of a document are formatted before any row is
+laid out (``_float_cells``). Grid coordinates arrive factored, as the
+grid's axes and each row's index into them, so each axis value is formatted
+once and the coordinate columns are never sorted. The computed quantities
+and the ``simulate`` columns are sorted, and each distinct value is
+formatted once. When the document has 256 values to format or
+more, all of them go to one ``floatfmt.repr_many`` call, which returns
+exactly what ``repr`` prints as NUL-padded byte rows; fewer go through
+``repr`` into the same rows. Verdict and flag cells come from small
 byte tables. ``_assemble`` then lays the rows out a block of ``_BLOCK_ROWS``
 at a time in one byte buffer, drops every NUL at once and decodes the block
 once, so no Python string is made per float cell. CSV folds -0.0 to 0.0;
@@ -39,6 +43,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +93,13 @@ _REPORT_POINT_BYTES = [piece.encode() for piece in (_REPORT_POINT + ",\n").split
 _REPORT_TAIL = '\n  ],\n  "summary": {\n    "points": %d,\n    "disagreements": %d\n  }\n}\n'
 
 
+class _Factored(NamedTuple):
+    """A float64 column as ``values`` and each row's index into them, so row i holds ``values[inverse[i]]``."""
+
+    values: np.ndarray
+    inverse: np.ndarray
+
+
 class _UsageError(Exception):
     """Invalid arguments or input values; mapped to exit code 1."""
 
@@ -122,7 +134,7 @@ def _parse_diffusion(text: str) -> DiffusionParams:
 
 
 def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Points of an xmin,xmax,ymin,ymax,nx,ny grid as x1, x2 columns; rows run y-outer, x-inner."""
+    """The axes of an xmin,xmax,ymin,ymax,nx,ny grid: its nx x values and its ny y values."""
     parts = text.split(",")
     if len(parts) != 6:
         raise _UsageError(f"--grid expects xmin,xmax,ymin,ymax,nx,ny, got {text!r}")
@@ -144,7 +156,29 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
         ys = ymin + (ymax - ymin) * np.arange(ny) / (ny - 1)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise _UsageError(f"the coordinates of --grid {text} overflow float64")
-    return np.tile(xs, ny), np.repeat(ys, nx)
+    return xs, ys
+
+
+def _grid_points(axes: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The points of grids given by their (x axis, y axis), one grid after another, as x1, x2 columns.
+
+    The rows of each grid run y-outer, x-inner.
+    """
+    x1 = np.concatenate([np.tile(xs, len(ys)) for xs, ys in axes])
+    x2 = np.concatenate([np.repeat(ys, len(xs)) for xs, ys in axes])
+    return x1, x2
+
+
+def _factored_points(axes: list[tuple[np.ndarray, np.ndarray]]) -> list[_Factored]:
+    """The columns of ``_grid_points(axes)`` factored: the axes one after another, and each row's index into them."""
+    index_axes, x_start, y_start = [], 0, 0
+    for xs, ys in axes:
+        index_axes.append((np.arange(x_start, x_start + len(xs)), np.arange(y_start, y_start + len(ys))))
+        x_start, y_start = x_start + len(xs), y_start + len(ys)
+    return [
+        _Factored(np.concatenate(axis), inverse)
+        for axis, inverse in zip(zip(*axes), _grid_points(index_axes))
+    ]
 
 
 @contextmanager
@@ -201,19 +235,30 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", out)
 
 
-def _float_cells(columns: list[np.ndarray], fold_negative_zero: bool) -> list[np.ndarray]:
-    """``repr`` of each value of each float64 column of a document, as NUL-padded uint8 rows.
+def _float_cells(columns: list, fold_negative_zero: bool) -> list[np.ndarray]:
+    """``repr`` of each value of each float column of a document, as NUL-padded uint8 rows.
 
-    Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct, and
-    each distinct value of a column is formatted once; with
-    ``fold_negative_zero`` a -0.0 prints as ``0.0``. When the document has
-    at least ``_NUMPY_MIN_VALUES`` distinct values, all of them go through
-    one ``floatfmt.repr_many`` call; otherwise through ``repr``, and floatfmt
-    is not loaded. A column with no repeats gets a view of the one formatted
-    array, so a caller frees that array only by dropping every such column.
+    A column is one of two kinds:
+
+    - a ``_Factored`` column, such as grid coordinates: its values are
+      formatted as they are, a repeated one twice, and its inverse is used
+      as it is, with no sort;
+    - a float64 array, such as a computed quantity: its values are told
+      apart by bit pattern, so -0.0 and 0.0 stay distinct, and each
+      distinct value is formatted once.
+
+    With ``fold_negative_zero`` a -0.0 prints as ``0.0``. When the document
+    has at least ``_NUMPY_MIN_VALUES`` values to format, all of them go
+    through one ``floatfmt.repr_many`` call; otherwise through ``repr``, and
+    floatfmt is not loaded. An array with no repeats gets a view of the one
+    formatted array, so a caller frees that array only by dropping every
+    such column.
     """
     sets = []
     for column in columns:
+        if isinstance(column, _Factored):
+            sets.append(column)
+            continue
         bits = column.view(np.int64)
         ordered = np.sort(bits)
         distinct = np.empty(len(ordered), dtype=bool)
@@ -271,13 +316,21 @@ def _assemble(pieces: list[bytes], cells: list[np.ndarray]) -> np.ndarray:
 def _render(pieces: list[bytes], columns: list, fold_negative_zero: bool) -> list[str]:
     """A document's rows ``pieces[0] columns[0] pieces[1] ... pieces[-1]``, as text blocks of ``_BLOCK_ROWS`` rows.
 
-    A float64 column prints in shortest round-trip form, each distinct value
-    of the document formatted once, with -0.0 as ``0.0`` if
-    ``fold_negative_zero``; any other column holds ready cells, as an ``S``
-    array or as strings. The formatted rows are freed on return, before the
-    caller joins the blocks.
+    A column is one of three kinds:
+
+    - a ``_Factored`` column (grid coordinates), its values and each row's
+      index into them;
+    - a float64 array (computed quantities, ``simulate`` columns);
+    - ready cells, as an ``S`` array or as a list or tuple of strings.
+
+    The two float kinds print in shortest round-trip form, each through
+    ``_float_cells``, with -0.0 as ``0.0`` if ``fold_negative_zero``. The
+    formatted rows are freed on return, before the caller joins the blocks.
     """
-    floats = [i for i, column in enumerate(columns) if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
+    floats = [
+        i for i, column in enumerate(columns)
+        if isinstance(column, _Factored) or isinstance(column, np.ndarray) and column.dtype.kind == "f"
+    ]
     formatted = dict(zip(floats, _float_cells([columns[i] for i in floats], fold_negative_zero))) if floats else {}
     cells = [formatted[i] if i in formatted else _text_cells(column) for i, column in enumerate(columns)]
     return [
@@ -495,17 +548,18 @@ def _report_json(name: str, tol: float, columns: list[np.ndarray], disagreements
     """The report document of ``cmd_report``'s columns, as ``json.dumps(doc, indent=2)`` writes it.
 
     The float columns are finite: ``report_many`` rejects a non-finite one.
+    The last column, the ``agree`` cells, has one row a point.
     """
     points = _render(_REPORT_POINT_BYTES, columns, fold_negative_zero=False)
     # every point ends in ",\n"; the last one ends the list instead
     points[-1] = points[-1][:-2]
-    tail = _REPORT_TAIL % (len(columns[0]), disagreements)
+    tail = _REPORT_TAIL % (len(columns[-1]), disagreements)
     return "".join([_REPORT_HEAD % (json.dumps(name), json.dumps(tol)), *points, tail])
 
 
 def cmd_report(args) -> int:
     entry = catalog.get(args.system)
-    sources = []
+    sources = []  # (flag, value, x axis, y axis): an --at point is a grid of one point
     for text in args.at or ():
         p = _parse_point(text, "--at")
         sources.append(("--at", text, np.array([p.x1]), np.array([p.x2])))
@@ -517,18 +571,19 @@ def cmd_report(args) -> int:
         raise _UsageError(
             f"system {entry.name!r} has no potential; dissipation power is unavailable"
         )
-    x1 = np.concatenate([source[2] for source in sources])
-    x2 = np.concatenate([source[3] for source in sources])
+    axes = [(xs, ys) for _, _, xs, ys in sources]
+    x1, x2 = _grid_points(axes)
     tol = master_tol()
-    with _naming_overflow(entry.name, [(flag, value, len(x)) for flag, value, x, _ in sources]):
+    with _naming_overflow(entry.name, [(flag, value, len(xs) * len(ys)) for flag, value, xs, ys in sources]):
         rep = dissipation.report_many(entry.system, x1, x2, zero_tol=tol)
+    del x1, x2  # not alive next to the row indexes of the factored columns
     columns = [
-        x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap,
+        *_factored_points(axes), rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap,
         _VERDICT_CELLS.take(rep.verdict_power), _VERDICT_CELLS.take(rep.verdict_divergence),
         _BOOL_CELLS.take(rep.agree.view(np.int8)),
     ]
     if args.format == "json":
-        disagreements = len(x1) - int(np.count_nonzero(rep.agree))
+        disagreements = len(rep.agree) - int(np.count_nonzero(rep.agree))
         _write_output(_report_json(entry.name, tol, columns, disagreements), args.out)
         return 0
     header = [
@@ -541,7 +596,8 @@ def cmd_report(args) -> int:
 
 def cmd_grid(args) -> int:
     entry = catalog.get(args.system)
-    x1, x2 = _parse_grid(args.grid)
+    axes = [_parse_grid(args.grid)]
+    x1, x2 = _grid_points(axes)
     quantity = args.quantity
     system = entry.system
     needs_potential = quantity in ("potential", "dissipation_power", "phi_rate", "criteria_agreement")
@@ -561,10 +617,12 @@ def cmd_grid(args) -> int:
             value = dissipation.power_many(system, x1, x2)[0]
         else:  # criteria_agreement
             value = dissipation.report_many(system, x1, x2).agree.astype(float)
+    del x1, x2  # not alive next to the row indexes of the factored columns
+    coordinates = _factored_points(axes)
     if quantity == "vector_field":
-        _emit_csv(["x1", "x2", "f1", "f2"], [x1, x2, *value], args.out)
+        _emit_csv(["x1", "x2", "f1", "f2"], [*coordinates, *value], args.out)
     else:
-        _emit_csv(["x1", "x2", "value"], [x1, x2, value], args.out)
+        _emit_csv(["x1", "x2", "value"], [*coordinates, value], args.out)
     return 0
 
 

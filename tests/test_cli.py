@@ -335,7 +335,7 @@ def test_grid_point_cap_exits_1_before_allocating(capsys, command):
 
 def test_grid_point_cap_boundary():
     assert cli.MAX_GRID_POINTS == 1000 * 1000
-    x1, x2 = cli._parse_grid("0,1,0,1,1000,1000")
+    x1, x2 = cli._grid_points([cli._parse_grid("0,1,0,1,1000,1000")])
     assert len(x1) == len(x2) == cli.MAX_GRID_POINTS
     with pytest.raises(cli._UsageError, match="more than 1000000"):
         cli._parse_grid("0,1,0,1,1001,1000")
@@ -431,6 +431,13 @@ def test_simulate_polar_blowup_exit_3_with_marker(capsys):
     assert lines[1] == "0.0,1000000.0,0.0"
     assert lines[-1] == "# truncated: state blew up at t=0.001 integrating 'hopf_limit_cycle_polar'"
     assert err == "aodecomp: state blew up at t=0.001 integrating 'hopf_limit_cycle_polar'\n"
+
+
+@pytest.mark.parametrize("x0", ["0,0", "-0.0,0"])
+def test_simulate_polar_rejects_the_origin(capsys, x0):
+    code, out, err = run(capsys, "simulate", "--system", "hopf_limit_cycle", "--polar", "--x0", x0)
+    assert (code, out) == (1, "")
+    assert err == "aodecomp: --polar needs a nonzero initial state\n"
 
 
 def test_simulate_polar_radius_overflow_exits_1(capsys):

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aodecomp import floatfmt, get, list_systems
-from aodecomp.cli import _BLOCK_ROWS, _BOOL_CELLS, _VERDICT_CELLS, _emit_csv, _parse_grid, _report_json, main
+from aodecomp import cli, floatfmt, get, list_systems
+from aodecomp.cli import _BLOCK_ROWS, _BOOL_CELLS, _VERDICT_CELLS, _emit_csv, _grid_points, _parse_grid, _report_json, main
 from aodecomp.cli import _float_cells as float_rows
 from aodecomp.dissipation import VERDICTS, report_many
 from helpers import row_texts
@@ -170,7 +170,7 @@ GRID = "-2,2,-1.5,1.5,41,57"
 def _report_points() -> tuple[np.ndarray, np.ndarray]:
     """The --at points, then the points of GRID."""
     at = np.array([[float(v) for v in text.split(",")] for text in AT])
-    grid_x1, grid_x2 = _parse_grid(GRID)
+    grid_x1, grid_x2 = _grid_points([_parse_grid(GRID)])
     return np.concatenate((at[:, 0], grid_x1)), np.concatenate((at[:, 1], grid_x2))
 
 
@@ -218,7 +218,7 @@ def test_report_csv_and_json_carry_the_same_cells(name, capsys, monkeypatch):
     rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
     assert main(argv + ["json"]) == 0
     points = json.loads(capsys.readouterr().out)["points"]
-    assert len(rows) == len(points) == 2 + len(_parse_grid(GRID)[0]) > _BLOCK_ROWS
+    assert len(rows) == len(points) == 2 + len(_grid_points([_parse_grid(GRID)])[0]) > _BLOCK_ROWS
     assert points[0]["at"] == [-0.0, -0.0] and str(points[0]["at"]) == "[-0.0, -0.0]"
     assert rows[0][:2] == ["0.0", "0.0"]
     for row, p in zip(rows, points):
@@ -283,6 +283,68 @@ def test_a_document_formats_its_floats_in_one_call(argv, columns_of, rows, capsy
     assert len(columns[0]) == rows > 2 * _BLOCK_ROWS
     assert len(calls) == 1
     assert sorted(calls[0]) == _distinct_bits(columns)
+
+
+# grids whose coordinates are not plain distinct values, with --at points for report
+FACTORED_CASES = {
+    # the x axis repeats 1.0 and 1.0000000000000002; 300 axis values take the numpy formatter
+    "degenerate_span": ("1,1.0000000000000002,-1,1,300,4", ["1,1", "1.0000000000000002,-1"]),
+    "negative_zero_bound": ("-0.0,1,-1,-0.0,9,6", ["-0.0,-0.0", "0.0,-0.0"]),
+    # --at points on grid coordinates, and -0.0 next to the grid's 0.0
+    "at_on_grid": ("-1,1,-1,1,5,5", ["0.5,-0.5", "-1,1", "0.0,0.0", "-0.0,-0.0"]),
+    "large": ("-0.0,2,-1.5,-0.0,150,120", ["-0.0,-0.0", "2,-1.5"]),
+}
+
+
+@pytest.mark.parametrize("grid, at", FACTORED_CASES.values(), ids=FACTORED_CASES)
+def test_factored_coordinates_render_as_the_dense_columns(grid, at, capsys, monkeypatch):
+    # every document with grid coordinates gives the same bytes from factored and from dense columns
+    monkeypatch.delenv("AODECOMP_TOL", raising=False)
+    at_argv = [arg for text in at for arg in ("--at", text)]
+    argvs = [
+        ["grid", "--system", "hopf_limit_cycle", "--grid", grid, "--quantity", "potential"],
+        ["grid", "--system", "hopf_limit_cycle", "--grid", grid, "--quantity", "vector_field"],
+        ["report", "--system", "hopf_limit_cycle", *at_argv, "--grid", grid, "--format", "csv"],
+        ["report", "--system", "hopf_limit_cycle", *at_argv, "--grid", grid, "--format", "json"],
+    ]
+
+    def outputs() -> list[str]:
+        texts = []
+        for argv in argvs:
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    factored = outputs()
+    monkeypatch.setattr(cli, "_factored_points", lambda axes: list(_grid_points(axes)))
+    for text, expected in zip(factored, outputs()):
+        assert_same_text(text, expected)
+    csv_row, point = factored[2].splitlines()[1], json.loads(factored[3])["points"][0]
+    if at[0] == "-0.0,-0.0":  # CSV folds -0.0; report JSON keeps it
+        assert csv_row.startswith("0.0,0.0,")
+        assert str(point["at"]) == "[-0.0, -0.0]"
+
+
+def test_grid_formats_its_axes_and_the_distinct_values(capsys, monkeypatch):
+    # the coordinates reach the formatter as the axes, a repeated axis value
+    # twice; only the value column is reduced to its distinct values
+    calls = []
+    original = floatfmt.repr_many
+
+    def captured(values):
+        calls.append(values.copy())
+        return original(values)
+
+    monkeypatch.setattr(floatfmt, "repr_many", captured)
+    grid = "1,1.0000000000000002,-2,2,300,70"
+    assert main(["grid", "--system", "hopf_limit_cycle", "--grid", grid, "--quantity", "potential"]) == 0
+    capsys.readouterr()
+    xs, ys = _parse_grid(grid)
+    value = get("hopf_limit_cycle").system.potential.evaluate_many(*_grid_points([(xs, ys)]))
+    assert len(np.unique(xs)) == 2
+    assert len(calls) == 1
+    assert len(calls[0]) == 300 + 70 + len(np.unique(value.view(np.int64)))
+    assert calls[0][:370].tolist() == [*xs.tolist(), *ys.tolist()]
 
 
 def test_emit_csv_peak_memory_stays_within_a_few_times_its_output(tmp_path):
