@@ -10,25 +10,28 @@ as bytes by ``_render`` between the constant pieces of its row: the CSV
 separators, or the report-JSON point text in the exact layout of
 ``json.dumps(doc, indent=2)``. ``cmd_report`` builds its columns once for
 either format. The floats of a document are formatted before any row is
-laid out (``_float_cells``). Grid coordinates arrive factored, as the
-grid's axes and each row's index into them, so each axis value is formatted
-once and the coordinate columns are never sorted. The computed quantities
-and the ``simulate`` columns are sorted, and each distinct value is
-formatted once. When the document has 256 values to format or
-more, all of them go to one ``floatfmt.repr_many`` call, which returns
-exactly what ``repr`` prints as NUL-padded byte rows; fewer go through
-``repr`` into the same rows. Verdict and flag cells come from small
+laid out and before the output is opened (``_float_cells``), so a document
+that cannot be formatted leaves no partial output. Grid coordinates arrive
+factored, as the grid's axes and each row's index into them, so each axis
+value is formatted once and the coordinate columns are never sorted. The
+computed quantities and the ``simulate`` columns are sorted, and each
+distinct value is formatted once. When the document has 256 values to
+format or more, all of them go to one ``floatfmt.repr_many`` call, which
+returns exactly what ``repr`` prints as NUL-padded byte rows; fewer go
+through ``repr`` into the same rows. Verdict and flag cells come from small
 byte tables. ``_assemble`` then lays the rows out a block of ``_BLOCK_ROWS``
-at a time in one byte buffer, drops every NUL at once and decodes the block
-once, so no Python string is made per float cell. CSV folds -0.0 to 0.0;
-report JSON keeps it. Every other JSON document goes through
-``json.dumps``. No document holds NaN or an infinity: a batch
-quantity that is not finite raises NotFiniteQuantity, which exits 1 with no
-output and a message naming the quantity and the flag and value of the input
-that holds the first row at which it is not finite. A batch stops at the
-first quantity that fails, so where several inputs overflow the named one
-can be a later one. ``json.dumps(allow_nan=False)`` guards every other JSON
-document.
+at a time in one byte buffer and drops every NUL at once, so no Python
+string is made per float cell. ``_write_pieces`` sends each block out as
+soon as it is laid out, as bytes to an ``--out`` file or decoded into
+stdout, so no document is ever held whole as one string or bytes object.
+CSV folds -0.0 to 0.0; report JSON keeps it. Every other JSON document goes
+through ``json.dumps`` and is written whole. No document holds NaN or an
+infinity: a batch quantity that is not finite raises NotFiniteQuantity,
+which exits 1 with no output and a message naming the quantity and the flag
+and value of the input that holds the first row at which it is not finite.
+A batch stops at the first quantity that fails, so where several inputs
+overflow the named one can be a later one. ``json.dumps(allow_nan=False)``
+guards every other JSON document.
 
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up. A ``--grid`` of more than ``MAX_GRID_POINTS``
@@ -43,7 +46,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from typing import NamedTuple
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,13 +69,14 @@ QUANTITIES = (
     "criteria_agreement",
 )
 
-# Most points a --grid may have (nx * ny), checked before any allocation: a
-# report holds a few hundred bytes per point, so this keeps a run within
-# about 1 GB. The benchmark's largest grid has about 26k points.
+# Most points a --grid may have (nx * ny), checked before any allocation. A
+# document is written a block at a time, so its peak is set by compute and its
+# formatted cells: a 1,000,000-point report peaked at 309 MB resident, as JSON
+# (a 328 MB file) or as CSV (131 MB). The benchmark's largest grid has about 26k points.
 MAX_GRID_POINTS = 1_000_000
 
-# CSV and report JSON text is laid out this many rows at a time (see _render),
-# which bounds the assembly buffer; the floats are formatted for the whole document.
+# CSV and report JSON text is laid out and written this many rows at a time (see
+# _render), which bounds the assembly buffer; the floats are formatted for the whole document.
 _BLOCK_ROWS = 2048
 # Distinct floats of a document, over all its float columns, from which one
 # numpy formatting pass (about 0.2 ms however few values it gets) is cheaper
@@ -219,15 +224,26 @@ def _fold_comma_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_pieces(pieces: Iterable, out: str | None) -> None:
+    """Send a document's pieces of UTF-8 text (``bytes`` or uint8 arrays) out one at a time.
+
+    Each piece goes to the ``out`` file as it is, or to stdout decoded, as
+    soon as the iterator yields it, and is dropped before the next one is
+    made (``writelines`` holds no piece between calls), so the document is
+    never joined.
+    """
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(map(partial(str, encoding="utf-8"), pieces))
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(out, "wb") as handle:
+            handle.writelines(pieces)
     except OSError as exc:
         raise _UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
+
+
+def _write_output(text: str, out: str | None) -> None:
+    _write_pieces([text.encode()], out)
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
@@ -254,22 +270,9 @@ def _float_cells(columns: list, fold_negative_zero: bool) -> list[np.ndarray]:
     formatted array, so a caller frees that array only by dropping every
     such column.
     """
-    sets = []
-    for column in columns:
-        if isinstance(column, _Factored):
-            sets.append(column)
-            continue
-        bits = column.view(np.int64)
-        ordered = np.sort(bits)
-        distinct = np.empty(len(ordered), dtype=bool)
-        distinct[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-        if distinct.all():  # no repeats: keep the row order, skip the expansion
-            sets.append((column, None))
-        else:
-            ordered = ordered[distinct]
-            sets.append((ordered.view(np.float64), np.searchsorted(ordered, bits)))
-    values = np.concatenate([values for values, _ in sets])
+    values, inverses = zip(*(column if isinstance(column, _Factored) else _distinct(column) for column in columns))
+    ends = np.cumsum([len(column) for column in values[:-1]])
+    values = np.concatenate(values)  # the one copy formatted; the per-column arrays are dropped
     if fold_negative_zero:
         values += 0.0  # -0.0 + 0.0 is 0.0; every other value is unchanged
     if len(values) >= _NUMPY_MIN_VALUES:
@@ -279,8 +282,25 @@ def _float_cells(columns: list, fold_negative_zero: bool) -> list[np.ndarray]:
     else:
         # the rows floatfmt gives, 24 bytes wide: the longest repr of a double
         formatted = _text_cells(np.array(list(map(repr, values.tolist())), dtype="S24"))
-    rows = np.split(formatted, np.cumsum([len(values) for values, _ in sets[:-1]]))
-    return [text if inverse is None else text.take(inverse, axis=0) for text, (_, inverse) in zip(rows, sets)]
+    del values  # not alive next to the expanded rows
+    rows = np.split(formatted, ends)
+    return [text if inverse is None else text.take(inverse, axis=0) for text, inverse in zip(rows, inverses)]
+
+
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A float64 column's distinct values by bit pattern, sorted, and each row's index into them.
+
+    A column with no repeats is returned as it is, in row order, with no index.
+    """
+    bits = column.view(np.int64)
+    ordered = np.sort(bits)
+    distinct = np.empty(len(ordered), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    if distinct.all():  # no repeats: keep the row order, skip the expansion
+        return column, None
+    ordered = ordered[distinct]
+    return ordered.view(np.float64), np.searchsorted(ordered, bits)
 
 
 def _text_cells(column) -> np.ndarray:
@@ -313,8 +333,10 @@ def _assemble(pieces: list[bytes], cells: list[np.ndarray]) -> np.ndarray:
     return flat[flat != 0]
 
 
-def _render(pieces: list[bytes], columns: list, fold_negative_zero: bool) -> list[str]:
-    """A document's rows ``pieces[0] columns[0] pieces[1] ... pieces[-1]``, as text blocks of ``_BLOCK_ROWS`` rows.
+def _render(
+    head: bytes, pieces: list[bytes], columns: list, tail: bytes, fold_negative_zero: bool, trim: int = 0
+) -> Iterator:
+    """A document's pieces: ``head``, its rows ``pieces[0] columns[0] pieces[1] ... pieces[-1]`` and ``tail``.
 
     A column is one of three kinds:
 
@@ -324,8 +346,10 @@ def _render(pieces: list[bytes], columns: list, fold_negative_zero: bool) -> lis
     - ready cells, as an ``S`` array or as a list or tuple of strings.
 
     The two float kinds print in shortest round-trip form, each through
-    ``_float_cells``, with -0.0 as ``0.0`` if ``fold_negative_zero``. The
-    formatted rows are freed on return, before the caller joins the blocks.
+    ``_float_cells``, with -0.0 as ``0.0`` if ``fold_negative_zero``. Every
+    column is formatted here, before the call returns; the returned iterator
+    then lays the rows out one block of ``_BLOCK_ROWS`` at a time, each block
+    a uint8 array, with the last ``trim`` bytes of the last row left out.
     """
     floats = [
         i for i, column in enumerate(columns)
@@ -333,20 +357,30 @@ def _render(pieces: list[bytes], columns: list, fold_negative_zero: bool) -> lis
     ]
     formatted = dict(zip(floats, _float_cells([columns[i] for i in floats], fold_negative_zero))) if floats else {}
     cells = [formatted[i] if i in formatted else _text_cells(column) for i, column in enumerate(columns)]
-    return [
-        _assemble(pieces, [column[start:start + _BLOCK_ROWS] for column in cells]).tobytes().decode()
-        for start in range(0, len(cells[0]), _BLOCK_ROWS)
-    ]
+    return _laid_out(head, pieces, cells, tail, trim)
+
+
+def _laid_out(head: bytes, pieces: list[bytes], cells: list[np.ndarray], tail: bytes, trim: int) -> Iterator:
+    """``head``, the rows of ``cells`` between ``pieces`` a block at a time, and ``tail``; see ``_render``."""
+    yield head
+    rows = len(cells[0])
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = _assemble(pieces, [column[start:start + _BLOCK_ROWS] for column in cells])
+        yield block if start + _BLOCK_ROWS < rows else block[:len(block) - trim]
+        del block  # not alive next to the buffers of the next block
+    yield tail
 
 
 def _emit_csv(header: list[str], columns: list, out: str | None, trailer: str | None = None) -> None:
-    """Write equal-length columns as CSV, through ``_render``, with -0.0 folded to 0.0."""
-    blocks = _render([b""] + [b","] * (len(columns) - 1) + [b"\n"], columns, fold_negative_zero=True)
-    if trailer is not None:
-        blocks.append(trailer + "\n")
-    text = "".join([",".join(header) + "\n", *blocks])
-    del blocks  # not alive next to the text and the bytes the write encodes from it
-    _write_output(text, out)
+    """Write equal-length columns as CSV, through ``_render``, with -0.0 folded to 0.0.
+
+    Every cell is formatted before ``out`` is opened; the rows are then
+    written a block at a time.
+    """
+    head = (",".join(header) + "\n").encode()
+    tail = b"" if trailer is None else (trailer + "\n").encode()
+    separators = [b""] + [b","] * (len(columns) - 1) + [b"\n"]
+    _write_pieces(_render(head, separators, columns, tail, fold_negative_zero=True), out)
 
 
 def _doc_cell(value) -> str:
@@ -544,17 +578,17 @@ def cmd_simulate(args) -> int:
     return 3
 
 
-def _report_json(name: str, tol: float, columns: list[np.ndarray], disagreements: int) -> str:
-    """The report document of ``cmd_report``'s columns, as ``json.dumps(doc, indent=2)`` writes it.
+def _report_json(name: str, tol: float, columns: list, disagreements: int) -> Iterator:
+    """The pieces of the report document of ``cmd_report``'s columns, as ``json.dumps(doc, indent=2)`` writes it.
 
-    The float columns are finite: ``report_many`` rejects a non-finite one.
-    The last column, the ``agree`` cells, has one row a point.
+    The columns are formatted before the call returns (see ``_render``). The
+    float columns are finite: ``report_many`` rejects a non-finite one. The
+    last column, the ``agree`` cells, has one row a point.
     """
-    points = _render(_REPORT_POINT_BYTES, columns, fold_negative_zero=False)
-    # every point ends in ",\n"; the last one ends the list instead
-    points[-1] = points[-1][:-2]
+    head = _REPORT_HEAD % (json.dumps(name), json.dumps(tol))
     tail = _REPORT_TAIL % (len(columns[-1]), disagreements)
-    return "".join([_REPORT_HEAD % (json.dumps(name), json.dumps(tol)), *points, tail])
+    # every point ends in ",\n"; the last one ends the list instead
+    return _render(head.encode(), _REPORT_POINT_BYTES, columns, tail.encode(), fold_negative_zero=False, trim=2)
 
 
 def cmd_report(args) -> int:
@@ -584,7 +618,7 @@ def cmd_report(args) -> int:
     ]
     if args.format == "json":
         disagreements = len(rep.agree) - int(np.count_nonzero(rep.agree))
-        _write_output(_report_json(entry.name, tol, columns, disagreements), args.out)
+        _write_pieces(_report_json(entry.name, tol, columns, disagreements), args.out)
         return 0
     header = [
         "x1", "x2", "h_p", "div_f", "phi_rate", "identity_gap",

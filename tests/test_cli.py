@@ -380,14 +380,32 @@ def test_outputs_are_deterministic(capsys):
     assert first == second
 
 
-def test_out_file_matches_stdout(capsys, tmp_path):
-    _, stdout_text, _ = run(capsys, "report", "--system", "hopf_limit_cycle", "--at", "1,0")
-    out_path = tmp_path / "report.json"
-    code, out, _ = run(
-        capsys, "report", "--system", "hopf_limit_cycle", "--at", "1,0", "--out", str(out_path),
-    )
-    assert code == 0 and out == ""
-    assert out_path.read_text() == stdout_text
+REPORT_AT_AND_GRID = ["--system", "hopf_limit_cycle", "--at", "1,0", "--at", "-0.0,0.5", "--grid", "-2,2,-2,2,50,50"]
+OUT_CASES = {
+    # 2,502 rows, more than one block of cli._BLOCK_ROWS
+    "report_json": ["report", *REPORT_AT_AND_GRID],
+    "report_csv": ["report", *REPORT_AT_AND_GRID, "--format", "csv"],
+    "grid_csv": ["grid", "--system", "hopf_limit_cycle", "--grid", "-2,2,-2,2,60,60", "--quantity", "vector_field"],
+    # 27,633 rows, then the "# truncated" trailer; exits 3
+    "simulate_blowup": ["simulate", "--system", "saddle_tracezero", "--x0", "1,0", "--t-end", "40"],
+    "decompose_csv": ["decompose", "--matrix", "-1,0,0,-2", "--d", "1,0.3,1", "--format", "csv"],
+    "catalog": ["catalog"],
+    "catalog_csv": ["catalog", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_CASES.values(), ids=OUT_CASES)
+def test_out_file_matches_stdout(argv, capsys, tmp_path, monkeypatch):
+    # the blocks written to a file are the bytes of the text written to stdout
+    monkeypatch.delenv("AODECOMP_TOL", raising=False)
+    code, stdout_text, stdout_err = run(capsys, *argv)
+    out_path = tmp_path / "doc.out"
+    out_path.write_bytes(b"stale bytes, longer than nothing\n")
+    assert run(capsys, *argv, "--out", str(out_path)) == (code, "", stdout_err)
+    assert code in (0, 3)
+    assert out_path.read_bytes() == stdout_text.encode()
+    if argv[0] not in ("catalog", "decompose"):
+        assert stdout_text.count("\n") > cli._BLOCK_ROWS
 
 
 def test_master_tol_env_override(capsys, monkeypatch):
