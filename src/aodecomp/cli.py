@@ -270,9 +270,22 @@ def _float_cells(columns: list, fold_negative_zero: bool) -> list[np.ndarray]:
     formatted array, so a caller frees that array only by dropping every
     such column.
     """
-    values, inverses = zip(*(column if isinstance(column, _Factored) else _distinct(column) for column in columns))
-    ends = np.cumsum([len(column) for column in values[:-1]])
-    values = np.concatenate(values)  # the one copy formatted; the per-column arrays are dropped
+    sets = []
+    for column in columns:
+        if isinstance(column, _Factored):
+            sets.append(column)
+            continue
+        bits = column.view(np.int64)
+        ordered = np.sort(bits)
+        distinct = np.empty(len(ordered), dtype=bool)
+        distinct[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+        if distinct.all():  # no repeats: keep the row order, skip the expansion
+            sets.append((column, None))
+        else:
+            ordered = ordered[distinct]
+            sets.append((ordered.view(np.float64), np.searchsorted(ordered, bits)))
+    values = np.concatenate([values for values, _ in sets])
     if fold_negative_zero:
         values += 0.0  # -0.0 + 0.0 is 0.0; every other value is unchanged
     if len(values) >= _NUMPY_MIN_VALUES:
@@ -282,25 +295,8 @@ def _float_cells(columns: list, fold_negative_zero: bool) -> list[np.ndarray]:
     else:
         # the rows floatfmt gives, 24 bytes wide: the longest repr of a double
         formatted = _text_cells(np.array(list(map(repr, values.tolist())), dtype="S24"))
-    del values  # not alive next to the expanded rows
-    rows = np.split(formatted, ends)
-    return [text if inverse is None else text.take(inverse, axis=0) for text, inverse in zip(rows, inverses)]
-
-
-def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """A float64 column's distinct values by bit pattern, sorted, and each row's index into them.
-
-    A column with no repeats is returned as it is, in row order, with no index.
-    """
-    bits = column.view(np.int64)
-    ordered = np.sort(bits)
-    distinct = np.empty(len(ordered), dtype=bool)
-    distinct[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-    if distinct.all():  # no repeats: keep the row order, skip the expansion
-        return column, None
-    ordered = ordered[distinct]
-    return ordered.view(np.float64), np.searchsorted(ordered, bits)
+    rows = np.split(formatted, np.cumsum([len(values) for values, _ in sets[:-1]]))
+    return [text if inverse is None else text.take(inverse, axis=0) for text, (_, inverse) in zip(rows, sets)]
 
 
 def _text_cells(column) -> np.ndarray:

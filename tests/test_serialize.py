@@ -372,7 +372,7 @@ def test_emit_csv_peak_memory_stays_within_a_few_times_its_output(tmp_path):
 
 def test_report_json_peak_memory_stays_below_its_output(tmp_path, monkeypatch):
     # a report is written a block at a time and never joined: the traced peak
-    # of this 40,000-point report is 0.86x the 13.1 MB file it writes, against
+    # of this 40,000-point report is 0.88x the 13.1 MB file it writes, against
     # 2.25x when the document was joined, then encoded, whole. One block's
     # buffers and the formatter's work space (about 5 MB, fixed) set a floor,
     # so a document of a few MB can peak above its size.
