@@ -71,7 +71,7 @@ QUANTITIES = (
 
 # Most points a --grid may have (nx * ny), checked before any allocation. A
 # document is written a block at a time, so its peak is set by compute and its
-# formatted cells: a 1,000,000-point report peaked at 309 MB resident, as JSON
+# formatted cells: a 1,000,000-point report peaked at 310 MB resident, as JSON
 # (a 328 MB file) or as CSV (131 MB). The benchmark's largest grid has about 26k points.
 MAX_GRID_POINTS = 1_000_000
 
