@@ -22,11 +22,21 @@ Every step runs on whole uint64 or uint32 arrays, a chunk at a time:
   past zi // 1000 is below 2^11);
 - the significand d: c + 1/2 in [2^52, 2^53) and delta in [100, 1000) keep
   it in [10^15, 10^17), so one compare with 10^16 tells 16 digits from 17;
-- its 17 digits (a 16-digit d times 10): the first, then two uint32 halves
-  of 8, each split into two 4-digit strings of a table;
-- by table lookup on the decimal exponent: its text and repr's layout,
-  decimal exponents -4..15 positionally, with ``.0`` on integers, others as
-  ``d.ddde±XX`` with at least two exponent digits.
+- its 17 digits (a 16-digit d times 10) as text in three little-endian
+  uint64 words, at bytes 7..23 of a 24-byte row: the first digit, then
+  two uint32 halves of 8, each split into two 4-digit strings of a table;
+  the count of significant digits is read from the float64 exponent of
+  each word after the first digit, less its '0' characters;
+- by table lookup on the decimal exponent and the sign, one of 42 layout
+  forms: repr's layout of decimal exponents -4..15 positionally, with
+  ``.0`` on integers, and of the others as ``d.ddde±XX`` with at least two
+  exponent digits. A form gives the digits' shift, a mask of those before
+  the point, which move one byte further, and the constant text (sign,
+  point, the zeros of ``0.000ddd``) that fills the gaps; all three are
+  word operations on the three words at once;
+- by table lookup on the form and the digit count, the text's length: the
+  row is cut there, and the exponent text, by table lookup on the decimal
+  exponent, is shifted in right after it.
 
 The one product decides a row unless zi % 1000 is 0 (an odd c may exclude the
 right end) or delta (the left end decides), or the distance is a whole
@@ -39,7 +49,9 @@ half as wide. ``repr_each`` runs once per ``repr_many`` call, on the rows
 every chunk left open. Every other row holds exactly the digits Dragonbox
 computes, so each row equals ``repr``. The layout runs on every row of a
 chunk and stays in range on the rows ``repr`` overwrites, since the same
-bounds keep their significands in [10^15, 10^17).
+bounds keep their significands in [10^15, 10^17). The words are built and
+stored as explicit little-endian values, so the rows do not depend on the
+host's byte order.
 
 Dragonbox replaced Schubfach (R. Giulietti, 2020), which took three
 round-to-odd products a value; it is the one shortest-digit algorithm here.
@@ -53,13 +65,14 @@ from functools import cache
 import numpy as np
 
 # Values per pass through the vectorized path; bounds a call's temporaries
-# to about 3 MB beyond its rows, half of it the (CHUNK, 24) intp gather index
-# (tracemalloc on 65,536 values: 1.6 MB at 4096, 2.9 at 8192, 5.7 at 16384).
+# to about 1.5 MB beyond its rows, most of it _shortest's uint64 columns
+# (1.0 MB), then the (3, CHUNK) uint64 words (196 kB each)
+# (tracemalloc on 65,536 values: 0.84 MB at 4096, 1.49 at 8192, 2.89 at 16384).
 # On the values the benchmark formats in one seed-7 pass (trajectory 760k,
 # grid_sweep 177k; in-process on a 2-vCPU KVM guest, medians of 15
-# interleaved passes in each of three runs), 8192 took 0.90-0.95 of the time
-# of 4096 on trajectory and 0.90-0.94 on grid_sweep; 16384 took 1.19-1.22 of
-# the time of 8192 on trajectory and 0.96-1.00 on grid_sweep.
+# interleaved passes in each of three runs), 4096 took 1.12-1.23 of the time
+# of 8192 on both workloads; 16384 took 1.00-1.03 of it on trajectory and
+# 0.90-0.93 on grid_sweep, for twice the work space.
 CHUNK = 8192
 
 _K_MIN, _K_MAX = -292, 326  # decimal exponents of the table: 2 - k for every biased exponent
@@ -68,36 +81,37 @@ _U32 = np.uint32
 _MASK32 = _U(0xFFFFFFFF)
 _FRACTION = _U((1 << 52) - 1)
 
-# Bytes of the per-value source row that a layout indexes: 20 digit
-# characters (three leading '0', then the 17-digit significand), 4 exponent
-# characters ('0' and three digits), then constants and padding.
-_ROW = 32
-_DIGIT0 = 3
-_EXP = 20
-_DOT, _ZERO, _MINUS, _E, _PLUS, _PAD = range(24, 30)
 WIDTH = 24  # longest repr of any double: -1.2345678901234567e-308
-_CODES = 24  # 20 positional decimal points (-3..16), then 4 exponent forms
-_DIGITS = 17  # significand digits of the source row; a layout key counts 0..17 of them
-_NEG = (_DIGITS + 1) * _CODES  # key offset of the negative layouts
+_DIGITS = 17  # significand digits of the digit words, at bytes 7..23 of a row
+_CODES = 21  # repr's layouts: decimal exponents -4..15 positionally, then the exponent form
+_FORMS = 2 * _CODES  # a layout code and a sign
+_ONES = _U(0xFFFFFFFFFFFFFFFF)
+_WORD_BITS = np.array([[0], [64], [128]])  # the first bit of each of a row's three words
+_TOP_BYTE = np.array([[127], [119]])  # (E + 1) >> 3 of the two words after the first digit at n = 1
 
 
-def _layout(neg: bool, n: int, code: int) -> list[int]:
-    """Source columns of the text for a sign, a digit count and a layout code."""
-    digits = [_DIGIT0 + j for j in range(n)]
-    out = [_MINUS] if neg else []
-    if code < 20:
-        point = code - 3  # digits before the decimal point
-        if point <= 0:
-            out += [_ZERO, _DOT] + [_ZERO] * -point + digits
-        elif point < n:
-            out += digits[:point] + [_DOT] + digits[point:]
-        else:
-            out += digits + [_ZERO] * (point - n) + [_DOT, _ZERO]
-    else:
-        negative_exp, three = divmod(code - 20, 2)
-        out += digits[:1] + ([_DOT] + digits[1:] if n > 1 else [])
-        out += [_E, _MINUS if negative_exp else _PLUS] + list(range(_EXP + 2 - three, _EXP + 4))
-    return out + [_PAD] * (WIDTH - len(out))
+def _form(negative: bool, code: int) -> tuple[bytes, int, int]:
+    """The constant text of a layout form, its digits before the point and its shift in bytes.
+
+    Every digit moves right by the shift from bytes 7..23, and those before
+    the point one byte further; the constant text fills the gaps: the sign,
+    the point and the zeros of ``0.000ddd``.
+    """
+    sign = b"-" if negative else b""
+    if code < 4:  # 0.ddd, 0.0ddd, ...: every digit follows the constant text
+        text = sign + b"0." + b"0" * (3 - code)
+        return text, 0, 7 - len(text)
+    point = code - 3 if code < 20 else 1
+    return sign + bytes(point) + b".", point, 6 - len(sign)
+
+
+def _length(negative: bool, code: int, n: int) -> int:
+    """The length of the text of n significant digits in a layout form, before any exponent text."""
+    if code == 20:
+        return negative + n + (n > 1)
+    if code < 4:
+        return negative + 5 - code + n
+    return negative + max(n, code - 2) + 1
 
 
 def _floor_log2_pow10(k):
@@ -107,7 +121,7 @@ def _floor_log2_pow10(k):
 
 @cache
 def _tables() -> dict:
-    """The phi table of Dragonbox, the layouts and the digit and exponent tables (about 150 kB)."""
+    """The phi table of Dragonbox, the digit and exponent text and the layout forms (about 120 kB)."""
     phi = []
     for k in range(_K_MIN, _K_MAX + 1):
         shift = 127 - _floor_log2_pow10(k)
@@ -122,30 +136,34 @@ def _tables() -> dict:
     k = (e * 315653) >> 20  # floor(e log10 2), exact for |e| <= 2620
     beta = (e + _floor_log2_pow10(2 - k)).astype(np.uint64)  # 6..9
     high = phi_high[2 - k - _K_MIN]
-    layouts = np.full((2 * (_DIGITS + 1) * _CODES, WIDTH), _PAD, dtype=np.uint8)
-    for row, (neg, n, code) in enumerate(np.ndindex(2, _DIGITS + 1, _CODES)):
-        if n:
-            layouts[row] = _layout(bool(neg), n, code)
     i = np.arange(10000, dtype=np.uint16)
     digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8) + ord("0")
-    four = digits.view(np.uint32).ravel()  # "%04d" of 0..9999, 4 characters in one uint32
     # by the decimal exponent x of the text d.ddd 10^x, which is k + 15 for 16 digits and k + 16 for 17,
-    # over every biased exponent: repr's layout code plus the key of 17 digits, and "%04d" of |x|
+    # over every biased exponent: repr's layout code and the exponent text
     x = np.arange(k.min() + _DIGITS - 2, k.max() + _DIGITS)
-    code = np.where((x >= -4) & (x <= 15), x + 4, 20 + 2 * (x < 0) + (np.abs(x) >= 100))
-    trailing = np.where(i == 0, 4, sum((i % 10**j == 0).astype(np.intp) for j in (1, 2, 3)))
+    code = np.where((x >= -4) & (x <= 15), x + 4, 20)
+    exponent = [f"e{v:+03d}".encode() if c == 20 else b"" for v, c in zip(x.tolist(), code.tolist())]
+    # by form (2 code + sign): the constant text and the mask of the digits before the point, as
+    # (3, _FORMS) words, and the shift; by form and digit count n: the text's length in bits
+    forms = [_form(bool(negative), c) for c, negative in np.ndindex(_CODES, 2)]
+    constant = np.array([text for text, _, _ in forms], dtype=f"S{WIDTH}")
+    point = np.zeros((_FORMS, WIDTH), dtype=np.uint8)
+    for row, (_, before, shift) in enumerate(forms):
+        point[row, 7 - shift:7 - shift + before] = 0xFF
+    length = [_length(bool(negative), c, n) for c, negative, n in np.ndindex(_CODES, 2, _DIGITS + 1) if n]
     return {
         "at": k - k.min(),  # the row of x = k + 15 in the decimal-exponent tables
         "beta": beta,
         "high": high,
         "low": phi_low[2 - k - _K_MIN],
         "delta": (high >> (_U(63) - beta)).astype(np.uint32),  # 100 <= delta < 1000
-        "layouts": layouts,
-        "four": four,
-        "trailing": (trailing * _CODES).astype(np.int8),  # trailing zeros of "%04d", in layout keys
-        "key": _DIGITS * _CODES + code,
-        "exponent": four[np.abs(x)],
-        "constants": np.frombuffer(b".0-e+\0\0\0", dtype=np.uint32),
+        "four": digits.view("<u4").ravel(),  # "%04d" of 0..9999, 4 characters in one uint32
+        "form": 2 * code,
+        "exponent": np.array(exponent, dtype="S8").view("<u8"),
+        "constant": constant.view("<u8").reshape(_FORMS, 3).T.copy(),
+        "point": point.view("<u8").T.copy(),
+        "shift": np.array([8 * shift for _, _, shift in forms], dtype=np.uint64),
+        "length": 8 * np.array(length, dtype=np.uint8),
     }
 
 
@@ -182,12 +200,16 @@ def _shortest(bits: np.ndarray, biased: np.ndarray, t: dict) -> tuple[np.ndarray
     return d, t["at"].take(biased), undecided
 
 
-def _format(
-    bits: np.ndarray, biased: np.ndarray, t: dict, source: np.ndarray, offsets: np.ndarray, out: np.ndarray
-) -> np.ndarray:
+def _shift_right(words: np.ndarray, bits) -> None:
+    """Shift each column of (3, n) words, one little-endian 192-bit number, right by 1..63 bits in place."""
+    carry = words[1:] << (_U(64) - bits)
+    words >>= bits
+    words[:2] |= carry
+
+
+def _format(bits: np.ndarray, biased: np.ndarray, t: dict, out: np.ndarray) -> np.ndarray:
     """Lay out ``_shortest``'s decimal of each float64 bit pattern into ``out``, an (n, WIDTH) uint8
-    array, through ``source``, (n, _ROW // 4) uint32 rows whose constant columns are filled and
-    whose bytes start at ``offsets``; return the rows it leaves undecided."""
+    array; return the rows it leaves undecided."""
     d, at, undecided = _shortest(bits, biased, t)
     # 10^15 <= d < 10^17 (c + 1/2 in [2^52, 2^53), delta in [100, 1000)): 16 or 17 digits
     long = d >= _U(10**16)
@@ -198,33 +220,51 @@ def _format(
     upper = upper.astype(np.uint32)
     top = upper // _U32(10**8)
     upper -= top * _U32(10**8)
-    four = t["four"]
-    four.take(top, out=source[:, 0], mode="clip")
-    columns = []
-    for j, half in ((1, upper), (3, lower)):
+    # the digit words, one column a row: the first digit at byte 7, then four 4-digit strings
+    text = np.empty((3, len(bits)), dtype="<u8")
+    np.left_shift(top + _U32(ord("0")), _U(56), out=text[0])
+    quads = text.view("<u4")
+    for j, half in ((1, upper), (2, lower)):
         quotient = half // _U32(10**4)
         half -= quotient * _U32(10**4)
-        four.take(quotient, out=source[:, j], mode="clip")
-        four.take(half, out=source[:, j + 1], mode="clip")
-        columns += [quotient, half]
-    t["exponent"].take(at, out=source[:, 5], mode="clip")
-    # the key counts the digits left after the trailing zeros: whole zero chunks after the last
-    # nonzero one (the top digit, 1..9, never is zero), then that chunk's own
-    last = columns[3]
-    zero = last == 0
-    whole = zero.astype(np.intp)
-    for column in columns[2::-1]:
-        last = np.where(zero, column, last)
-        zero &= column == 0
-        whole += zero
-    last = np.where(zero, top, last)
-    whole *= 4 * _CODES
-    key = t["key"].take(at)
-    key -= whole
-    key -= t["trailing"].take(last)
-    key += (bits.view(np.int64) < 0) * _NEG
-    index = np.add(t["layouts"].take(key, axis=0), offsets, dtype=np.intp)
-    source.view(np.uint8).ravel().take(index, out=out, mode="clip")
+        # intp indexes: take converts any other index type on every call
+        t["four"].take(quotient.astype(np.intp), out=quads[j, 0::2], mode="clip")
+        t["four"].take(half.astype(np.intp), out=quads[j, 1::2], mode="clip")
+    # the significant digits n: (E + 1) >> 3, with E the float64 exponent of a word after the first
+    # digit less its '0's, is 128 plus the word's top nonzero byte, or 0 for a word of '0's (every
+    # byte is below 16, so rounding to 53 bits never carries into the next byte)
+    high = (text[1:] ^ _U(0x3030303030303030)).astype(np.float64).view(np.int64)
+    high += 1 << 52
+    high >>= 55
+    high -= _TOP_BYTE
+    count = np.maximum(high[0], high[1])
+    np.maximum(count, 0, out=count)  # n - 1
+    form = t["form"].take(at)
+    form |= (bits >> _U(63)).view(np.intp)
+    key = form * _DIGITS
+    key += count
+    # every digit moves right by the form's shift, and those before the point one byte further
+    _shift_right(text, t["shift"].take(form))
+    before = t["point"].take(form, axis=1)
+    before &= text
+    text ^= before
+    _shift_right(before, _U(8))
+    text |= before
+    t["constant"].take(form, axis=1, out=before, mode="clip")
+    text |= before
+    # the text cut to its length, then the exponent text right after it; before holds each word mask
+    place = t["length"].take(key) - _WORD_BITS
+    mask = before.view(np.int64)
+    np.maximum(place, 0, out=mask)
+    np.left_shift(_ONES, before, out=before)
+    np.invert(before, out=before)
+    text &= before
+    exponent = t["exponent"].take(at)
+    np.left_shift(exponent, place.view(np.uint64), out=before)  # 0 past the word (numpy's shift by 64+)
+    text |= before
+    np.negative(place, out=place)
+    np.right_shift(exponent, place.view(np.uint64), out=before)  # the part that spills into the next word
+    np.bitwise_or(text, before, out=out.view("<u8").T)
     return undecided
 
 
@@ -241,18 +281,13 @@ def repr_many(values: np.ndarray) -> np.ndarray:
     if not len(values):
         return rows
     t = _tables()
-    # one chunk's source rows and their byte offsets, reused by every chunk
-    source = np.empty((min(len(values), CHUNK), _ROW // 4), dtype=np.uint32)
-    source[:, 6:] = t["constants"]
-    offsets = np.arange(0, source.nbytes, _ROW)[:, None]
     fallback = np.empty(len(values), dtype=bool)
     for start in range(0, len(values), CHUNK):
         bits = values[start:start + CHUNK].view(np.uint64)
         biased = (bits.view(np.int64) >> 52) & 0x7FF
         # zeros, subnormals, infinities, NaN and powers of two (c = 2^52) lie outside the product's path
         rare = (biased == 0) | (biased == 0x7FF) | ((bits & _FRACTION) == 0)
-        m = len(bits)
-        undecided = _format(bits, biased, t, source[:m], offsets[:m], rows[start:start + CHUNK])
+        undecided = _format(bits, biased, t, rows[start:start + CHUNK])
         np.bitwise_or(rare, undecided, out=fallback[start:start + CHUNK])
     fallback = np.flatnonzero(fallback)
     rows[fallback] = repr_each(values[fallback])

@@ -12,6 +12,7 @@ layouts, subnormals and the non-finite values.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 
@@ -261,6 +262,21 @@ def test_repr_prints_every_row_the_one_product_leaves_open(monkeypatch):
     floatfmt.repr_many((sign | biased | fraction).view(np.float64))
     assert sum(map(len, sent)) <= 0.02 * n
     assert len(sent) == 1  # the rows of every chunk, in one call
+
+
+def test_a_call_keeps_its_work_space_small():
+    # the distinct values of a 110 x 110 report: 1.16 MB of rows and about 1.5 MB of work space a
+    # chunk, most of it _shortest's uint64 columns; a per-byte (CHUNK, 24) intp index would add 1.5 MB
+    values = np.random.default_rng(48_400).standard_normal(48_400)
+    floatfmt.repr_many(values[:1])  # builds the tables outside the trace
+    tracemalloc.start()
+    try:
+        rows = floatfmt.repr_many(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes == 48_400 * floatfmt.WIDTH
+    assert peak < 3_200_000, peak
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
