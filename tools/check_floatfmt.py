@@ -8,11 +8,16 @@ Draws N float64 bit patterns from ``numpy.random.default_rng(S)``: uniform
 64-bit words, so the sign and every biased exponent, subnormals, infinities
 and NaN included, come up alike, except that one pattern in eight keeps only
 the top j of its 52 fraction bits, j uniform in 0..52, which gives short
-decimals, exact ties and powers of two. Each batch is formatted by
-``repr_many`` and by ``repr`` and compared byte for byte. The first pattern
-that differs is printed with both texts, and the exit status is 1; otherwise
-one line gives the count, how many of them ``repr_many`` sent through
-``repr`` (``floatfmt.repr_each``) and the time, and the exit status is 0.
+decimals, exact ties and powers of two. Random bit patterns almost always
+print 15-17 significant digits, so the check then always adds short
+decimals, seeded from (S, 1): four values with each significant-digit count
+1..17 at each decimal exponent -324..308, in both signs, which reach every
+text length, an exponent after 1-16 digits and every ``0.000ddd`` form.
+Each batch is formatted by ``repr_many`` and by ``repr`` and compared byte
+for byte. The first value that differs is printed with both texts, and the
+exit status is 1; otherwise one line gives the counts, how many of each
+kind ``repr_many`` sent through ``repr`` (``floatfmt.repr_each``) and the
+time, and the exit status is 0.
 """
 
 from __future__ import annotations
@@ -38,6 +43,32 @@ def patterns(rng: np.random.Generator, n: int) -> np.ndarray:
     return bits
 
 
+def short_decimals(rng: np.random.Generator, per: int = 4) -> np.ndarray:
+    """``per`` values d.ddd 10^x of each digit count 1..17 (first and last digit nonzero) at each x in
+    -324..308, and their negatives; those past the finite range round to 0 or an infinity."""
+    texts = []
+    for count in range(1, 18):
+        low, high = 10 ** (count - 1), 10**count
+        for x in range(-324, 309):
+            for d in rng.integers(low, high, size=per).tolist():
+                d += d % 10 == 0  # a last digit of 0 would make the decimal shorter
+                texts.append(f"{d}e{x - count + 1}")
+    values = np.array([float(text) for text in texts])
+    return np.concatenate([values, -values])
+
+
+def compare(values: np.ndarray) -> int | None:
+    """The index of the first value whose ``repr_many`` row differs from ``repr``, after printing both."""
+    got = floatfmt.repr_many(values).view(f"S{floatfmt.WIDTH}").ravel()
+    want = np.array(list(map(repr, values.tolist())), dtype=f"S{floatfmt.WIDTH}")
+    differ = np.flatnonzero(got != want)
+    if not len(differ):
+        return None
+    i = differ[0]
+    print(f"{values.view(np.uint64)[i]:#018x}: repr_many gives {got[i].decode()!r}, repr {want[i].decode()!r}")
+    return i
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -56,19 +87,17 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         for done in range(0, args.count, BATCH):
-            bits = patterns(rng, min(BATCH, args.count - done))
-            values = bits.view(np.float64)
-            got = floatfmt.repr_many(values).view(f"S{floatfmt.WIDTH}").ravel()
-            want = np.array(list(map(repr, values.tolist())), dtype=f"S{floatfmt.WIDTH}")
-            differ = np.flatnonzero(got != want)
-            if len(differ):
-                i = differ[0]
-                print(f"{bits[i]:#018x}: repr_many gives {got[i].decode()!r}, repr {want[i].decode()!r}")
+            if compare(patterns(rng, min(BATCH, args.count - done)).view(np.float64)) is not None:
                 return 1
+        through_repr, fallback = fallback, 0
+        short = short_decimals(np.random.default_rng([args.seed, 1]))
+        if compare(short) is not None:
+            return 1
     finally:
         floatfmt.repr_each = repr_each
-    print(f"{args.count} bit patterns (seed {args.seed}): repr_many equals repr on every one, "
-          f"{fallback} of them through repr, {time.perf_counter() - start:.1f} s")
+    print(f"{args.count} bit patterns (seed {args.seed}) and {len(short)} short decimals: repr_many equals "
+          f"repr on every one, {through_repr} of the patterns and {fallback} of the short decimals through repr, "
+          f"{time.perf_counter() - start:.1f} s")
     return 0
 
 
