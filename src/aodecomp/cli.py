@@ -36,7 +36,9 @@ guards every other JSON document.
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up. A ``--grid`` of more than ``MAX_GRID_POINTS``
 points and a ``simulate`` of more than ``dynamics.MAX_STEPS`` steps are
-input errors, refused before anything is allocated.
+input errors, refused before anything is allocated. A reader that closes
+stdout before the document ends (``| head -1``) gets exit 1 and one
+``aodecomp:`` line on stderr, with no traceback.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -79,8 +82,9 @@ MAX_GRID_POINTS = 1_000_000
 # _render), which bounds the assembly buffer; the floats are formatted for the whole document.
 _BLOCK_ROWS = 2048
 # Distinct floats of a document, over all its float columns, from which one
-# numpy formatting pass (about 0.2 ms however few values it gets) is cheaper
-# than repr per value; on a 2-vCPU KVM guest the two broke even at 192-256.
+# numpy formatting pass (0.14-0.25 ms however few values it gets) is cheaper
+# than repr per value; on a 2-vCPU KVM guest the two broke even at 192-256
+# (three runs of 20 documents of grid_sweep values at each size from 64 to 512).
 _NUMPY_MIN_VALUES = 256
 _VERDICT_CELLS = np.array([verdict.encode() for verdict in dissipation.VERDICTS])
 _BOOL_CELLS = np.array([b"false", b"true"])
@@ -230,10 +234,19 @@ def _write_pieces(pieces: Iterable, out: str | None) -> None:
     Each piece goes to the ``out`` file as it is, or to stdout decoded, as
     soon as the iterator yields it, and is dropped before the next one is
     made (``writelines`` holds no piece between calls), so the document is
-    never joined.
+    never joined. A reader that closes stdout early (``| head``) is an
+    error, exit 1: stdout is pointed at the null device, so the
+    interpreter's last flush of what it still buffers fails no more.
     """
     if out is None:
-        sys.stdout.writelines(map(partial(str, encoding="utf-8"), pieces))
+        try:
+            sys.stdout.writelines(map(partial(str, encoding="utf-8"), pieces))
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _UsageError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
     try:
         with open(out, "wb") as handle:
@@ -502,7 +515,17 @@ def cmd_decompose(args) -> int:
         q = sol.q
         if args.q is not None:
             q = _parse_floats(args.q, 1, "--q")[0]
-            residual = linear.lyapunov_equation_residual(a, d, q)
+            try:
+                residual = linear.lyapunov_equation_residual(a, d, q)
+            except ValueError:  # a product of the residual got a non-finite entry: q's, unless q = 0 overflows too
+                try:
+                    linear.lyapunov_equation_residual(a, d, 0.0)
+                    flag, value = "--q", args.q
+                except ValueError:
+                    flag, value = "--matrix", args.matrix
+                raise _UsageError(
+                    f"the gyration constraint residual of 'custom' overflows float64 at {flag} {value}"
+                ) from None
             if residual > LYAPUNOV_RESIDUAL_TOL * (1.0 + a.max_abs()) * (1.0 + d.max_abs()):
                 raise _UsageError(
                     f"--q {args.q} violates the gyration constraint "

@@ -495,6 +495,33 @@ def _decompose_in_fresh_interpreter(matrix: str) -> subprocess.CompletedProcess:
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--system", "hopf_limit_cycle", "--x0", "0.5,0", "--t-end", "100"],  # 100,001 CSV rows
+        ["report", "--system", "hopf_limit_cycle", "--grid", "-2,2,-2,2,100,100"],  # a 3.8 MB JSON document
+    ],
+    ids=["simulate", "report"],
+)
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_one_message(argv):
+    # the document is far larger than a 64 kB pipe buffer, so writes go on after the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aodecomp.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(SRC)},
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stderr.close()
+    assert err.startswith("aodecomp: cannot write to stdout") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 @pytest.mark.parametrize("grid, loaded", [("0,1,0,1,3,3", False), ("0,1,0,1,40,40", True)])
 def test_floatfmt_loads_only_for_a_block_of_many_distinct_values(grid, loaded):
     # a one-shot CSV of a few cells stays on repr and does not pay floatfmt's import
@@ -542,6 +569,23 @@ def test_overflowing_matrix_message_names_the_flag(capsys):
     code, out, err = run(capsys, "decompose", "--matrix", "1e308,0,0,1e308")
     _assert_overflow_names_input(code, out, err, "--matrix", "1e308,0,0,1e308")
     assert "decomposition" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["--matrix", "1,2,3,4", "--q", "-1e308"], "--q", "-1e308"),
+        (["--matrix", "1,2,3,-1", "--d", "0,0,0", "--q", "1e308"], "--q", "1e308"),  # the family branch
+        (["--matrix", "1e308,1e308,1e308,1e308", "--d", "2,0,2", "--q", "0"], "--matrix", "1e308,1e308,1e308,1e308"),
+    ],
+    ids=["unique", "family", "matrix"],
+)
+def test_overflowing_q_residual_message_names_the_flag(capsys, argv, flag, value):
+    # A Q + Q A^T overflows at the override (at q = 0 too for the matrix case); a finite residual
+    # that only its norm overflows is the "violates" message of test_decompose_invalid_q_override
+    code, out, err = run(capsys, "decompose", *argv)
+    _assert_overflow_names_input(code, out, err, flag, value)
+    assert "gyration constraint residual" in err
 
 
 def test_overflowing_initial_state_message_names_the_flag(capsys):
