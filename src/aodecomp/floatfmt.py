@@ -32,8 +32,8 @@ Every step runs on whole uint64 or uint32 arrays, a chunk at a time:
   ``.0`` on integers, and of the others as ``d.ddde±XX`` with at least two
   exponent digits. A form gives the digits' shift, a mask of those before
   the point, which move one byte further, and the constant text (sign,
-  point, the zeros of ``0.000ddd``) that fills the gaps; all three are
-  word operations on the three words at once;
+  point, the zeros of ``0.000ddd``) that fills the gaps; each applies to
+  the three words at once;
 - by table lookup on the form and the digit count, the text's length: the
   row is cut there, and the exponent text, by table lookup on the decimal
   exponent, is shifted in right after it.
@@ -87,7 +87,7 @@ _CODES = 21  # repr's layouts: decimal exponents -4..15 positionally, then the e
 _FORMS = 2 * _CODES  # a layout code and a sign
 _ONES = _U(0xFFFFFFFFFFFFFFFF)
 _WORD_BITS = np.array([[0], [64], [128]])  # the first bit of each of a row's three words
-_TOP_BYTE = np.array([[127], [119]])  # (E + 1) >> 3 of the two words after the first digit at n = 1
+_TOP_BYTE = np.array([[127], [119]])  # (E + 1) >> 3 less n - 1 for each digit word after the first digit
 
 
 def _form(negative: bool, code: int) -> tuple[bytes, int, int]:
@@ -121,7 +121,7 @@ def _floor_log2_pow10(k):
 
 @cache
 def _tables() -> dict:
-    """The phi table of Dragonbox, the digit and exponent text and the layout forms (about 120 kB)."""
+    """The phi table of Dragonbox, the digit and exponent text and the layout forms (about 127 kB)."""
     phi = []
     for k in range(_K_MIN, _K_MAX + 1):
         shift = 127 - _floor_log2_pow10(k)
@@ -200,10 +200,10 @@ def _shortest(bits: np.ndarray, biased: np.ndarray, t: dict) -> tuple[np.ndarray
     return d, t["at"].take(biased), undecided
 
 
-def _shift_right(words: np.ndarray, bits) -> None:
+def _shift_right(words: np.ndarray, shift) -> None:
     """Shift each column of (3, n) words, one little-endian 192-bit number, right by 1..63 bits in place."""
-    carry = words[1:] << (_U(64) - bits)
-    words >>= bits
+    carry = words[1:] << (_U(64) - shift)
+    words >>= shift
     words[:2] |= carry
 
 
@@ -233,38 +233,38 @@ def _format(bits: np.ndarray, biased: np.ndarray, t: dict, out: np.ndarray) -> n
     # the significant digits n: (E + 1) >> 3, with E the float64 exponent of a word after the first
     # digit less its '0's, is 128 plus the word's top nonzero byte, or 0 for a word of '0's (every
     # byte is below 16, so rounding to 53 bits never carries into the next byte)
-    high = (text[1:] ^ _U(0x3030303030303030)).astype(np.float64).view(np.int64)
-    high += 1 << 52
-    high >>= 55
-    high -= _TOP_BYTE
-    count = np.maximum(high[0], high[1])
+    magnitude = (text[1:] ^ _U(0x3030303030303030)).astype(np.float64).view(np.int64)
+    magnitude += 1 << 52
+    magnitude >>= 55
+    magnitude -= _TOP_BYTE
+    count = np.maximum(magnitude[0], magnitude[1])
     np.maximum(count, 0, out=count)  # n - 1
     form = t["form"].take(at)
     form |= (bits >> _U(63)).view(np.intp)
     key = form * _DIGITS
     key += count
-    # every digit moves right by the form's shift, and those before the point one byte further
+    # every digit moves right by the form's shift, and those before the point one byte further;
+    # part holds one (3, n) operand after another
     _shift_right(text, t["shift"].take(form))
-    before = t["point"].take(form, axis=1)
-    before &= text
-    text ^= before
-    _shift_right(before, _U(8))
-    text |= before
-    t["constant"].take(form, axis=1, out=before, mode="clip")
-    text |= before
-    # the text cut to its length, then the exponent text right after it; before holds each word mask
-    place = t["length"].take(key) - _WORD_BITS
-    mask = before.view(np.int64)
-    np.maximum(place, 0, out=mask)
-    np.left_shift(_ONES, before, out=before)
-    np.invert(before, out=before)
-    text &= before
+    part = t["point"].take(form, axis=1)
+    part &= text
+    text ^= part
+    _shift_right(part, _U(8))
+    text |= part
+    t["constant"].take(form, axis=1, out=part, mode="clip")
+    text |= part
+    # the text cut to its length, then the exponent text right after it
+    place = t["length"].take(key) - _WORD_BITS  # bits of each word below the cut, if in 0..63
+    np.maximum(place, 0, out=part.view(np.int64))
+    np.left_shift(_ONES, part, out=part)  # numpy shifts by 64 or more to 0
+    np.invert(part, out=part)
+    text &= part
     exponent = t["exponent"].take(at)
-    np.left_shift(exponent, place.view(np.uint64), out=before)  # 0 past the word (numpy's shift by 64+)
-    text |= before
+    np.left_shift(exponent, place.view(np.uint64), out=part)  # a negative place shifts by 2^63 or more
+    text |= part
     np.negative(place, out=place)
-    np.right_shift(exponent, place.view(np.uint64), out=before)  # the part that spills into the next word
-    np.bitwise_or(text, before, out=out.view("<u8").T)
+    np.right_shift(exponent, place.view(np.uint64), out=part)  # the part that spills into the next word
+    np.bitwise_or(text, part, out=out.view("<u8").T)
     return undecided
 
 

@@ -57,16 +57,15 @@ def short_decimals(rng: np.random.Generator, per: int = 4) -> np.ndarray:
     return np.concatenate([values, -values])
 
 
-def compare(values: np.ndarray) -> int | None:
-    """The index of the first value whose ``repr_many`` row differs from ``repr``, after printing both."""
+def differs(values: np.ndarray) -> bool:
+    """Whether a ``repr_many`` row differs from ``repr``; the first one that does is printed with both texts."""
     got = floatfmt.repr_many(values).view(f"S{floatfmt.WIDTH}").ravel()
     want = np.array(list(map(repr, values.tolist())), dtype=f"S{floatfmt.WIDTH}")
     differ = np.flatnonzero(got != want)
-    if not len(differ):
-        return None
-    i = differ[0]
-    print(f"{values.view(np.uint64)[i]:#018x}: repr_many gives {got[i].decode()!r}, repr {want[i].decode()!r}")
-    return i
+    if len(differ):
+        i = differ[0]
+        print(f"{values.view(np.uint64)[i]:#018x}: repr_many gives {got[i].decode()!r}, repr {want[i].decode()!r}")
+    return bool(len(differ))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,11 +86,11 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         for done in range(0, args.count, BATCH):
-            if compare(patterns(rng, min(BATCH, args.count - done)).view(np.float64)) is not None:
+            if differs(patterns(rng, min(BATCH, args.count - done)).view(np.float64)):
                 return 1
         through_repr, fallback = fallback, 0
         short = short_decimals(np.random.default_rng([args.seed, 1]))
-        if compare(short) is not None:
+        if differs(short):
             return 1
     finally:
         floatfmt.repr_each = repr_each
