@@ -36,9 +36,10 @@ guards every other JSON document.
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up. A ``--grid`` of more than ``MAX_GRID_POINTS``
 points and a ``simulate`` of more than ``dynamics.MAX_STEPS`` steps are
-input errors, refused before anything is allocated. A reader that closes
-stdout before the document ends (``| head -1``) gets exit 1 and one
-``aodecomp:`` line on stderr, with no traceback.
+input errors, refused before anything is allocated. A stdout that cannot
+be written, such as a reader that stops before the document ends
+(``| head -1``), gets exit 1 and one ``aodecomp:`` line on stderr, with no
+traceback.
 """
 
 from __future__ import annotations
@@ -234,15 +235,16 @@ def _write_pieces(pieces: Iterable, out: str | None) -> None:
     Each piece goes to the ``out`` file as it is, or to stdout decoded, as
     soon as the iterator yields it, and is dropped before the next one is
     made (``writelines`` holds no piece between calls), so the document is
-    never joined. A reader that closes stdout early (``| head``) is an
-    error, exit 1: stdout is pointed at the null device, so the
-    interpreter's last flush of what it still buffers fails no more.
+    never joined. A stdout that cannot be written, such as a pipe whose
+    reader stopped early (``| head``) or a full device, is an error, exit 1:
+    stdout is pointed at the null device, so the interpreter's last flush of
+    what it still buffers fails no more.
     """
     if out is None:
         try:
             sys.stdout.writelines(map(partial(str, encoding="utf-8"), pieces))
             sys.stdout.flush()
-        except BrokenPipeError as exc:
+        except OSError as exc:  # BrokenPipeError, or ENOSPC and the like
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)

@@ -230,7 +230,7 @@ def _format(bits: np.ndarray, biased: np.ndarray, t: dict, out: np.ndarray) -> n
         # intp indexes: take converts any other index type on every call
         t["four"].take(quotient.astype(np.intp), out=quads[j, 0::2], mode="clip")
         t["four"].take(half.astype(np.intp), out=quads[j, 1::2], mode="clip")
-    # the significant digits n: (E + 1) >> 3, with E the float64 exponent of a word after the first
+    # the significant digits n: (E + 1) >> 3, with E the biased float64 exponent of a word after the first
     # digit less its '0's, is 128 plus the word's top nonzero byte, or 0 for a word of '0's (every
     # byte is below 16, so rounding to 53 bits never carries into the next byte)
     magnitude = (text[1:] ^ _U(0x3030303030303030)).astype(np.float64).view(np.int64)
@@ -240,7 +240,7 @@ def _format(bits: np.ndarray, biased: np.ndarray, t: dict, out: np.ndarray) -> n
     count = np.maximum(magnitude[0], magnitude[1])
     np.maximum(count, 0, out=count)  # n - 1
     form = t["form"].take(at)
-    form |= (bits >> _U(63)).view(np.intp)
+    form |= (bits >> _U(63)).view(np.int64)
     key = form * _DIGITS
     key += count
     # every digit moves right by the form's shift, and those before the point one byte further;

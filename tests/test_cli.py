@@ -522,6 +522,17 @@ def test_a_reader_that_closes_stdout_early_gets_exit_1_and_one_message(argv):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_full_stdout_gets_exit_1_and_one_message():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aodecomp.cli", "catalog"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": str(SRC)}, timeout=60, check=False,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "aodecomp: cannot write to stdout: No space left on device\n"
+
+
 @pytest.mark.parametrize("grid, loaded", [("0,1,0,1,3,3", False), ("0,1,0,1,40,40", True)])
 def test_floatfmt_loads_only_for_a_block_of_many_distinct_values(grid, loaded):
     # a one-shot CSV of a few cells stays on repr and does not pay floatfmt's import
