@@ -180,10 +180,15 @@ def _grid_points(axes: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray,
 
 
 def _factored_points(axes: list[tuple[np.ndarray, np.ndarray]]) -> list[_Factored]:
-    """The columns of ``_grid_points(axes)`` factored: the axes one after another, and each row's index into them."""
+    """The columns of ``_grid_points(axes)`` factored: the axes one after another, and each row's index into them.
+
+    The indexes are int32: ``MAX_GRID_POINTS`` and ``dynamics.MAX_STEPS``
+    keep every document to about a million rows.
+    """
     index_axes, x_start, y_start = [], 0, 0
     for xs, ys in axes:
-        index_axes.append((np.arange(x_start, x_start + len(xs)), np.arange(y_start, y_start + len(ys))))
+        x_index = np.arange(x_start, x_start + len(xs), dtype=np.int32)
+        index_axes.append((x_index, np.arange(y_start, y_start + len(ys), dtype=np.int32)))
         x_start, y_start = x_start + len(xs), y_start + len(ys)
     return [
         _Factored(np.concatenate(axis), inverse)
@@ -229,24 +234,50 @@ def _fold_comma_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _complain(message: str) -> None:
+    """Write ``aodecomp: message`` as one line on stderr.
+
+    A stderr that is closed (``2>&-``, which leaves ``sys.stderr`` None) or
+    cannot be written loses the line, and the exit code stands.
+    """
+    if sys.stderr is None:
+        return
+    try:
+        print(f"aodecomp: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def _write_pieces(pieces: Iterable, out: str | None) -> None:
     """Send a document's pieces of UTF-8 text (``bytes`` or uint8 arrays) out one at a time.
 
-    Each piece goes to the ``out`` file as it is, or to stdout decoded, as
-    soon as the iterator yields it, and is dropped before the next one is
-    made (``writelines`` holds no piece between calls), so the document is
-    never joined. A stdout that cannot be written, such as a pipe whose
-    reader stopped early (``| head``) or a full device, is an error, exit 1:
-    stdout is pointed at the null device, so the interpreter's last flush of
-    what it still buffers fails no more.
+    Each piece goes out as soon as the iterator yields it, and is dropped
+    before the next one is made (``writelines`` holds no piece between
+    calls), so the document is never joined. The ``out`` file and stdout
+    take the same bytes: stdout's text layer is flushed and the pieces go to
+    its binary buffer; only a text stream with no buffer, such as
+    ``io.StringIO``, gets them decoded. A stdout that cannot be written is
+    an error, exit 1: one closed at start-up (``>&-``, which leaves
+    ``sys.stdout`` None), a pipe whose reader stopped early (``| head``) or a
+    full device. After a failed write stdout is pointed at the null device,
+    so the interpreter's last flush of what it still buffers fails no more.
     """
     if out is None:
+        stdout = sys.stdout
+        if stdout is None:
+            raise _UsageError("cannot write to stdout: it is closed")
         try:
-            sys.stdout.writelines(map(partial(str, encoding="utf-8"), pieces))
-            sys.stdout.flush()
+            stdout.flush()
+            binary = getattr(stdout, "buffer", None)
+            if binary is None:
+                stdout.writelines(map(partial(str, encoding="utf-8"), pieces))
+                stdout.flush()
+            else:
+                binary.writelines(pieces)
+                binary.flush()
         except OSError as exc:  # BrokenPipeError, or ENOSPC and the like
             devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            os.dup2(devnull, stdout.fileno())
             os.close(devnull)
             raise _UsageError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
@@ -266,41 +297,49 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _write_output(json.dumps(doc, indent=2, allow_nan=False) + "\n", out)
 
 
-def _float_cells(columns: list, fold_negative_zero: bool) -> list[np.ndarray]:
-    """``repr`` of each value of each float column of a document, as NUL-padded uint8 rows.
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A float64 column's distinct values, told apart by bit pattern, and each row's int32 index into them.
 
-    A column is one of two kinds:
+    A column with no repeats comes back as it is, with no index, so its rows
+    keep their order and are never sorted into place.
+    """
+    bits = column.view(np.int64)
+    ordered = np.sort(bits)
+    distinct = np.empty(len(ordered), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    if distinct.all():
+        return column, None
+    ordered = ordered[distinct]
+    return ordered.view(np.float64), np.searchsorted(ordered, bits).astype(np.int32)
+
+
+def _float_cells(columns: list, fold_negative_zero: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """``repr`` of the values of each float column of a document, as NUL-padded uint8 rows and a row index.
+
+    Each column comes back as ``(rows, index)``: its row i prints as
+    ``rows[index[i]]``, or as ``rows[i]`` when ``index`` is None. A column
+    is one of two kinds:
 
     - a ``_Factored`` column, such as grid coordinates: its values are
-      formatted as they are, a repeated one twice, and its inverse is used
-      as it is, with no sort;
-    - a float64 array, such as a computed quantity: its values are told
-      apart by bit pattern, so -0.0 and 0.0 stay distinct, and each
-      distinct value is formatted once.
+      formatted as they are, a repeated one twice, and its inverse is the
+      index, with no sort;
+    - a float64 array, such as a computed quantity: each of its distinct
+      values (see ``_distinct``) is formatted once, and a column with no
+      repeats keeps its rows in order, with no index.
 
     With ``fold_negative_zero`` a -0.0 prints as ``0.0``. When the document
     has at least ``_NUMPY_MIN_VALUES`` values to format, all of them go
     through one ``floatfmt.repr_many`` call; otherwise through ``repr``, and
-    floatfmt is not loaded. An array with no repeats gets a view of the one
-    formatted array, so a caller frees that array only by dropping every
-    such column.
+    floatfmt is not loaded. Every column's rows are a view of that one
+    formatted array, and each column's distinct values are dropped once
+    they are joined into the formatter's input.
     """
-    sets = []
-    for column in columns:
-        if isinstance(column, _Factored):
-            sets.append(column)
-            continue
-        bits = column.view(np.int64)
-        ordered = np.sort(bits)
-        distinct = np.empty(len(ordered), dtype=bool)
-        distinct[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-        if distinct.all():  # no repeats: keep the row order, skip the expansion
-            sets.append((column, None))
-        else:
-            ordered = ordered[distinct]
-            sets.append((ordered.view(np.float64), np.searchsorted(ordered, bits)))
+    sets = [column if isinstance(column, _Factored) else _distinct(column) for column in columns]
+    sizes = [len(values) for values, _ in sets]
+    indexes = [index for _, index in sets]
     values = np.concatenate([values for values, _ in sets])
+    del sets
     if fold_negative_zero:
         values += 0.0  # -0.0 + 0.0 is 0.0; every other value is unchanged
     if len(values) >= _NUMPY_MIN_VALUES:
@@ -310,8 +349,8 @@ def _float_cells(columns: list, fold_negative_zero: bool) -> list[np.ndarray]:
     else:
         # the rows floatfmt gives, 24 bytes wide: the longest repr of a double
         formatted = _text_cells(np.array(list(map(repr, values.tolist())), dtype="S24"))
-    rows = np.split(formatted, np.cumsum([len(values) for values, _ in sets[:-1]]))
-    return [text if inverse is None else text.take(inverse, axis=0) for text, (_, inverse) in zip(rows, sets)]
+    del values
+    return list(zip(np.split(formatted, np.cumsum(sizes[:-1])), indexes))
 
 
 def _text_cells(column) -> np.ndarray:
@@ -322,26 +361,6 @@ def _text_cells(column) -> np.ndarray:
         column = np.array([cell.encode() for cell in column], dtype=bytes)
     column = np.ascontiguousarray(column)
     return column.view(np.uint8).reshape(len(column), column.itemsize)
-
-
-def _assemble(pieces: list[bytes], cells: list[np.ndarray]) -> np.ndarray:
-    """The bytes of a block of rows, each row ``pieces[0] cells[0] pieces[1] ... cells[-1] pieces[-1]``.
-
-    ``cells`` are NUL-padded uint8 rows. Every row of one buffer starts as
-    the constant pieces with zeroed cell slots, the cells are copied into
-    their slots, and every NUL is dropped at once.
-    """
-    template, slots = [pieces[0]], []
-    for cell, piece in zip(cells, pieces[1:]):
-        slots.append(sum(map(len, template)))
-        template += [bytes(cell.shape[1]), piece]
-    template = np.frombuffer(b"".join(template), dtype=np.uint8)
-    buffer = np.empty((len(cells[0]), len(template)), dtype=np.uint8)
-    buffer[:] = template
-    for cell, start in zip(cells, slots):
-        buffer[:, start:start + cell.shape[1]] = cell
-    flat = buffer.ravel()
-    return flat[flat != 0]
 
 
 def _render(
@@ -367,17 +386,41 @@ def _render(
         if isinstance(column, _Factored) or isinstance(column, np.ndarray) and column.dtype.kind == "f"
     ]
     formatted = dict(zip(floats, _float_cells([columns[i] for i in floats], fold_negative_zero))) if floats else {}
-    cells = [formatted[i] if i in formatted else _text_cells(column) for i, column in enumerate(columns)]
+    cells = [formatted[i] if i in formatted else (_text_cells(column), None) for i, column in enumerate(columns)]
     return _laid_out(head, pieces, cells, tail, trim)
 
 
-def _laid_out(head: bytes, pieces: list[bytes], cells: list[np.ndarray], tail: bytes, trim: int) -> Iterator:
-    """``head``, the rows of ``cells`` between ``pieces`` a block at a time, and ``tail``; see ``_render``."""
+def _laid_out(head: bytes, pieces: list[bytes], cells: list[tuple], tail: bytes, trim: int) -> Iterator:
+    """``head``, the rows of ``cells`` between ``pieces`` a block at a time, and ``tail``; see ``_render``.
+
+    ``cells`` holds each column's NUL-padded uint8 rows and its row index, as
+    ``_float_cells`` returns them. A block starts as copies of one template
+    row, built once a document: the constant pieces with zeroed cell slots.
+    Each column's cells are gathered through its index straight into their
+    slots, and every NUL is dropped at once.
+    """
+    template, slots = [pieces[0]], []
+    for (rows, _), piece in zip(cells, pieces[1:]):
+        start = sum(map(len, template))
+        slots.append(slice(start, start + rows.shape[1]))
+        template += [bytes(rows.shape[1]), piece]
+    template = np.frombuffer(b"".join(template), dtype=np.uint8)
+    rows, index = cells[0]
+    count = len(rows if index is None else index)
     yield head
-    rows = len(cells[0])
-    for start in range(0, rows, _BLOCK_ROWS):
-        block = _assemble(pieces, [column[start:start + _BLOCK_ROWS] for column in cells])
-        yield block if start + _BLOCK_ROWS < rows else block[:len(block) - trim]
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        buffer = np.empty((stop - start, len(template)), dtype=np.uint8)
+        buffer[:] = template
+        for (rows, index), slot in zip(cells, slots):
+            if index is None:
+                buffer[:, slot] = rows[start:stop]
+            else:
+                np.take(rows, index[start:stop], axis=0, out=buffer[:, slot], mode="clip")
+        flat = buffer.ravel()
+        block = flat[flat != 0]
+        del buffer, flat  # not alive while the block is written
+        yield block if stop < count else block[:len(block) - trim]
         del block  # not alive next to the buffers of the next block
     yield tail
 
@@ -595,7 +638,7 @@ def cmd_simulate(args) -> int:
     _emit_csv(header, columns, args.out, trailer=None if failure is None else f"# truncated: {failure}")
     if failure is None:
         return 0
-    print(f"aodecomp: {failure}", file=sys.stderr)
+    _complain(failure)
     return 3
 
 
@@ -764,10 +807,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _InconsistentRequest as exc:
-        print(f"aodecomp: {exc}", file=sys.stderr)
+        _complain(str(exc))
         return 2
     except (_UsageError, AodecompError, ValueError, OverflowError) as exc:
-        print(f"aodecomp: {exc}", file=sys.stderr)
+        _complain(str(exc))
         return 1
 
 

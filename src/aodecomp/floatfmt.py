@@ -66,7 +66,9 @@ import numpy as np
 
 # Values per pass through the vectorized path; bounds a call's temporaries
 # to about 1.5 MB beyond its rows, most of it _shortest's uint64 columns
-# (1.0 MB), then the (3, CHUNK) uint64 words (196 kB each)
+# (1.0 MB), then the (3, CHUNK) uint64 words (196 kB each). A last pass of
+# fewer than CHUNK // 4 values joins the one before it, which then takes up
+# to 1.25 CHUNK values and about 1.8 MB
 # (tracemalloc on 65,536 values: 0.84 MB at 4096, 1.49 at 8192, 2.89 at 16384).
 # On the values the benchmark formats in one seed-7 pass (trajectory 760k,
 # grid_sweep 177k; in-process on a 2-vCPU KVM guest, medians of 15
@@ -282,13 +284,18 @@ def repr_many(values: np.ndarray) -> np.ndarray:
         return rows
     t = _tables()
     fallback = np.empty(len(values), dtype=bool)
-    for start in range(0, len(values), CHUNK):
-        bits = values[start:start + CHUNK].view(np.uint64)
+    # a last chunk of fewer than CHUNK // 4 values joins the one before it, so it
+    # does not pay a whole pass's fixed cost
+    stops = [*range(CHUNK, len(values), CHUNK), len(values)]
+    if len(stops) > 1 and stops[-1] - stops[-2] < CHUNK // 4:
+        del stops[-2]
+    for start, stop in zip([0, *stops], stops):
+        bits = values[start:stop].view(np.uint64)
         biased = (bits.view(np.int64) >> 52) & 0x7FF
         # zeros, subnormals, infinities, NaN and powers of two (c = 2^52) lie outside the product's path
         rare = (biased == 0) | (biased == 0x7FF) | ((bits & _FRACTION) == 0)
-        undecided = _format(bits, biased, t, rows[start:start + CHUNK])
-        np.bitwise_or(rare, undecided, out=fallback[start:start + CHUNK])
+        undecided = _format(bits, biased, t, rows[start:stop])
+        np.bitwise_or(rare, undecided, out=fallback[start:stop])
     fallback = np.flatnonzero(fallback)
     rows[fallback] = repr_each(values[fallback])
     return rows

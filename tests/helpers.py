@@ -129,3 +129,12 @@ def row_texts(rows: np.ndarray) -> list[str]:
 
     assert rows.dtype == np.uint8 and rows.shape == (len(rows), WIDTH)
     return [text.decode() for text in np.ascontiguousarray(rows).view(f"S{WIDTH}").ravel().tolist()]
+
+
+def column_texts(cells: tuple) -> list[str]:
+    """The strings of one column as ``cli._float_cells`` returns it: its rows, read through its row index if it has one."""
+    rows, index = cells
+    if index is None:
+        return row_texts(rows)
+    assert index.dtype == np.int32 and index.ndim == 1
+    return row_texts(rows[index])

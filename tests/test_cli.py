@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -531,6 +534,63 @@ def test_a_full_stdout_gets_exit_1_and_one_message():
         )
     assert proc.returncode == 1
     assert proc.stderr == "aodecomp: cannot write to stdout: No space left on device\n"
+
+
+def _in_sh(argv: list[str], redirect: str) -> subprocess.CompletedProcess:
+    """The CLI run in a fresh interpreter by ``sh -c``, with a redirection such as ``>&-`` applied to it."""
+    command = " ".join(map(shlex.quote, [sys.executable, "-m", "aodecomp.cli", *argv]))
+    return subprocess.run(
+        [shutil.which("sh"), "-c", f"{command} {redirect}"],
+        capture_output=True, env={"PYTHONPATH": str(SRC)}, timeout=60, check=False,
+    )
+
+
+BLOWUP = ["simulate", "--system", "saddle_tracezero", "--x0", "1,0", "--t-end", "40"]
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs sh")
+def test_a_closed_stdout_gets_exit_1_and_one_message():
+    # with descriptor 1 closed at start-up, sys.stdout is None
+    proc = _in_sh(["catalog"], ">&-")
+    assert proc.returncode == 1
+    assert proc.stderr == b"aodecomp: cannot write to stdout: it is closed\n"
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs sh")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["catalog"], 0),
+        (["decompose"], 1),
+        (["decompose", "--matrix", "0,1,-1,0", "--d", "1,0,1"], 2),
+        (BLOWUP, 3),
+    ],
+    ids=["ok", "usage", "inconsistent", "blowup"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(argv, code):
+    # the aodecomp: line is lost, not the exit code, and stdout is as it would be
+    proc = _in_sh(argv, "2>&-")
+    assert proc.returncode == code
+    assert proc.stderr == b""
+    if code == 0:
+        assert json.loads(proc.stdout)["kind"] == "catalog"
+    elif code == 3:
+        assert proc.stdout.endswith(b"\n# truncated: state blew up at t=27.632 integrating 'saddle_tracezero'\n")
+    else:
+        assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+def test_stdout_takes_the_bytes_of_an_out_file(encoding, tmp_path, monkeypatch):
+    # the document goes to stdout's binary buffer as the UTF-8 bytes of --out, after any text still pending
+    argv = ["report", "--system", "hopf_limit_cycle", "--grid", "-1,1,-1,1,50,50", "--format", "json"]
+    path = tmp_path / "report.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+    stdout.write("#")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert stdout.buffer.getvalue() == "#".encode(encoding) + path.read_bytes()
 
 
 @pytest.mark.parametrize("grid, loaded", [("0,1,0,1,3,3", False), ("0,1,0,1,40,40", True)])

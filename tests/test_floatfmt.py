@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aodecomp import cli, floatfmt
-from helpers import row_texts
+from helpers import column_texts, row_texts
 
 
 def repr_many(values) -> list[str]:
@@ -279,6 +279,30 @@ def test_a_call_keeps_its_work_space_small():
     assert peak < 3_200_000, peak
 
 
+@pytest.mark.parametrize(
+    "n, passes",
+    [
+        (floatfmt.CHUNK, [floatfmt.CHUNK]),
+        (2 * floatfmt.CHUNK + 49, [floatfmt.CHUNK, floatfmt.CHUNK + 49]),
+        (floatfmt.CHUNK + floatfmt.CHUNK // 4 - 1, [floatfmt.CHUNK + floatfmt.CHUNK // 4 - 1]),
+        (floatfmt.CHUNK + floatfmt.CHUNK // 4, [floatfmt.CHUNK, floatfmt.CHUNK // 4]),
+        (100, [100]),
+    ],
+)
+def test_a_short_last_chunk_joins_the_one_before_it(n, passes, monkeypatch):
+    sizes = []
+    original = floatfmt._format
+
+    def recorded(bits, biased, t, out):
+        sizes.append(len(bits))
+        return original(bits, biased, t, out)
+
+    monkeypatch.setattr(floatfmt, "_format", recorded)
+    values = np.random.default_rng(n).standard_normal(n)
+    assert repr_many(values) == list(map(repr, values.tolist()))
+    assert sizes == passes
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.floats())
 def test_single_floats_match_repr(x):
@@ -309,13 +333,13 @@ def test_float_cells_mixes_small_and_large_distinct_sets(monkeypatch):
     descending = np.sort(rng.uniform(-1e6, 1e6, n))[::-1].copy()
     columns = [large_unique, small_repeats, large_repeats, descending]
     cells = cli._float_cells(columns, False)
-    assert [row_texts(rows) for rows in cells] == [list(map(repr, column.tolist())) for column in columns]
+    assert [column_texts(c) for c in cells] == [list(map(repr, column.tolist())) for column in columns]
     distinct_large_repeats = len(np.unique(large_repeats))
     assert distinct_large_repeats >= cli._NUMPY_MIN_VALUES
     # every distinct value of the columns, in one call
     assert calls == [2 * n + len(np.unique(small_repeats.view(np.int64))) + distinct_large_repeats]
     calls.clear()
-    assert [row_texts(rows) for rows in cli._float_cells([small_unique], False)] == [list(map(repr, small_unique.tolist()))]
+    assert [column_texts(c) for c in cli._float_cells([small_unique], False)] == [list(map(repr, small_unique.tolist()))]
     assert calls == []  # below the break-even every value goes through repr
 
 
