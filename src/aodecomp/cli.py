@@ -18,12 +18,17 @@ computed quantities and the ``simulate`` columns are sorted, and each
 distinct value is formatted once. When the document has 256 values to
 format or more, all of them go to one ``floatfmt.repr_many`` call, which
 returns exactly what ``repr`` prints as NUL-padded byte rows; fewer go
-through ``repr`` into the same rows. Verdict and flag cells come from small
-byte tables. ``_assemble`` then lays the rows out a block of ``_BLOCK_ROWS``
-at a time in one byte buffer and drops every NUL at once, so no Python
-string is made per float cell. ``_write_pieces`` sends each block out as
-soon as it is laid out, as bytes to an ``--out`` file or decoded into
-stdout, so no document is ever held whole as one string or bytes object.
+through ``repr`` into the same rows. Each float column keeps only its
+formatted distinct rows and an int32 index of each row into them (no index
+when the rows are in order), so a document holds one formatted row per
+distinct value, not one per cell. Verdict and flag cells come from small
+byte tables. ``_laid_out`` then lays the rows out a block of
+``_BLOCK_ROWS`` at a time in one byte buffer: copies of a template row
+built once a document, each column's cells gathered through its index into
+their slots, and every NUL dropped at once, so no Python string is made per
+float cell. ``_write_pieces`` sends each block out as soon as it is laid
+out, as the same bytes to an ``--out`` file or to stdout's binary buffer,
+so no document is ever held whole as one string or bytes object.
 CSV folds -0.0 to 0.0; report JSON keeps it. Every other JSON document goes
 through ``json.dumps`` and is written whole. No document holds NaN or an
 infinity: a batch quantity that is not finite raises NotFiniteQuantity,
@@ -37,9 +42,10 @@ Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up. A ``--grid`` of more than ``MAX_GRID_POINTS``
 points and a ``simulate`` of more than ``dynamics.MAX_STEPS`` steps are
 input errors, refused before anything is allocated. A stdout that cannot
-be written, such as a reader that stops before the document ends
-(``| head -1``), gets exit 1 and one ``aodecomp:`` line on stderr, with no
-traceback.
+be written, such as one closed at start-up (``>&-``) or a reader that stops
+before the document ends (``| head -1``), gets exit 1 and one ``aodecomp:``
+line on stderr, with no traceback. A stderr that cannot be written
+(``2>&-``) loses the ``aodecomp:`` line, never the exit code.
 """
 
 from __future__ import annotations
@@ -74,9 +80,10 @@ QUANTITIES = (
 )
 
 # Most points a --grid may have (nx * ny), checked before any allocation. A
-# document is written a block at a time, so its peak is set by compute and its
-# formatted cells: a 1,000,000-point report peaked at 310 MB resident, as JSON
-# (a 328 MB file) or as CSV (131 MB). The benchmark's largest grid has about 26k points.
+# document is written a block at a time, and keeps one formatted row a distinct
+# value, so its peak is set by compute and those rows: a 1,000,000-point report
+# peaked at 151 MB resident as JSON (a 328 MB file) and 150 MB as CSV (131 MB).
+# The benchmark's largest grid has about 26k points.
 MAX_GRID_POINTS = 1_000_000
 
 # CSV and report JSON text is laid out and written this many rows at a time (see
@@ -396,8 +403,11 @@ def _laid_out(head: bytes, pieces: list[bytes], cells: list[tuple], tail: bytes,
     ``cells`` holds each column's NUL-padded uint8 rows and its row index, as
     ``_float_cells`` returns them. A block starts as copies of one template
     row, built once a document: the constant pieces with zeroed cell slots.
-    Each column's cells are gathered through its index straight into their
-    slots, and every NUL is dropped at once.
+    Each column's cells are gathered through its index into their slots,
+    and every NUL is dropped at once. A gather moves each cell as one void
+    item: on a 2,048-row column this took about half the time of ``take`` of
+    the uint8 rows with the slot as ``out``, which numpy fills through a
+    hidden contiguous copy.
     """
     template, slots = [pieces[0]], []
     for (rows, _), piece in zip(cells, pieces[1:]):
@@ -405,18 +415,17 @@ def _laid_out(head: bytes, pieces: list[bytes], cells: list[tuple], tail: bytes,
         slots.append(slice(start, start + rows.shape[1]))
         template += [bytes(rows.shape[1]), piece]
     template = np.frombuffer(b"".join(template), dtype=np.uint8)
-    rows, index = cells[0]
-    count = len(rows if index is None else index)
+    cells = [(rows.view(f"V{rows.shape[1]}")[:, 0], index) for rows, index in cells]
+    items, index = cells[0]
+    count = len(items if index is None else index)
     yield head
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
         buffer = np.empty((stop - start, len(template)), dtype=np.uint8)
         buffer[:] = template
-        for (rows, index), slot in zip(cells, slots):
-            if index is None:
-                buffer[:, slot] = rows[start:stop]
-            else:
-                np.take(rows, index[start:stop], axis=0, out=buffer[:, slot], mode="clip")
+        for (items, index), slot in zip(cells, slots):
+            column = buffer[:, slot].view(items.dtype)[:, 0]
+            column[:] = items[start:stop] if index is None else items.take(index[start:stop])
         flat = buffer.ravel()
         block = flat[flat != 0]
         del buffer, flat  # not alive while the block is written
