@@ -82,7 +82,7 @@ QUANTITIES = (
 # Most points a --grid may have (nx * ny), checked before any allocation. A
 # document is written a block at a time, and keeps one formatted row a distinct
 # value, so its peak is set by compute and those rows: a 1,000,000-point report
-# peaked at 151 MB resident as JSON (a 328 MB file) and 150 MB as CSV (131 MB).
+# peaked at 150 MB resident as JSON (a 328 MB file) and as CSV (131 MB).
 # The benchmark's largest grid has about 26k points.
 MAX_GRID_POINTS = 1_000_000
 

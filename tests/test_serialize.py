@@ -2,9 +2,9 @@
 
 ``_float_cells`` formats each distinct value of a document once, into
 NUL-padded byte rows and a row index per column; read back through the
-index as strings they must be exactly ``repr`` of every value. ``_emit_csv`` lays float, ``S`` and string columns out as
-bytes; it must give exactly the CSV written cell by cell with ``repr`` and
-``str``. ``_report_json`` renders report documents from columns; it must give
+index as strings they must be exactly ``repr`` of every value.
+``_emit_csv`` lays float, ``S`` and string columns out as bytes; it must
+give exactly the CSV written cell by cell with ``repr`` and ``str``. ``_report_json`` renders report documents from columns; it must give
 exactly what ``json.dumps(indent=2)`` writes for the same document built as
 a dict, including ``-0.0``.
 """
