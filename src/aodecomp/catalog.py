@@ -2,7 +2,8 @@
 
 Each entry bundles the system with its provenance and, for the linear
 entries, the constructed linear decomposition. The registry is built once at
-import and is read-only afterwards.
+import and is read-only afterwards. Every entry has a potential: the
+registry refuses one without, so the CLI needs no guard against it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from . import linear
 from .core import DiffusionParams, Matrix2, ScalarField, SystemSpec, VectorField
-from .errors import UnknownSystem
+from .errors import MissingPotential, UnknownSystem
 
 HOPF = "hopf_limit_cycle"
 
@@ -135,6 +136,9 @@ def _build_registry() -> dict[str, CatalogEntry]:
             "pure rotation; zero diffusion, conservative on every circle",
         ),
     ]
+    for entry in entries:
+        if entry.system.potential is None:
+            raise MissingPotential(f"catalog entry {entry.name!r} has no potential")
     return {entry.name: entry for entry in entries}
 
 

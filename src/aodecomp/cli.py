@@ -5,6 +5,12 @@ separators and '\\n' line endings; floats are serialized with shortest
 round-trip precision so parse(emit(x)) == x. All outputs are deterministic
 for identical arguments.
 
+``grid`` and ``report`` sample the plane through one helper, ``_sampled``:
+it turns each input (an ``--at`` point or a ``--grid``) into points, runs
+the batch computation on all of them, drops the dense points and returns the
+factored coordinates with the result. Each ``grid`` quantity is one entry of
+``_GRID_QUANTITIES``, which gives its CSV header and its batch function.
+
 Every CSV and every report JSON document is one list of columns, rendered
 as bytes by ``_render`` between the constant pieces of its row: the CSV
 separators, or the report-JSON point text in the exact layout of
@@ -45,17 +51,19 @@ input errors, refused before anything is allocated. A stdout that cannot
 be written, such as one closed at start-up (``>&-``) or a reader that stops
 before the document ends (``| head -1``), gets exit 1 and one ``aodecomp:``
 line on stderr, with no traceback. A stderr that cannot be written
-(``2>&-``) loses the ``aodecomp:`` line, never the exit code.
+(``2>&-``) loses the ``aodecomp:`` line, never the exit code; argparse's
+usage and error text then go to a sink, not to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -70,14 +78,20 @@ from .tolerances import LYAPUNOV_RESIDUAL_TOL, master_tol
 # their values are folded into --flag=value before argparse sees them.
 _COMMA_FLAGS = {"--matrix", "--d", "--at", "--x0", "--grid", "--q"}
 
-QUANTITIES = (
-    "potential",
-    "vector_field",
-    "divergence",
-    "dissipation_power",
-    "phi_rate",
-    "criteria_agreement",
-)
+# Each grid quantity, in --quantity order: its CSV value header and the batch
+# function of (system, x1, x2) that returns its value columns. Every catalog
+# system has a potential (catalog._build_registry refuses one without).
+_GRID_QUANTITIES = {
+    "potential": (["value"], lambda system, x1, x2: [system.potential.evaluate_many(x1, x2)]),
+    "vector_field": (["f1", "f2"], lambda system, x1, x2: system.field.evaluate_many(x1, x2)),
+    "divergence": (["value"], lambda system, x1, x2: [system.field.divergence_many(x1, x2)]),
+    "dissipation_power": (["value"], lambda system, x1, x2: dissipation.power_many(system, x1, x2)[:1]),
+    "phi_rate": (["value"], lambda system, x1, x2: [dissipation.phi_rate_many(system, x1, x2)]),
+    "criteria_agreement": (
+        ["value"], lambda system, x1, x2: [dissipation.report_many(system, x1, x2).agree.astype(float)]
+    ),
+}
+QUANTITIES = tuple(_GRID_QUANTITIES)
 
 # Most points a --grid may have (nx * ny), checked before any allocation. A
 # document is written a block at a time, and keeps one formatted row a distinct
@@ -222,6 +236,22 @@ def _naming_overflow(name: str, sources: list[tuple[str, str, int]]):
         raise
 
 
+def _sampled(name: str, sources: list[tuple[str, str, np.ndarray, np.ndarray]], compute):
+    """``compute(x1, x2)`` over the points of ``sources``, with the factored coordinate columns of those points.
+
+    ``sources`` holds (flag, value, x axis, y axis) per input, one grid after
+    another (an ``--at`` point is a grid of one point). A quantity that is
+    not finite names the input that holds its row (``_naming_overflow``).
+    The dense points are dropped before the row indexes are built.
+    """
+    axes = [(xs, ys) for _, _, xs, ys in sources]
+    x1, x2 = _grid_points(axes)
+    with _naming_overflow(name, [(flag, value, len(xs) * len(ys)) for flag, value, xs, ys in sources]):
+        result = compute(x1, x2)
+    del x1, x2  # not alive next to the row indexes of the factored columns
+    return _factored_points(axes), result
+
+
 def _fold_comma_values(argv: list[str]) -> list[str]:
     """Rewrite ['--matrix', '-1,0,0,-2'] as ['--matrix=-1,0,0,-2'].
 
@@ -230,14 +260,8 @@ def _fold_comma_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     it = iter(argv)
     for token in it:
-        if token in _COMMA_FLAGS:
-            value = next(it, None)
-            if value is None:
-                out.append(token)
-            else:
-                out.append(f"{token}={value}")
-        else:
-            out.append(token)
+        value = next(it, None) if token in _COMMA_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
     return out
 
 
@@ -642,8 +666,7 @@ def cmd_simulate(args) -> int:
         header = ["t", "r", "theta"]
     else:
         header = ["t", "x1", "x2", "phi", "phi_rate", "h_p", "div_f"]
-        samples = (traj.phi, traj.phi_rate, traj.h_p, traj.div_f)
-        columns += [np.zeros(len(traj), dtype="S1") if c is None else c for c in samples]
+        columns += [traj.phi, traj.phi_rate, traj.h_p, traj.div_f]
     _emit_csv(header, columns, args.out, trailer=None if failure is None else f"# truncated: {failure}")
     if failure is None:
         return 0
@@ -674,18 +697,10 @@ def cmd_report(args) -> int:
         sources.append(("--grid", args.grid, *_parse_grid(args.grid)))
     if not sources:
         raise _UsageError("report needs at least one --at x1,x2 or a --grid")
-    if entry.system.potential is None:
-        raise _UsageError(
-            f"system {entry.name!r} has no potential; dissipation power is unavailable"
-        )
-    axes = [(xs, ys) for _, _, xs, ys in sources]
-    x1, x2 = _grid_points(axes)
     tol = master_tol()
-    with _naming_overflow(entry.name, [(flag, value, len(xs) * len(ys)) for flag, value, xs, ys in sources]):
-        rep = dissipation.report_many(entry.system, x1, x2, zero_tol=tol)
-    del x1, x2  # not alive next to the row indexes of the factored columns
+    coordinates, rep = _sampled(entry.name, sources, partial(dissipation.report_many, entry.system, zero_tol=tol))
     columns = [
-        *_factored_points(axes), rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap,
+        *coordinates, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap,
         _VERDICT_CELLS.take(rep.verdict_power), _VERDICT_CELLS.take(rep.verdict_divergence),
         _BOOL_CELLS.take(rep.agree.view(np.int8)),
     ]
@@ -703,33 +718,10 @@ def cmd_report(args) -> int:
 
 def cmd_grid(args) -> int:
     entry = catalog.get(args.system)
-    axes = [_parse_grid(args.grid)]
-    x1, x2 = _grid_points(axes)
-    quantity = args.quantity
-    system = entry.system
-    needs_potential = quantity in ("potential", "dissipation_power", "phi_rate", "criteria_agreement")
-    if needs_potential and system.potential is None:
-        raise _UsageError(f"quantity {quantity!r} needs a potential, which {entry.name!r} lacks")
-
-    with _naming_overflow(entry.name, [("--grid", args.grid, len(x1))]):  # a quantity not finite at a point
-        if quantity == "vector_field":
-            value = system.field.evaluate_many(x1, x2)
-        elif quantity == "potential":
-            value = system.potential.evaluate_many(x1, x2)
-        elif quantity == "divergence":
-            value = system.field.divergence_many(x1, x2)
-        elif quantity == "phi_rate":
-            value = dissipation.phi_rate_many(system, x1, x2)
-        elif quantity == "dissipation_power":
-            value = dissipation.power_many(system, x1, x2)[0]
-        else:  # criteria_agreement
-            value = dissipation.report_many(system, x1, x2).agree.astype(float)
-    del x1, x2  # not alive next to the row indexes of the factored columns
-    coordinates = _factored_points(axes)
-    if quantity == "vector_field":
-        _emit_csv(["x1", "x2", "f1", "f2"], [*coordinates, *value], args.out)
-    else:
-        _emit_csv(["x1", "x2", "value"], [*coordinates, value], args.out)
+    header, batch = _GRID_QUANTITIES[args.quantity]
+    sources = [("--grid", args.grid, *_parse_grid(args.grid))]
+    coordinates, values = _sampled(entry.name, sources, partial(batch, entry.system))
+    _emit_csv(["x1", "x2", *header], [*coordinates, *values], args.out)
     return 0
 
 
@@ -809,7 +801,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_fold_comma_values(argv))
+        # with stderr closed, argparse would print its usage on stdout: it gets a sink instead
+        with redirect_stderr(sys.stderr or io.StringIO()):
+            args = parser.parse_args(_fold_comma_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help
         return 0 if exc.code == 0 else 1

@@ -38,6 +38,16 @@ def test_list_contains_all_nine():
     assert names == EXPECTED_NAMES
 
 
+def test_registry_refuses_an_entry_without_a_potential(monkeypatch):
+    # grid and report need a potential, so the registry refuses an entry without one
+    from aodecomp import MissingPotential, catalog
+
+    monkeypatch.setattr(catalog, "_hopf_system", lambda: catalog.HOPF_POLAR)
+    with pytest.raises(MissingPotential, match="catalog entry 'hopf_limit_cycle' has no potential"):
+        catalog._build_registry()
+    assert all(get(name).system.potential is not None for name in list_systems())
+
+
 def test_unknown_system():
     with pytest.raises(UnknownSystem):
         get("not_a_system")

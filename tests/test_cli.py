@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import shlex
 import shutil
 import subprocess
@@ -327,6 +328,16 @@ def test_grid_usage_errors(capsys):
     )[0] == 1
 
 
+def test_grid_quantities_keep_the_readme_order(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    note = readme[readme.index("- Grid quantities: "):]
+    assert cli.QUANTITIES == tuple(re.findall(r"`(\w+)`", note[:note.index(".\n")]))
+    assert len(cli.QUANTITIES) == 6
+    code, out, err = run(capsys, "grid", "--system", "hopf_limit_cycle", "--grid", "0,1,0,1,2,2", "--quantity", "nope")
+    assert (code, out) == (1, "")
+    assert "(choose from " + ", ".join(map(repr, cli.QUANTITIES)) + ")" in err
+
+
 @pytest.mark.parametrize("command", [("grid", "--quantity", "potential"), ("report", "--format", "json")])
 def test_grid_point_cap_exits_1_before_allocating(capsys, command):
     name, *rest = command
@@ -427,6 +438,17 @@ def test_master_tol_env_override(capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "decompose", "--help")[0] == 0
+
+
+def test_a_usage_error_under_a_closed_stderr_prints_nothing(capsys, monkeypatch):
+    # with stderr closed (2>&-, which leaves sys.stderr None) argparse's usage text is dropped, not printed on stdout
+    monkeypatch.setattr(sys, "stderr", None)
+    grid = ["grid", "--system", "hopf_limit_cycle", "--grid", "0,1,0,1,2,2"]
+    for argv in (["bogus"], [*grid, "--quantity", "nope"], [*grid]):
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: aodecomp ")
 
 
 def test_unknown_arguments_exit_one(capsys):
