@@ -9,8 +9,10 @@ import pytest
 
 from aodecomp import (
     EquilibriumPoint,
+    MissingPotential,
     Point2,
     UnknownSystem,
+    catalog,
     get,
     list_systems,
     lyapunov_equation_residual,
@@ -40,8 +42,6 @@ def test_list_contains_all_nine():
 
 def test_registry_refuses_an_entry_without_a_potential(monkeypatch):
     # grid and report need a potential, so the registry refuses an entry without one
-    from aodecomp import MissingPotential, catalog
-
     monkeypatch.setattr(catalog, "_hopf_system", lambda: catalog.HOPF_POLAR)
     with pytest.raises(MissingPotential, match="catalog entry 'hopf_limit_cycle' has no potential"):
         catalog._build_registry()
