@@ -9,10 +9,9 @@ registry refuses one without, so the CLI needs no guard against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import linear
-from .core import DiffusionParams, Matrix2, ScalarField, SystemSpec, VectorField
+from .core import DiffusionParams, Matrix2, ScalarField, SystemSpec, VectorField, record
 from .errors import MissingPotential, UnknownSystem
 
 HOPF = "hopf_limit_cycle"
@@ -26,7 +25,7 @@ HOPF_POLAR = SystemSpec(
 )
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     name: str
     system: SystemSpec

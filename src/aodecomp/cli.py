@@ -48,11 +48,11 @@ Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up. A ``--grid`` of more than ``MAX_GRID_POINTS``
 points and a ``simulate`` of more than ``dynamics.MAX_STEPS`` steps are
 input errors, refused before anything is allocated. A stdout that cannot
-be written, such as one closed at start-up (``>&-``) or a reader that stops
-before the document ends (``| head -1``), gets exit 1 and one ``aodecomp:``
-line on stderr, with no traceback. A stderr that cannot be written
-(``2>&-``) loses the ``aodecomp:`` line, never the exit code; argparse's
-usage and error text then go to a sink, not to stdout.
+be written, such as one closed at start-up (``>&-``, which ``--help`` also
+gets) or a reader that stops before the document ends (``| head -1``), gets
+exit 1 and one ``aodecomp:`` line on stderr, with no traceback. A stderr
+that cannot be written (``2>&-``) loses the ``aodecomp:`` line, never the
+exit code; argparse's usage and error text then go to a sink, not to stdout.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, redirect_stderr
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -129,6 +129,9 @@ class _Factored(NamedTuple):
 
     values: np.ndarray
     inverse: np.ndarray
+
+
+_STDOUT_CLOSED = "cannot write to stdout: it is closed"
 
 
 class _UsageError(Exception):
@@ -296,7 +299,7 @@ def _write_pieces(pieces: Iterable, out: str | None) -> None:
     if out is None:
         stdout = sys.stdout
         if stdout is None:
-            raise _UsageError("cannot write to stdout: it is closed")
+            raise _UsageError(_STDOUT_CLOSED)
         try:
             stdout.flush()
             binary = getattr(stdout, "buffer", None)
@@ -801,12 +804,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        # with stderr closed, argparse would print its usage on stdout: it gets a sink instead
-        with redirect_stderr(sys.stderr or io.StringIO()):
+        # argparse prints --help on stdout and usage errors on stderr, and falls back to the
+        # other stream when one is closed: a closed one gets a sink instead
+        with redirect_stdout(sys.stdout or io.StringIO()), redirect_stderr(sys.stderr or io.StringIO()):
             args = parser.parse_args(_fold_comma_values(argv))
     except SystemExit as exc:
-        # argparse exits 2 on usage problems and 0 for --help
-        return 0 if exc.code == 0 else 1
+        # argparse exits 2 on usage problems and 0 for --help, which is a document like any other
+        if exc.code != 0:
+            return 1
+        if sys.stdout is None:
+            _complain(_STDOUT_CLOSED)
+            return 1
+        return 0
     try:
         return args.func(args)
     except _InconsistentRequest as exc:

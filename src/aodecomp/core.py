@@ -21,6 +21,22 @@ that is NaN or infinite anywhere raises NotFiniteQuantity, a ValueError.
 A vector field may instead be given as a stage, source lines that set
 (f1, f2) from (x1, x2); ``VectorField.from_stage`` compiles its closure from
 that text, and the RK4 stepper inlines the same text.
+
+The value types of the package are frozen records: a class whose annotations
+list its fields, decorated with ``record``. It gives the class what
+``@dataclass(frozen=True)`` would: ``__init__`` taking the fields by position
+or keyword in annotation order, with the class attributes as defaults and
+``__post_init__`` called after them; the repr ``Point2(x1=1.0, x2=2.0)``;
+``__eq__`` and ``__hash__`` over the tuple of field values, equal only
+within one class; and assignment or deletion raising ``FrozenRecordError``,
+an AttributeError. A field whose default is ``NotInit(value)`` is left out
+of ``__init__`` and starts at that value. ``dataclasses`` is not used because
+on Python 3.10-3.12 it writes each class's methods as source text and
+``exec``s them at every start, which cost a one-shot run about 10 ms of
+import for the package's 17 records. ``record`` attaches closures over the
+field names instead, whose code is compiled once with this module, so a
+class takes microseconds. Their price is a slower ``__init__``, about
+0.3 us more a construction, which no batch path pays per point.
 """
 
 from __future__ import annotations
@@ -28,7 +44,6 @@ from __future__ import annotations
 import builtins
 import math
 import textwrap
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,7 +58,88 @@ def _require_finite(type_name: str, *values: float) -> None:
             raise ValueError(f"{type_name} entries must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
+class FrozenRecordError(AttributeError):
+    """A field of a record was assigned or deleted."""
+
+
+class NotInit:
+    """The default of a record field that ``__init__`` does not take."""
+
+    __slots__ = ("default",)
+
+    def __init__(self, default):
+        self.default = default
+
+
+def _bind(cls: type, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> tuple:
+    """The values of ``names`` from ``cls(*args, **kwargs)``, defaults filled in, or TypeError."""
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional arguments but {len(args)} were given")
+    kwargs = dict(kwargs)
+    values = list(args)
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            values.append(defaults[name])
+        else:
+            raise TypeError(f"{cls.__qualname__}() missing required argument {name!r}")
+    for name in kwargs:
+        problem = "got multiple values for argument" if name in names else "got an unexpected keyword argument"
+        raise TypeError(f"{cls.__qualname__}() {problem} {name!r}")
+    return tuple(values)
+
+
+def record(cls: type) -> type:
+    """Make ``cls`` a frozen record of the fields its annotations list (see the module docstring)."""
+    names = tuple(cls.__annotations__)
+    own = vars(cls)
+    later = {name: own[name].default for name in names if isinstance(own.get(name), NotInit)}
+    init_names = tuple(name for name in names if name not in later)
+    defaults = {name: own[name] for name in init_names if name in own}
+    arity = len(init_names)
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = _bind(cls, init_names, defaults, args, kwargs)
+        state = self.__dict__
+        state.update(zip(init_names, args))
+        if later:
+            state.update(later)
+        if post_init:
+            self.__post_init__()  # looked up at every call, so a patched class method runs
+
+    def values(self) -> tuple:
+        return tuple(getattr(self, name) for name in names)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    for name, value in later.items():
+        setattr(cls, name, value)
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@record
 class Point2:
     """A point (or vector) in the plane."""
 
@@ -72,7 +168,7 @@ class Point2:
         return (self.x1, self.x2)
 
 
-@dataclass(frozen=True)
+@record
 class Matrix2:
     """Dense real 2x2 matrix, row-major fields a11, a12, a21, a22."""
 
@@ -147,7 +243,7 @@ class Matrix2:
         return [[self.a11, self.a12], [self.a21, self.a22]]
 
 
-@dataclass(frozen=True)
+@record
 class AntisymScalar:
     """Scalar coefficient q encoding the antisymmetric matrix q * [[0,1],[-1,0]].
 
@@ -163,7 +259,7 @@ class AntisymScalar:
         return Matrix2(0.0, self.q, -self.q, 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class DiffusionParams:
     """Symmetric positive-semidefinite diffusion matrix [[d11,d12],[d12,d22]].
 
@@ -289,7 +385,7 @@ def define(source: str, name: str, namespace: dict | None = None) -> Callable:
     return namespace[name]
 
 
-@dataclass(frozen=True)
+@record
 class ScalarField:
     """Scalar function of the plane with analytic or finite-difference gradient.
 
@@ -324,7 +420,7 @@ class ScalarField:
         return g1, g2
 
 
-@dataclass(frozen=True)
+@record
 class VectorField:
     """Planar vector field with optional analytic divergence.
 
@@ -335,7 +431,7 @@ class VectorField:
 
     fn: Callable
     divergence_fn: Callable | None = None
-    stage: str | None = field(default=None, init=False)  # set by from_stage alone, after its checks
+    stage: str | None = NotInit(None)  # set by from_stage alone, after its checks
 
     @classmethod
     def from_stage(cls, stage: str, divergence_fn: Callable | None = None) -> VectorField:
@@ -378,7 +474,7 @@ class VectorField:
         return value
 
 
-@dataclass(frozen=True)
+@record
 class SystemSpec:
     """A named planar system: its field, and optionally a potential and friction matrix.
 

@@ -21,11 +21,9 @@ ValueError) naming it, so no verdict is ever computed from such a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Matrix2, Point2, SystemSpec, check_finite
+from .core import Matrix2, Point2, SystemSpec, check_finite, record
 from .errors import MissingPotential, NotPSD
 from .field import equilibrium_mask, friction_at
 from .tolerances import PSD_SLACK, master_tol
@@ -42,7 +40,7 @@ RATE = "rate of change of the potential"
 VERDICTS = (CONSERVATIVE, DISSIPATIVE, EXPANDING)
 
 
-@dataclass(frozen=True)
+@record
 class DissipationReport:
     """Pointwise comparison of the power and divergence criteria.
 
@@ -62,7 +60,7 @@ class DissipationReport:
     agree: bool | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ReportColumns:
     """``report`` at N points: the fields of DissipationReport as columns, with
     verdicts as int8 codes into VERDICTS."""

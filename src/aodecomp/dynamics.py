@@ -19,12 +19,11 @@ from __future__ import annotations
 import functools
 import math
 import textwrap
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import catalog, dissipation
-from .core import Point2, SystemSpec, check_finite, define
+from .core import Point2, SystemSpec, check_finite, define, record
 from .errors import MissingPotential, NonFinite
 from .tolerances import BLOWUP_LIMIT, master_tol
 
@@ -35,7 +34,7 @@ DEFAULT_DT = 1e-3
 MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class Trajectory:
     """Uniformly sampled solution; x rows are the system's coordinates, (r, theta) for the polar form."""
 
@@ -51,7 +50,7 @@ class Trajectory:
         return len(self.t)
 
 
-@dataclass(frozen=True)
+@record
 class Definition2Report:
     """Grid audit of the two generalized-Lyapunov conditions.
 

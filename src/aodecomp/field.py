@@ -23,16 +23,14 @@ equilibrium rule (``equilibrium_mask``) each exist once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Point2, SystemSpec
+from .core import Point2, SystemSpec, record
 from .errors import EquilibriumPoint, MissingPotential, NotFiniteQuantity
 from .tolerances import EQUILIBRIUM_TOL, SINGULAR_SPLIT_TOL
 
 
-@dataclass(frozen=True)
+@record
 class PointDecomposition:
     """Friction/transverse (and, where invertible, diffusion/gyration) at a point."""
 
@@ -46,7 +44,7 @@ class PointDecomposition:
     singular_on_isopotential: bool
 
 
-@dataclass(frozen=True)
+@record
 class DecompositionColumns:
     """``point_decomposition`` at N points: the drift f, the potential gradient g
     and the frame as float64 columns, with two boolean masks.

@@ -22,10 +22,9 @@ is classification metadata, never a code branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
-    AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, invert2, sym_antisym_split,
+    AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, invert2, record, sym_antisym_split,
 )
 from .errors import AsymmetricU
 from .tolerances import POTENTIAL_SYMMETRY_TOL, SPECTRUM_TOL, TRACE_ZERO_TOL
@@ -44,7 +43,7 @@ INCONSISTENT = "inconsistent"
 FAMILY_DEFAULT_Q = 1.0
 
 
-@dataclass(frozen=True)
+@record
 class SpectralClass:
     """Eigenvalue classification of a 2x2 matrix.
 
@@ -59,7 +58,7 @@ class SpectralClass:
     values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@record
 class QSolution:
     """Outcome of solving the gyration constraint.
 
@@ -76,7 +75,7 @@ class QSolution:
     residual: float = 0.0
 
 
-@dataclass(frozen=True)
+@record
 class LinearDecomposition:
     """Bundle of a drift matrix with its constructed decomposition.
 

@@ -2,9 +2,10 @@
 
 ``bench/tracer.py`` wraps module attributes of aodecomp by name, so a change
 that renames or deletes one of them breaks the traced benchmark; this test
-catches that in the ordinary suite. It runs one ``simulate --polar`` and one
-``report`` through the patched ``cli.main`` and checks that every patched
-attribute is restored afterwards.
+catches that in the ordinary suite. It runs one ``simulate --polar``, one
+``report`` and one pointwise ``decompose`` through the patched ``cli.main``,
+checks that the patched ``Point2.__post_init__`` counted constructions, and
+checks that every patched attribute is restored afterwards.
 """
 
 from __future__ import annotations
@@ -32,10 +33,15 @@ def test_tracer_patches_a_run_and_restores_every_attribute(capsys):
         patched = list(tracer._patched)
         assert cli.main(["simulate", "--system", "hopf_limit_cycle", "--x0", "0.5,0", "--t-end", "0.01", "--polar"]) == 0
         assert cli.main(["report", "--system", "hopf_limit_cycle", "--at", "0.5,0", "--format", "csv"]) == 0
-        spans = tracer.snapshot()["spans"]
+        assert cli.main(["decompose", "--system", "hopf_limit_cycle", "--at", "0.5,0"]) == 0
+        snapshot = tracer.snapshot()
+        spans = snapshot["spans"]
     capsys.readouterr()
     assert patched
-    assert spans["cli.main"][0] == 2
+    assert spans["cli.main"][0] == 3
+    # the tracer counts Point2 constructions by patching Point2.__post_init__ on the class,
+    # so a record that bound __post_init__ when it was made would read 0 here
+    assert snapshot["counts"]["core.point2_constructed"] > 0
     assert spans["dynamics.integrate"][0] == 1
     assert all(getattr(obj, name) is original for obj, name, original in patched)
     assert gc.callbacks == callbacks

@@ -451,6 +451,14 @@ def test_a_usage_error_under_a_closed_stderr_prints_nothing(capsys, monkeypatch)
     assert capsys.readouterr().out.startswith("usage: aodecomp ")
 
 
+def test_help_under_a_closed_stdout_exits_1_with_one_message(capsys, monkeypatch):
+    # with stdout closed (>&-, which leaves sys.stdout None) argparse would print the help on stderr and exit 0
+    monkeypatch.setattr(sys, "stdout", None)
+    for argv in (["--help"], ["catalog", "--help"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "aodecomp: cannot write to stdout: it is closed\n"
+
+
 def test_unknown_arguments_exit_one(capsys):
     assert run(capsys, "simulate", "--system", "hopf_limit_cycle", "--x0", "1,0", "--format", "json")[0] == 1
     assert run(capsys)[0] == 1
@@ -511,6 +519,20 @@ def test_master_tol_rejects_invalid_env_values(capsys, monkeypatch, value):
     assert code == 1
     assert out == ""
     assert err.startswith("aodecomp: AODECOMP_TOL must be a finite nonnegative tolerance")
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # records replace dataclasses, whose per-class exec cost a one-shot run about 10 ms of
+    # start-up; numpy still loads with the cli, as the benchmark's import timing expects
+    code = (
+        "import sys, aodecomp.cli; aodecomp.cli.catalog.list_systems(); "
+        "print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": str(SRC)}, timeout=60,
+        check=True,
+    )
+    assert proc.stdout == "['numpy']\n"
 
 
 def _decompose_in_fresh_interpreter(matrix: str) -> subprocess.CompletedProcess:

@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 
 from aodecomp import (
+    AntisymScalar,
     DiffusionParams,
     Matrix2,
     Point2,
+    QSolution,
     ScalarField,
     SingularMatrix,
+    SystemSpec,
     VectorField,
     central_gradient,
     invert2,
     sym_antisym_split,
 )
+from aodecomp.core import FrozenRecordError, record
 from helpers import random_matrix
 
 
@@ -158,3 +162,69 @@ def test_many_returns_a_float64_column_as_is_and_broadcasts_the_rest():
     g1, g2 = VectorField(lambda a, b: (a.astype(np.float32), np.array([2.0]))).evaluate_many(x1, x2)
     assert g1.dtype == np.float64 and g1.tolist() == [1.0, -2.0, 0.5]
     assert g2.tolist() == [2.0, 2.0, 2.0]
+
+
+def test_records_print_like_dataclasses():
+    assert repr(Point2(1.0, 2.0)) == "Point2(x1=1.0, x2=2.0)"
+    assert repr(Matrix2(1.0, -0.0, 0.5, 4.0)) == "Matrix2(a11=1.0, a12=-0.0, a21=0.5, a22=4.0)"
+    field = VectorField.from_stage("f1, f2 = x2, -x1")
+    assert repr(field) == f"VectorField(fn={field.fn!r}, divergence_fn=None, stage='f1, f2 = x2, -x1')"
+
+
+def test_records_compare_and_hash_their_field_tuples_within_one_class():
+    p = Point2(1.0, 2.0)
+    assert p == Point2(x2=2.0, x1=1.0)
+    assert p != Point2(1.0, 3.0)
+    assert p != (1.0, 2.0)
+    assert p.__eq__((1.0, 2.0)) is NotImplemented
+    assert hash(p) == hash((p.x1, p.x2))
+    assert hash(AntisymScalar(0.5)) == hash((0.5,))
+
+    @record
+    class Left:
+        v: float
+
+    @record
+    class Right:
+        v: float
+
+    assert Left(1.0) == Left(1.0)
+    assert Left(1.0) != Right(1.0)
+
+
+def test_records_are_frozen():
+    p = Point2(1.0, 2.0)
+    with pytest.raises(AttributeError, match="cannot assign to field 'x1'"):
+        p.x1 = 3.0
+    with pytest.raises(FrozenRecordError, match="cannot delete field 'x2'"):
+        del p.x2
+    with pytest.raises(AttributeError):
+        p.other = 0.0
+    assert p == Point2(1.0, 2.0)
+
+
+def test_post_init_checks_positional_and_keyword_construction():
+    with pytest.raises(ValueError, match="Point2 entries must be finite"):
+        Point2(math.nan, 0.0)
+    with pytest.raises(ValueError, match="Point2 entries must be finite"):
+        Point2(x1=0.0, x2=math.inf)
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiffusionParams(-1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiffusionParams(d11=1.0, d12=0.0, d22=-1.0)
+
+
+def test_records_fill_defaults_and_refuse_bad_arguments():
+    solution = QSolution("unique", 2.0)
+    assert (solution.note, solution.residual) == ("", 0.0)
+    assert QSolution("inconsistent", None, residual=0.5).residual == 0.5
+    field = VectorField(lambda x1, x2: (x2, -x1))
+    spec = SystemSpec("spec", field)
+    assert (spec.potential, spec.friction) == (None, None)
+    assert field.divergence_fn is None and field.stage is None
+    with pytest.raises(TypeError, match="stage"):
+        VectorField(field.fn, stage="f1, f2 = x2, -x1")
+    for args, kwargs in (((1.0,), {}), ((1.0, 2.0, 3.0), {}), ((1.0,), {"x1": 2.0}), ((1.0, 2.0), {"x3": 0.0})):
+        with pytest.raises(TypeError):
+            Point2(*args, **kwargs)
+
