@@ -33,10 +33,11 @@ an AttributeError. A field whose default is ``NotInit(value)`` is left out
 of ``__init__`` and starts at that value. ``dataclasses`` is not used because
 on Python 3.10-3.12 it writes each class's methods as source text and
 ``exec``s them at every start, which cost a one-shot run about 10 ms of
-import for the package's 17 records. ``record`` attaches closures over the
-field names instead, whose code is compiled once with this module, so a
-class takes microseconds. Their price is a slower ``__init__``, about
-0.3 us more a construction, which no batch path pays per point.
+import for the package's 17 records (Python 3.11 on a 2-vCPU KVM guest).
+``record`` attaches closures over the field names instead, whose code is
+compiled once with this module, so a class takes microseconds. Their price
+is a slower ``__init__``, 0.2-0.3 us more a construction there, which no
+batch path pays per point.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ def _bind(cls: type, names: tuple, defaults: dict, args: tuple, kwargs: dict) ->
     """The values of ``names`` from ``cls(*args, **kwargs)``, defaults filled in, or TypeError."""
     if len(args) > len(names):
         raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional arguments but {len(args)} were given")
-    kwargs = dict(kwargs)
     values = list(args)
     for name in names[len(args):]:
         if name in kwargs:

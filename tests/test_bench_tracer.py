@@ -35,13 +35,12 @@ def test_tracer_patches_a_run_and_restores_every_attribute(capsys):
         assert cli.main(["report", "--system", "hopf_limit_cycle", "--at", "0.5,0", "--format", "csv"]) == 0
         assert cli.main(["decompose", "--system", "hopf_limit_cycle", "--at", "0.5,0"]) == 0
         snapshot = tracer.snapshot()
-        spans = snapshot["spans"]
     capsys.readouterr()
     assert patched
-    assert spans["cli.main"][0] == 3
+    assert snapshot["spans"]["cli.main"][0] == 3
     # the tracer counts Point2 constructions by patching Point2.__post_init__ on the class,
     # so a record that bound __post_init__ when it was made would read 0 here
     assert snapshot["counts"]["core.point2_constructed"] > 0
-    assert spans["dynamics.integrate"][0] == 1
+    assert snapshot["spans"]["dynamics.integrate"][0] == 1
     assert all(getattr(obj, name) is original for obj, name, original in patched)
     assert gc.callbacks == callbacks
