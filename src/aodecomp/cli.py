@@ -803,19 +803,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    help_text = io.StringIO()
     try:
-        # argparse prints --help on stdout and usage errors on stderr, and falls back to the
-        # other stream when one is closed: a closed one gets a sink instead
-        with redirect_stdout(sys.stdout or io.StringIO()), redirect_stderr(sys.stderr or io.StringIO()):
+        # argparse prints --help into the buffer and usage errors on stderr, or on a sink when stderr is closed
+        with redirect_stdout(help_text), redirect_stderr(sys.stderr or io.StringIO()):
             args = parser.parse_args(_fold_comma_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help, which is a document like any other
         if exc.code != 0:
             return 1
-        if sys.stdout is None:
-            _complain(_STDOUT_CLOSED)
-            return 1
-        return 0
+        # --help: a command whose whole document is the captured help
+        args = argparse.Namespace(func=lambda _: _write_output(help_text.getvalue(), None) or 0)
     try:
         return args.func(args)
     except _InconsistentRequest as exc:

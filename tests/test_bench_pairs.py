@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import platform
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,13 @@ def test_summary_gives_the_parent_iqr_on_the_median_base():
     assert rss["parent_iqr_ratio"] == pytest.approx(2.0 / 48.0)
     assert rss["change_wins"] == "1 of 2"
     assert summary["output_sha256_equal_every_seed"]
+
+
+@pytest.mark.parametrize(
+    "environ, no_bytecode",
+    [({}, False), ({"PYTHONDONTWRITEBYTECODE": ""}, False), ({"PYTHONDONTWRITEBYTECODE": "1"}, True)],
+)
+def test_environment_names_the_python_and_whether_bytecode_writing_is_off(environ, no_bytecode):
+    # Python reads an empty PYTHONDONTWRITEBYTECODE as unset
+    expected = {"python": platform.python_version(), "PYTHONDONTWRITEBYTECODE": no_bytecode}
+    assert bench_pairs.environment(environ) == expected

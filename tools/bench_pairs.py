@@ -21,13 +21,17 @@ runs, the median change, the pairs the change wins and the parent's
 interquartile range, also as a ratio of the parent's median; ``peak_rss_mb_modes`` splits each side's peak RSS where
 sorted runs jump by more than ``RSS_MODE_GAP_MB``; ``run_order`` lists the
 sides in the order they ran, and ``runs`` holds every run's full record, one
-line each.
+line each. ``environment`` names the Python that ran both sides and whether
+``PYTHONDONTWRITEBYTECODE`` was set: ``bench/run.py`` inherits it, and with it
+set every ``setup_s`` sample compiles the package's source.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -85,6 +89,11 @@ def _modes(values: list[float]) -> list[dict]:
         else:
             groups.append([value])
     return [{"runs": len(group), "median": statistics.median(group)} for group in groups]
+
+
+def environment(environ) -> dict:
+    """The Python that runs both sides, and whether ``environ`` sets ``PYTHONDONTWRITEBYTECODE`` (any non-empty value)."""
+    return {"python": platform.python_version(), "PYTHONDONTWRITEBYTECODE": bool(environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
@@ -164,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{seconds:g} --trace <0|1>",
         "protocol": "alternating parent/change pairs, the first side alternating from pair to pair; "
         "each side runs from a git archive export of its commit (tools/bench_pairs.py)",
+        "environment": environment(os.environ),
         "claim": args.claim,
         "summary": {w: summarize(p, benchmark["end_to_end"]) for w, p in pairs.items()},
         "run_order": order,
