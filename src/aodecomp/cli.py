@@ -47,9 +47,9 @@ guards every other JSON document.
 Exit codes: 0 success, 1 usage or input error, 2 inconsistent decomposition
 request, 3 numerical blow-up. A ``--grid`` of more than ``MAX_GRID_POINTS``
 points and a ``simulate`` of more than ``dynamics.MAX_STEPS`` steps are
-input errors, refused before anything is allocated. A stdout that cannot
-be written, such as one closed at start-up (``>&-``, which ``--help`` also
-gets) or a reader that stops before the document ends (``| head -1``), gets
+input errors, refused before anything is allocated. Every document, the
+``--help`` text included, goes out through ``_write_pieces``; a stdout it
+cannot write (``>&-``, ``| head -1``, a closed pipe, a full device) gets
 exit 1 and one ``aodecomp:`` line on stderr, with no traceback. A stderr
 that cannot be written (``2>&-``) loses the ``aodecomp:`` line, never the
 exit code; argparse's usage and error text then go to a sink, not to stdout.
@@ -129,9 +129,6 @@ class _Factored(NamedTuple):
 
     values: np.ndarray
     inverse: np.ndarray
-
-
-_STDOUT_CLOSED = "cannot write to stdout: it is closed"
 
 
 class _UsageError(Exception):
@@ -290,16 +287,17 @@ def _write_pieces(pieces: Iterable, out: str | None) -> None:
     calls), so the document is never joined. The ``out`` file and stdout
     take the same bytes: stdout's text layer is flushed and the pieces go to
     its binary buffer; only a text stream with no buffer, such as
-    ``io.StringIO``, gets them decoded. A stdout that cannot be written is
-    an error, exit 1: one closed at start-up (``>&-``, which leaves
-    ``sys.stdout`` None), a pipe whose reader stopped early (``| head``) or a
-    full device. After a failed write stdout is pointed at the null device,
+    ``io.StringIO``, gets them decoded. It is the one writer of stdout, for
+    every document and the ``--help`` text. A stdout that cannot be written
+    is an error, exit 1: one closed at start-up (``>&-``, which leaves
+    ``sys.stdout`` None), a pipe whose reader stopped early or has closed, or
+    a full device. After a failed write stdout is pointed at the null device,
     so the interpreter's last flush of what it still buffers fails no more.
     """
     if out is None:
         stdout = sys.stdout
         if stdout is None:
-            raise _UsageError(_STDOUT_CLOSED)
+            raise _UsageError("cannot write to stdout: it is closed")
         try:
             stdout.flush()
             binary = getattr(stdout, "buffer", None)

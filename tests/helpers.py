@@ -99,14 +99,19 @@ def plain_rk4(fn, x0: Point2, dt: float, t_end: float, name: str) -> tuple[np.nd
 
 
 def reversed_system(sys: SystemSpec) -> SystemSpec:
-    """Time-reversed copy (negated field), used as a sanity inversion."""
-    f = sys.field.fn
+    """Time-reversed copy: the negated field and closed-form divergence (if any), and the same potential.
+
+    The copy has no friction matrix, so its dissipation power comes from the
+    pointwise frame.
+    """
+    f, div = sys.field.fn, sys.field.divergence_fn
 
     def negated(x1, x2):
         f1, f2 = f(x1, x2)
         return -f1, -f2
 
-    return SystemSpec(f"{sys.name}_reversed", VectorField(negated), potential=sys.potential)
+    field = VectorField(negated, None if div is None else lambda x1, x2: -div(x1, x2))
+    return SystemSpec(f"{sys.name}_reversed", field, potential=sys.potential)
 
 
 def gradient_flow_system() -> SystemSpec:

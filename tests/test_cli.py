@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import re
 import shlex
 import shutil
@@ -457,6 +458,36 @@ def test_help_under_a_closed_stdout_exits_1_with_one_message(capsys, monkeypatch
     for argv in (["--help"], ["catalog", "--help"]):
         assert main(argv) == 1
         assert capsys.readouterr().err == "aodecomp: cannot write to stdout: it is closed\n"
+
+
+def _full_stdout():
+    return open("/dev/full", "w"), "No space left on device"
+
+
+def _closed_pipe_stdout():
+    read, write = os.pipe()
+    os.close(read)
+    return open(write, "w"), "Broken pipe"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["catalog", "--help"]], ids=["help", "catalog_help"])
+@pytest.mark.parametrize(
+    "opened",
+    [
+        pytest.param(
+            _full_stdout, id="full", marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+        ),
+        pytest.param(_closed_pipe_stdout, id="closed_pipe"),
+    ],
+)
+def test_help_on_a_stdout_that_fails_on_write_exits_1_with_one_message(capsys, monkeypatch, opened, argv):
+    # the help is a document like any other: a write that fails is exit 1, not a help lost when the stream closes
+    stdout, reason = opened()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(argv)
+    stdout.close()  # nothing of the help is left buffered to fail again here
+    assert code == 1
+    assert capsys.readouterr().err == f"aodecomp: cannot write to stdout: {reason}\n"
 
 
 def test_unknown_arguments_exit_one(capsys):

@@ -12,7 +12,9 @@ formula is copied into the test:
   S -> R S R^T and U -> R U R^T;
 - the oscillator commutes with rotations (f(Rx) = R f(x), phi(Rx) = phi(x)),
   so ``report_many``'s h_p, div_f and phi_rate, its two verdicts, and
-  ``decompose_many``'s s and t are the same at Rx as at x.
+  ``decompose_many``'s s and t are the same at Rx as at x;
+- reversing time, f -> -f with the same potential (``reversed_system``,
+  whose divergence is the negated closed form), on every catalog system.
 
 Bounds. eps is 2^-52 and bounds one rounding (twice the unit roundoff); |X|
 is a matrix's largest entry magnitude, so |XY| <= 2|X||Y| for 2x2 matrices.
@@ -69,6 +71,51 @@ sqrt(2) |x| and R's 2 eps), which moves r^2 by at most 2 delta_x eps r^2.
   roundings, at most 40 eps r^2 P^2; with the quotient's rounding,
   (32 + 40 + 1) eps P^2: B_st = 2 (2 delta_x r^2 + 146 P^2) eps.
 
+Time reversal. The copy's field is the negation of the original's, value
+for value, and negation is exact, as is rounding to nearest of a negated sum
+or product: fl(-a - b) = -fl(a + b) and fl((-a) b) = -fl(a b). So:
+- ``decompose_many``: f1 and f2 negate; g1 and g2 are the same potential's;
+  f . f, |f| and the rescale's largest components are unchanged, so the
+  equilibrium mask is; grad(phi) . f and f1 d2(phi) - f2 d1(phi) negate,
+  so s and t negate; s^2 + t^2 is unchanged, so the singular mask is, and
+  d = s / (s^2 + t^2) and q = -t / (s^2 + t^2) negate. Bound 0, as values
+  (a 0.0 may come back -0.0), with NaN where the original has NaN.
+- ``report_many``: div_f negates (bound 0), so the conservative points stay
+  conservative and dissipative and expanding trade places; phi_rate =
+  grad(phi) . f negates (bound 0); h_p = s |f|^2 from the frame negates
+  (bound 0), so on the oscillator, which has no friction matrix, h_p
+  negates exactly and verdict_power, a test of |h_p|, is unchanged.
+- A linear entry computes h_p = f^T S f from its friction matrix S, the
+  copy from its frame: grad(phi) . f / |f|^2 * |f|^2, the original's
+  phi_rate to two roundings. The two agree because the transverse part does no work:
+  with M = D + qJ and U = -M^-1 A symmetric, grad(phi) . f =
+  x^T U^T A x = -f^T S f. The program forms M^-1 within
+  (10 kappa_M + 2) eps mu of the inverse of the exact M of the float data
+  (as in B_S above), U as the symmetric part of -(M^-1 A), whose two routes
+  are transposes bit for bit, and f = A x and g = U x within 2 eps |A||x|
+  and 2 eps |U||x|. So U = -M^-1 A + W with
+  |W| <= (20 kappa_M + 7) eps mu |A| + alpha, where alpha is the largest
+  entry of the antisymmetric part of M^-1 A for the exact M: zero when the
+  float data satisfy the constraint exactly, and computed in rationals.
+  With |U| <= 2 mu |A|, 2 |W| |x| |f| from W, 16 eps mu |A| |x| |f| from
+  f, g, the rate and its two roundings, and 6 eps mu |f|^2 from S's split
+  and the five roundings of f^T S f, doubled:
+  B_h = 2 ((40 kappa_M + 30) eps mu |A| |x| |f| + 6 eps mu |f|^2 +
+  2 alpha |x| |f|). Off the equilibria |f| > EQUILIBRIUM_TOL = 1e-10, so
+  |x| |f| > 1e-20 and a product that underflows, off by a few smallest
+  subnormals, stays far inside B_h. At an equilibrium the copy's h_p is 0
+  by rule, and the original's f^T S f is at most 2 mu |f|^2 with five
+  roundings, each off by at most half a smallest subnormal eta where it
+  underflows: B_eq = 2 (2 mu |f|^2 + 4 eta). verdict_power is compared off
+  | |h_p| - zero_tol | <= B_h (B_eq at an equilibrium).
+- identity_gap and agree are computed from the columns above (| |phi_rate|
+  - h_p | and the two verdicts), so they are not compared again; the copy's
+  gap is about 2 |h_p|, since its H_P is negative and the identity
+  |dphi/dt| = H_P holds only for the original.
+The draws cover [-2, 2]^2 with no point excluded: equilibria and the
+oscillator's unit circle are part of the relation (NaN and the singular
+mask), and no product overflows there.
+
 Excluded draws, so each frame is far from singular:
 - linear: |tr A| >= 1e-3, far above the family branch's TRACE_ZERO_TOL
   (1 + |A|) even after c >= 0.1, and D with eigenvalues >= 0.1, so
@@ -84,18 +131,21 @@ Excluded draws, so each frame is far from singular:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aodecomp import DiffusionParams, Matrix2, get
+from aodecomp import DiffusionParams, Matrix2, get, list_systems
 from aodecomp.dissipation import report_many
 from aodecomp.field import decompose_many
 from aodecomp.linear import UNIQUE, assemble_decomposition, solve_gyration
+from helpers import reversed_system
 
 EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 EPS = np.finfo(float).eps
+ETA = np.finfo(float).smallest_subnormal
 ZERO_TOL = 1e-9
 
 unit = st.floats(-2.0, 2.0)
@@ -124,12 +174,17 @@ def linear_requests(draw):
     return Matrix2(a11, a12, a21, trace - a11), DiffusionParams(float(d[0, 0]), float(d[0, 1]), float(d[1, 1]))
 
 
-def condition(a: Matrix2, d: DiffusionParams, q: float) -> tuple[float, float, float]:
-    """(kappa_q, mu, kappa_M) of the module docstring."""
+def inverse_size(d: DiffusionParams, q: float) -> tuple[float, float]:
+    """(mu, kappa_M) of the module docstring."""
     m = as_array(d.matrix()) + q * np.array([[0.0, 1.0], [-1.0, 0.0]])
     size = largest(m)
     mu = size / abs(np.linalg.det(m))
-    return a.max_abs() * (8.0 * d.max_abs() + 2.0 * abs(q)) / abs(a.trace), mu, size * mu
+    return mu, size * mu
+
+
+def condition(a: Matrix2, d: DiffusionParams, q: float) -> tuple[float, float, float]:
+    """(kappa_q, mu, kappa_M) of the module docstring."""
+    return a.max_abs() * (8.0 * d.max_abs() + 2.0 * abs(q)) / abs(a.trace), *inverse_size(d, q)
 
 
 def bounds(sides, q: float, delta: float, delta_out: float) -> tuple[float, float, float]:
@@ -210,3 +265,61 @@ def test_the_oscillator_reads_the_same_at_a_rotated_point(points, theta):
     b_st = 2.0 * (2.0 * delta_x * r2 + 146.0 * p * p) * EPS
     assert np.all(np.abs(frame_rot.friction - frame.friction) <= b_st)
     assert np.all(np.abs(frame_rot.transverse - frame.transverse) <= b_st)
+
+
+def exact_asymmetry(a: Matrix2, d: DiffusionParams, q: float) -> float:
+    """alpha of the module docstring: the antisymmetric part of M^-1 A, in rationals from the float data."""
+    a11, a12, a21, a22 = map(Fraction, (a.a11, a.a12, a.a21, a.a22))
+    m11, m12, m21, m22 = Fraction(d.d11), Fraction(d.d12) + Fraction(q), Fraction(d.d12) - Fraction(q), Fraction(d.d22)
+    # M^-1 A = adj(M) A / det M
+    p12, p21 = m22 * a12 - m12 * a22, m11 * a21 - m21 * a11
+    return float(abs(p12 - p21) / (2 * (m11 * m22 - m12 * m21)))
+
+
+def negated_verdicts(verdicts: np.ndarray) -> np.ndarray:
+    """The divergence verdicts of -div: conservative stays, dissipative and expanding trade places."""
+    return np.array([0, 2, 1], dtype=np.int8)[verdicts]
+
+
+@st.composite
+def plane_points(draw):
+    """Points of [-2, 2]^2, as x1 and x2 columns."""
+    points = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=40))
+    return np.array([p[0] for p in points]), np.array([p[1] for p in points])
+
+
+@EXAMPLES
+@given(st.sampled_from(list_systems()), plane_points())
+def test_reversing_time_negates_the_frame_and_the_rates(name, points):
+    entry = get(name)
+    system, reversed_copy = entry.system, reversed_system(entry.system)
+    x1, x2 = points
+
+    frame, frame_rev = decompose_many(system, x1, x2), decompose_many(reversed_copy, x1, x2)
+    assert np.array_equal(frame_rev.equilibrium, frame.equilibrium)
+    assert np.array_equal(frame_rev.singular_on_isopotential, frame.singular_on_isopotential)
+    for column in ("f1", "f2", "friction", "transverse", "diffusion", "gyration"):
+        assert np.array_equal(getattr(frame_rev, column), -getattr(frame, column), equal_nan=True), column
+    for column in ("g1", "g2"):
+        assert np.array_equal(getattr(frame_rev, column), getattr(frame, column), equal_nan=True), column
+
+    rep = report_many(system, x1, x2, zero_tol=ZERO_TOL)
+    rep_rev = report_many(reversed_copy, x1, x2, zero_tol=ZERO_TOL)
+    assert np.array_equal(rep_rev.div_f, -rep.div_f)
+    assert np.array_equal(rep_rev.verdict_divergence, negated_verdicts(rep.verdict_divergence))
+    assert np.array_equal(rep_rev.phi_rate, -rep.phi_rate)
+    if entry.decomposition is None:  # the oscillator: h_p from the frame on both sides
+        b_h = 0.0
+    else:
+        dec = entry.decomposition
+        a, d, q = dec.a, dec.diffusion, dec.gyration.q
+        mu, kappa_m = inverse_size(d, q)
+        x, f = np.hypot(x1, x2), np.hypot(frame.f1, frame.f2)
+        b_h = 2.0 * (
+            (40.0 * kappa_m + 30.0) * EPS * mu * a.max_abs() * x * f + 6.0 * EPS * mu * f * f
+            + 2.0 * exact_asymmetry(a, d, q) * x * f
+        )
+        b_h = np.where(frame.equilibrium, 2.0 * (2.0 * mu * f * f + 4.0 * ETA), b_h)
+    assert np.all(np.abs(rep_rev.h_p + rep.h_p) <= b_h)
+    clear = np.abs(np.abs(rep.h_p) - ZERO_TOL) > b_h
+    assert np.array_equal(rep_rev.verdict_power[clear], rep.verdict_power[clear])

@@ -92,8 +92,9 @@ def _modes(values: list[float]) -> list[dict]:
 
 
 def environment(environ) -> dict:
-    """The Python that runs both sides, and whether ``environ`` sets ``PYTHONDONTWRITEBYTECODE`` (any non-empty value)."""
-    return {"python": platform.python_version(), "PYTHONDONTWRITEBYTECODE": bool(environ.get("PYTHONDONTWRITEBYTECODE"))}
+    """The Python that runs both sides, and whether ``environ`` sets ``PYTHONDONTWRITEBYTECODE`` non-empty."""
+    no_bytecode = bool(environ.get("PYTHONDONTWRITEBYTECODE"))
+    return {"python": platform.python_version(), "PYTHONDONTWRITEBYTECODE": no_bytecode}
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
