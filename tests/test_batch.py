@@ -51,6 +51,7 @@ def _systems() -> dict[str, SystemSpec]:
     systems["reversed_hopf"] = reversed_system(hopf)
     systems["gradient_flow"] = gradient_flow_system()
     systems["hopf_fd_gradient"] = SystemSpec("hopf_fd_gradient", hopf.field, ScalarField(hopf.potential.fn))
+    systems["hopf_fd_divergence"] = SystemSpec("hopf_fd_divergence", VectorField(hopf.field.fn), hopf.potential)
     return systems
 
 

@@ -460,34 +460,17 @@ def test_help_under_a_closed_stdout_exits_1_with_one_message(capsys, monkeypatch
         assert capsys.readouterr().err == "aodecomp: cannot write to stdout: it is closed\n"
 
 
-def _full_stdout():
-    return open("/dev/full", "w"), "No space left on device"
-
-
-def _closed_pipe_stdout():
+@pytest.mark.parametrize("argv", [["--help"], ["catalog", "--help"]], ids=["help", "catalog_help"])
+def test_help_on_a_closed_pipe_exits_1_with_one_message(capsys, monkeypatch, argv):
+    # the help is a document like any other: a write that fails is exit 1, not a help lost when the stream closes
     read, write = os.pipe()
     os.close(read)
-    return open(write, "w"), "Broken pipe"
-
-
-@pytest.mark.parametrize("argv", [["--help"], ["catalog", "--help"]], ids=["help", "catalog_help"])
-@pytest.mark.parametrize(
-    "opened",
-    [
-        pytest.param(
-            _full_stdout, id="full", marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-        ),
-        pytest.param(_closed_pipe_stdout, id="closed_pipe"),
-    ],
-)
-def test_help_on_a_stdout_that_fails_on_write_exits_1_with_one_message(capsys, monkeypatch, opened, argv):
-    # the help is a document like any other: a write that fails is exit 1, not a help lost when the stream closes
-    stdout, reason = opened()
+    stdout = open(write, "w")
     monkeypatch.setattr(sys, "stdout", stdout)
     code = main(argv)
     stdout.close()  # nothing of the help is left buffered to fail again here
     assert code == 1
-    assert capsys.readouterr().err == f"aodecomp: cannot write to stdout: {reason}\n"
+    assert capsys.readouterr().err == "aodecomp: cannot write to stdout: Broken pipe\n"
 
 
 def test_unknown_arguments_exit_one(capsys):
@@ -601,10 +584,12 @@ def test_a_reader_that_closes_stdout_early_gets_exit_1_and_one_message(argv):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-def test_a_full_stdout_gets_exit_1_and_one_message():
+@pytest.mark.parametrize("argv", [["catalog"], ["--help"], ["catalog", "--help"]], ids=["catalog", "help", "catalog_help"])
+def test_a_full_stdout_gets_exit_1_and_one_message(argv):
+    # the interpreter's last flush at exit finds nothing left to write
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "aodecomp.cli", "catalog"],
+            [sys.executable, "-m", "aodecomp.cli", *argv],
             stdout=full, stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": str(SRC)}, timeout=60, check=False,
         )
     assert proc.returncode == 1
