@@ -137,7 +137,7 @@ def row_texts(rows: np.ndarray) -> list[str]:
 
 
 def column_texts(cells: tuple) -> list[str]:
-    """The strings of one column as ``cli._float_cells`` returns it: its rows, read through its row index if it has one."""
+    """The strings of one column as ``render._float_cells`` returns it: its rows, read through its row index if it has one."""
     rows, index = cells
     if index is None:
         return row_texts(rows)

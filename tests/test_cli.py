@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aodecomp import NotFiniteQuantity, cli, dynamics
+from aodecomp import NotFiniteQuantity, cli, dynamics, render
 from aodecomp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -397,7 +397,7 @@ def test_outputs_are_deterministic(capsys):
 
 REPORT_AT_AND_GRID = ["--system", "hopf_limit_cycle", "--at", "1,0", "--at", "-0.0,0.5", "--grid", "-2,2,-2,2,50,50"]
 OUT_CASES = {
-    # 2,502 rows, more than one block of cli._BLOCK_ROWS
+    # 2,502 rows, more than one block of render._BLOCK_ROWS
     "report_json": ["report", *REPORT_AT_AND_GRID],
     "report_csv": ["report", *REPORT_AT_AND_GRID, "--format", "csv"],
     "grid_csv": ["grid", "--system", "hopf_limit_cycle", "--grid", "-2,2,-2,2,60,60", "--quantity", "vector_field"],
@@ -420,7 +420,7 @@ def test_out_file_matches_stdout(argv, capsys, tmp_path, monkeypatch):
     assert code in (0, 3)
     assert out_path.read_bytes() == stdout_text.encode()
     if argv[0] not in ("catalog", "decompose"):
-        assert stdout_text.count("\n") > cli._BLOCK_ROWS
+        assert stdout_text.count("\n") > render._BLOCK_ROWS
 
 
 def test_master_tol_env_override(capsys, monkeypatch):

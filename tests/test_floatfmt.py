@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aodecomp import cli, floatfmt
+from aodecomp import cli, floatfmt, render
 from helpers import column_texts, row_texts
 
 
@@ -325,27 +325,27 @@ def test_float_cells_mixes_small_and_large_distinct_sets(monkeypatch):
 
     monkeypatch.setattr(floatfmt, "repr_many", counted)
     rng = np.random.default_rng(3)
-    n = cli._BLOCK_ROWS
+    n = render._BLOCK_ROWS
     large_unique = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)  # unsorted, no repeats
     small_repeats = rng.choice(np.array([0.5, -0.0, 0.0, np.nan, 3.25]), n)
     large_repeats = rng.choice(rng.standard_normal(600), n)
     small_unique = np.linspace(1.0, -1.0, 100)
     descending = np.sort(rng.uniform(-1e6, 1e6, n))[::-1].copy()
     columns = [large_unique, small_repeats, large_repeats, descending]
-    cells = cli._float_cells(columns, False)
+    cells = render._float_cells(columns, False)
     assert [column_texts(c) for c in cells] == [list(map(repr, column.tolist())) for column in columns]
     distinct_large_repeats = len(np.unique(large_repeats))
-    assert distinct_large_repeats >= cli._NUMPY_MIN_VALUES
+    assert distinct_large_repeats >= render._NUMPY_MIN_VALUES
     # every distinct value of the columns, in one call
     assert calls == [2 * n + len(np.unique(small_repeats.view(np.int64))) + distinct_large_repeats]
     calls.clear()
-    assert [column_texts(c) for c in cli._float_cells([small_unique], False)] == [list(map(repr, small_unique.tolist()))]
+    assert [column_texts(c) for c in render._float_cells([small_unique], False)] == [list(map(repr, small_unique.tolist()))]
     assert calls == []  # below the break-even every value goes through repr
 
 
 def test_float_cells_keeps_row_order_across_a_csv_block(capsys):
     rng = np.random.default_rng(8)
-    n = cli._BLOCK_ROWS + 300
+    n = render._BLOCK_ROWS + 300
     columns = [rng.permutation(n) * 0.001 - 1.0, rng.choice(np.array([1.0, 2.0]), n), rng.standard_normal(n)]
     cli._emit_csv(["a", "b", "c"], columns, None)
     rows = capsys.readouterr().out.splitlines()

@@ -1,10 +1,10 @@
 """The serializer against the plain formatting it replaces, byte for byte.
 
-``_float_cells`` formats each distinct value of a document once, into
+``render._float_cells`` formats each distinct value of a document once, into
 NUL-padded byte rows and a row index per column; read back through the
 index as strings they must be exactly ``repr`` of every value.
-``_emit_csv`` lays float, ``S`` and string columns out as bytes; it must
-give exactly the CSV written cell by cell with ``repr`` and ``str``. ``_report_json`` renders report documents from columns; it must give
+``cli._emit_csv`` lays float, ``S`` and string columns out as bytes; it must
+give exactly the CSV written cell by cell with ``repr`` and ``str``. ``render.report_json`` renders report documents from columns; it must give
 exactly what ``json.dumps(indent=2)`` writes for the same document built as
 a dict, including ``-0.0``.
 """
@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aodecomp import cli, floatfmt, get, list_systems
-from aodecomp.cli import _BLOCK_ROWS, _BOOL_CELLS, _VERDICT_CELLS, _emit_csv, _grid_points, _parse_grid, _report_json, main
-from aodecomp.cli import _float_cells as float_rows
+from aodecomp.cli import _emit_csv, _grid_points, _parse_grid, main
+from aodecomp.render import _BLOCK_ROWS, _BOOL_CELLS, _VERDICT_CELLS, report_json
+from aodecomp.render import _float_cells as float_rows
 from aodecomp.dissipation import VERDICTS, report_many
 from helpers import column_texts
 
@@ -209,11 +210,7 @@ def test_report_json_matches_json_dumps(name):
     x1, x2 = _report_points()
     assert len(x1) > _BLOCK_ROWS
     rep = report_many(system, x1, x2, zero_tol=1e-9)
-    columns = [
-        x1, x2, rep.h_p, rep.div_f, rep.phi_rate, rep.identity_gap, _VERDICT_CELLS.take(rep.verdict_power),
-        _VERDICT_CELLS.take(rep.verdict_divergence), _BOOL_CELLS.take(rep.agree.view(np.int8)),
-    ]
-    text = b"".join(_report_json(name, 1e-9, columns, len(x1) - int(np.count_nonzero(rep.agree)))).decode()
+    text = b"".join(report_json(name, 1e-9, [x1, x2], rep)).decode()
     assert_same_text(text, reference_report(name, 1e-9, x1, x2, rep))
     assert '"at": [\n        -0.0,\n        -0.0\n      ]' in text
 
