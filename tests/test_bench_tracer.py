@@ -4,8 +4,9 @@
 that renames or deletes one of them breaks the traced benchmark; this test
 catches that in the ordinary suite. It runs one ``simulate --polar``, one
 ``report`` and one pointwise ``decompose`` through the patched ``cli.main``,
-checks that the patched ``Point2.__post_init__`` counted constructions, and
-checks that every patched attribute is restored afterwards.
+checks that each document went through the patched writers, that the
+patched ``Point2.__post_init__`` counted constructions, and that every
+patched attribute is restored afterwards.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ def test_tracer_patches_a_run_and_restores_every_attribute(capsys):
     capsys.readouterr()
     assert patched
     assert snapshot["spans"]["cli.main"][0] == 3
+    # every CSV goes through cli._emit_csv and a small JSON document through
+    # cli._emit_json and cli._write_output, the names the tracer times
+    assert snapshot["spans"]["cli.emit_csv"][0] == 2
+    assert snapshot["spans"]["cli.emit_json"][0] == 1
+    assert snapshot["spans"]["cli.write"][0] == 1
     # the tracer counts Point2 constructions by patching Point2.__post_init__ on the class,
     # so a record that bound __post_init__ when it was made would read 0 here
     assert snapshot["counts"]["core.point2_constructed"] > 0
