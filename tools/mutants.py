@@ -73,6 +73,8 @@ MUTANTS = [
     ),
 ]
 
+# tier-1 takes under a minute; a run this long is hung
+TIMEOUT_S = 900
 _NOT_COPIED = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_build", ".benchmarks", "*.egg-info", "BENCH_*.json"
 )
@@ -102,7 +104,10 @@ def run(label: str, file: str, old: str, new: str, tests: list[str]) -> tuple[st
             "--ignore=tests/test_mutants.py",
         ]
         start = time.perf_counter()
-        proc = subprocess.run(command + tests, cwd=tree, env=env, capture_output=True, text=True, timeout=900)
+        try:
+            proc = subprocess.run(command + tests, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:  # a mutant can make a loop run forever
+            return f"error (over {TIMEOUT_S} s)", "", time.perf_counter() - start
         seconds = time.perf_counter() - start
     failed = next(
         (line.split(" ", 2)[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))), ""
