@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import textwrap
+from array import array
 
 import numpy as np
 
@@ -68,6 +69,11 @@ class Definition2Report:
 
 
 def _steps(dt: float, t_end: float) -> int:
+    """The number of RK4 steps of a run, ``round(t_end / dt)``.
+
+    The last sample is at ``n * dt``, so it can pass ``t_end`` by up to dt/2:
+    dt = 0.001 and t_end = 0.0015 take 2 steps and end at t = 0.002.
+    """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     if not t_end >= dt:
@@ -78,12 +84,13 @@ def _steps(dt: float, t_end: float) -> int:
 
 
 # The step loop, with {stage} standing for a stage indented into the loop
-# body. It returns the states and the step whose state left [-limit, limit],
-# or None. A stage binds only f1, f2 and _-prefixed names, so it cannot
-# clobber the loop's own variables.
+# body. It returns the states, as two float64 buffers (array "d") filled by
+# index, and the step whose state left [-limit, limit], or None. A stage
+# binds only f1, f2 and _-prefixed names, so it cannot clobber the loop's own
+# variables.
 _RK4 = """\
 def loop(fn, a, b, dt, n, limit):
-    x1s, x2s = [a] * (n + 1), [b] * (n + 1)
+    x1s, x2s = array("d", [a]) * (n + 1), array("d", [b]) * (n + 1)
     half, low = 0.5 * dt, -limit
     for i in range(1, n + 1):
         try:
@@ -120,7 +127,7 @@ _CALL_FN = "f1, f2 = fn(x1, x2)"
 def _loop(stage: str):
     """The step loop compiled with ``stage`` inlined, once per distinct text."""
     source = _RK4.format(stage=textwrap.indent(stage, " " * 12))
-    return define(source, "loop", {"math": math})
+    return define(source, "loop", {"array": array, "math": math})
 
 
 def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float = 10.0) -> Trajectory:
@@ -138,7 +145,7 @@ def integrate(sys: SystemSpec, x0: Point2, dt: float = DEFAULT_DT, t_end: float 
     x1s, x2s, blown = loop(field.fn, x0.x1, x0.x2, dt, n, BLOWUP_LIMIT)
     failure = None if blown is None else f"state blew up at t={blown * dt!r} integrating {sys.name!r}"
 
-    x1, x2 = np.array(x1s, dtype=float), np.array(x2s, dtype=float)
+    x1, x2 = np.frombuffer(x1s), np.frombuffer(x2s)
     phi = rate = h_p = None
     if sys.potential is not None:
         h_p, rate = dissipation.power_many(sys, x1, x2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -74,6 +75,32 @@ def test_step_count_is_capped():
     for dt, t_end in ((1e-300, 1.0), (1.0, float(dynamics.MAX_STEPS) * (1 + 2**-52))):
         with pytest.raises(ValueError, match="MAX_STEPS"):
             dynamics._steps(dt, t_end)
+
+
+def test_step_count_rounds_t_end_to_the_nearest_step(hopf):
+    # 0.0015 / 0.001 is 1.5, which rounds to 2 steps: the last t passes t_end by dt / 2
+    traj = integrate(hopf.system, Point2(0.5, 0.0), dt=1e-3, t_end=0.0015)
+    assert traj.t.tolist() == [0.0, 0.001, 0.002]
+
+
+def test_integrate_works_in_flat_float_buffers():
+    # 20,000 steps: a list of 2 (n + 1) Python floats, then its copy into arrays, peaked at 2.9 MB;
+    # the returned trajectory alone holds 0.96 MB
+    spiral = get("stable_spiral").system
+    integrate(spiral, Point2(1.0, 0.0), dt=1e-3, t_end=20.0)  # compiles and caches the loop
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        traj = integrate(spiral, Point2(1.0, 0.0), dt=1e-3, t_end=20.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(traj) == 20_001
+    assert peak < 2_000_000
 
 
 def test_integrate_blowup_carries_partial_trajectory():

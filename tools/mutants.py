@@ -41,6 +41,8 @@ MUTANTS = [
         "singular_split_strict", "src/aodecomp/field.py",
         "norm2 <= SINGULAR_SPLIT_TOL", "norm2 < SINGULAR_SPLIT_TOL",
     ),
+    # a power verdict ten times too forgiving, which only the exact verdicts see
+    ("power_verdict_loose", "src/aodecomp/dissipation.py", "np.abs(h_p) <= tol", "np.abs(h_p) <= 10 * tol"),
     # value errors in the friction power, the linear divergence, the stepper and the overflow rescale
     (
         "friction_power_sign", "src/aodecomp/dissipation.py",
