@@ -108,9 +108,6 @@ class Rounded:
     def __neg__(self) -> Rounded:
         return Rounded(-self.exact, self.size, self.roundings)
 
-    def __radd__(self, other) -> Rounded:
-        return self + other
-
     def __rsub__(self, other) -> Rounded:
         return Rounded.of(other) - self
 
@@ -137,19 +134,17 @@ def _exact(name: str, x1: float, x2: float) -> tuple[Fraction, Fraction, Fractio
         r2 = e1 * e1 + e2 * e2
         div, hp = 2 * (1 - 2 * r2), r2 * (1 - r2) ** 2
         div_program = sys.field.divergence_fn(a, b)
-        hp_program = -_rate(f1, f2, *sys.potential.gradient_fn(a, b)).rounded(2)
+        assert div_program.exact == div
         div_bound = div_program.bound()
+        hp_program = -_rate(f1, f2, *sys.potential.gradient_fn(a, b)).rounded(2)
     else:
-        m = get(name).decomposition.a
-        s = sys.friction
-        g1 = Fraction(m.a11) * e1 + Fraction(m.a12) * e2
-        g2 = Fraction(m.a21) * e1 + Fraction(m.a22) * e2
+        m, s = get(name).decomposition.a, sys.friction
+        v1 = Fraction(m.a11) * e1 + Fraction(m.a12) * e2  # f = A x
+        v2 = Fraction(m.a21) * e1 + Fraction(m.a22) * e2
         div = Fraction(m.a11) + Fraction(m.a22)
-        hp = Fraction(s.a11) * g1 * g1 + (Fraction(s.a12) + Fraction(s.a21)) * g1 * g2 + Fraction(s.a22) * g2 * g2
-        div_program = None
-        hp_program = Rounded.of(_friction_power(s, f1, f2))
         div_bound = U * abs(div)
-    assert div_program is None or div_program.exact == div
+        hp = Fraction(s.a11) * v1 * v1 + (Fraction(s.a12) + Fraction(s.a21)) * v1 * v2 + Fraction(s.a22) * v2 * v2
+        hp_program = _friction_power(s, f1, f2)
     assert hp_program.exact == hp
     return div, div_bound, hp, hp_program.bound()
 
