@@ -67,8 +67,7 @@ def _linear_entry(
     provenance: str,
 ) -> CatalogEntry:
     dec = linear.assemble_decomposition(a, d, q)
-    system = SystemSpec.linear(name, a, potential=dec.potential(), friction=dec.friction)
-    return CatalogEntry(name=name, system=system, provenance=provenance, decomposition=dec)
+    return CatalogEntry(name=name, system=dec.system(name), provenance=provenance, decomposition=dec)
 
 
 def _build_registry() -> dict[str, CatalogEntry]:

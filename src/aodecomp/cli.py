@@ -102,16 +102,8 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     return values
 
 
-def _parse_matrix(text: str) -> Matrix2:
-    return Matrix2(*_parse_floats(text, 4, "--matrix"))
-
-
 def _parse_point(text: str, what: str) -> Point2:
     return Point2(*_parse_floats(text, 2, what))
-
-
-def _parse_diffusion(text: str) -> DiffusionParams:
-    return DiffusionParams(*_parse_floats(text, 3, "--d"))
 
 
 def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -343,6 +335,47 @@ def _linear_doc(name: str, dec: linear.LinearDecomposition, branch: str, note: s
     }
 
 
+def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSolution]:
+    """The decomposition of ``--matrix`` under ``--d`` (default I) at the solved q or a valid ``--q``, and the solution.
+
+    No q satisfying the gyration constraint exits 2; a ``--q`` that violates it, or float64 overflow, exits 1.
+    """
+    a = Matrix2(*_parse_floats(args.matrix, 4, "--matrix"))
+    d = DiffusionParams(*_parse_floats(args.d, 3, "--d")) if args.d is not None else DiffusionParams.identity()
+    sol = linear.solve_gyration(a, d)
+    if sol.branch == linear.INCONSISTENT:
+        raise _InconsistentRequest(
+            f"no gyration value satisfies the constraint for this diffusion: "
+            f"{sol.note}; unmatched right-hand side {sol.residual!r}"
+        )
+    q = sol.q
+    if args.q is not None:
+        q = _parse_floats(args.q, 1, "--q")[0]
+        try:
+            residual = linear.lyapunov_equation_residual(a, d, q)
+        except ValueError:  # a product of the residual got a non-finite entry: q's, unless q = 0 overflows too
+            try:
+                linear.lyapunov_equation_residual(a, d, 0.0)
+                flag, value = "--q", args.q
+            except ValueError:
+                flag, value = "--matrix", args.matrix
+            raise _UsageError(
+                f"the gyration constraint residual of 'custom' overflows float64 at {flag} {value}"
+            ) from None
+        if residual > LYAPUNOV_RESIDUAL_TOL * a.max_abs() * (1.0 + d.max_abs()):  # linear in A, and in q and D
+            raise _UsageError(
+                f"--q {args.q} violates the gyration constraint "
+                f"(residual {residual!r}); the {sol.branch} solution is {sol.q!r}"
+            )
+    try:
+        return linear.assemble_decomposition(a, d, q), sol
+    except ValueError:  # a matrix of the decomposition got a non-finite entry
+        raise _UsageError(
+            f"the decomposition of --matrix {args.matrix} overflows float64: "
+            "a gyration, friction or potential matrix entry is not finite"
+        ) from None
+
+
 def cmd_decompose(args) -> int:
     if args.system is None and args.matrix is None:
         raise _UsageError("decompose needs --system NAME or --matrix a11,a12,a21,a22")
@@ -352,55 +385,17 @@ def cmd_decompose(args) -> int:
             if value is not None:
                 raise _UsageError(f"decompose --system takes no {flag}: a catalog system has its own decomposition")
         entry = catalog.get(args.system)
-        if args.at is not None:
-            doc = _pointwise_doc(entry.system, args.at, entry.name)
-        elif entry.decomposition is not None:
-            branch = linear.solve_gyration(entry.decomposition.a, entry.decomposition.diffusion)
-            doc = _linear_doc(entry.name, entry.decomposition, branch.branch, branch.note)
-        else:
-            raise _UsageError(
-                f"system {args.system!r} is not linear; pointwise decomposition needs --at x1,x2"
-            )
+        name, system, dec, sol = entry.name, entry.system, entry.decomposition, None
     else:
-        a = _parse_matrix(args.matrix)
-        d = _parse_diffusion(args.d) if args.d is not None else DiffusionParams.identity()
-        sol = linear.solve_gyration(a, d)
-        if sol.branch == linear.INCONSISTENT:
-            raise _InconsistentRequest(
-                f"no gyration value satisfies the constraint for this diffusion: "
-                f"{sol.note}; unmatched right-hand side {sol.residual!r}"
-            )
-        q = sol.q
-        if args.q is not None:
-            q = _parse_floats(args.q, 1, "--q")[0]
-            try:
-                residual = linear.lyapunov_equation_residual(a, d, q)
-            except ValueError:  # a product of the residual got a non-finite entry: q's, unless q = 0 overflows too
-                try:
-                    linear.lyapunov_equation_residual(a, d, 0.0)
-                    flag, value = "--q", args.q
-                except ValueError:
-                    flag, value = "--matrix", args.matrix
-                raise _UsageError(
-                    f"the gyration constraint residual of 'custom' overflows float64 at {flag} {value}"
-                ) from None
-            if residual > LYAPUNOV_RESIDUAL_TOL * (1.0 + a.max_abs()) * (1.0 + d.max_abs()):
-                raise _UsageError(
-                    f"--q {args.q} violates the gyration constraint "
-                    f"(residual {residual!r}); the {sol.branch} solution is {sol.q!r}"
-                )
-        try:
-            dec = linear.assemble_decomposition(a, d, q)
-        except ValueError:  # a matrix of the decomposition got a non-finite entry
-            raise _UsageError(
-                f"the decomposition of --matrix {args.matrix} overflows float64: "
-                "a gyration, friction or potential matrix entry is not finite"
-            ) from None
-        if args.at is not None:
-            system = SystemSpec.linear("custom", a, potential=dec.potential(), friction=dec.friction)
-            doc = _pointwise_doc(system, args.at, "custom")
-        else:
-            doc = _linear_doc("custom", dec, sol.branch, sol.note)
+        name, system, (dec, sol) = "custom", None, _matrix_decomposition(args)
+
+    if args.at is not None:
+        doc = _pointwise_doc(system or dec.system(name), args.at, name)
+    elif dec is None:
+        raise _UsageError(f"system {name!r} is not linear; pointwise decomposition needs --at x1,x2")
+    else:
+        sol = sol or linear.solve_gyration(dec.a, dec.diffusion)  # a catalog entry's, solved for this document only
+        doc = _linear_doc(name, dec, sol.branch, sol.note)
 
     if args.format == "json":
         _emit_json(doc, args.out)

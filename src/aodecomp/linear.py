@@ -22,9 +22,10 @@ is classification metadata, never a code branch.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import (
-    AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, invert2, record, sym_antisym_split,
+    AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, invert2, record, sym_antisym_split,
 )
 from .errors import AsymmetricU
 from .tolerances import POTENTIAL_SYMMETRY_TOL, SPECTRUM_TOL, TRACE_ZERO_TOL
@@ -96,24 +97,28 @@ class LinearDecomposition:
     def potential(self) -> ScalarField:
         return quadratic_potential(self.potential_matrix)
 
+    def system(self, name: str) -> SystemSpec:
+        """The linear system x' = A x with this decomposition's potential and friction."""
+        return SystemSpec.linear(name, self.a, potential=self.potential(), friction=self.friction)
+
 
 def classify_spectrum(a: Matrix2) -> SpectralClass:
     """Classify the eigenvalues of A into the four planar normal-form types."""
     tr = a.trace
     disc = tr * tr - 4.0 * a.det
-    if not math.isfinite(disc):
-        # tr^2 or det overflowed to inf - inf; the eigenvalues of A / max|a_ij| scale back
-        m = a.max_abs()
+    m = a.max_abs()
+    if not math.isfinite(disc) or (0.0 < m and SPECTRUM_TOL * m * m < sys.float_info.min):
+        # tr^2 or det overflowed, or a nonzero A's squares underflowed; the eigenvalues of A / max|a_ij| scale back
         unit = classify_spectrum(Matrix2(a.a11 / m, a.a12 / m, a.a21 / m, a.a22 / m))
         return SpectralClass(unit.kind, tuple(m * v for v in unit.values))
-    scale = (1.0 + a.max_abs()) * (1.0 + a.max_abs())
+    scale = m * m
     if disc > SPECTRUM_TOL * scale:
         root = math.sqrt(disc)
         return SpectralClass(REAL_DISTINCT, (0.5 * (tr + root), 0.5 * (tr - root)))
     if disc < -SPECTRUM_TOL * scale:
         return SpectralClass(COMPLEX_PAIR, (0.5 * tr, 0.5 * math.sqrt(-disc)))
     lam = 0.5 * tr
-    off_scale = TRACE_ZERO_TOL * (1.0 + a.max_abs())
+    off_scale = TRACE_ZERO_TOL * m
     is_scalar = (
         abs(a.a12) <= off_scale
         and abs(a.a21) <= off_scale
@@ -133,7 +138,7 @@ def _forced_diffusion_text(a: Matrix2, d: DiffusionParams) -> str:
     # + 0.0 folds a negative zero, so the note never prints (-0.0)
     c11, c12, c22 = -a.a21 + 0.0, a.a11 - a.a22 + 0.0, a.a12 + 0.0
     eq = f"({c11!r})*d11 + ({c12!r})*d12 + ({c22!r})*d22 = 0"
-    small = TRACE_ZERO_TOL * (1.0 + a.max_abs())
+    small = TRACE_ZERO_TOL * a.max_abs()
     if abs(c12) <= small and c11 * c22 > 0.0:
         # Same-sign coefficients on the nonnegative diagonal force the whole
         # diffusion to vanish (semidefiniteness then kills d12 too).
@@ -151,8 +156,8 @@ def solve_gyration(a: Matrix2, d: DiffusionParams) -> QSolution:
     """
     tr = a.trace
     rhs = constraint_rhs(a, d)
-    trace_tol = TRACE_ZERO_TOL * (1.0 + a.max_abs())
-    rhs_tol = TRACE_ZERO_TOL * (1.0 + a.max_abs()) * (1.0 + d.max_abs())
+    trace_tol = TRACE_ZERO_TOL * a.max_abs()
+    rhs_tol = trace_tol * d.max_abs()  # the right-hand side is linear in A and in D
     if abs(tr) > trace_tol:
         return QSolution(UNIQUE, rhs / tr)
     if abs(rhs) <= rhs_tol:
@@ -181,7 +186,7 @@ def assemble_decomposition(
     u_forward = (m_inv @ a).scaled(-1.0)
     u_adjoint = (a.transpose() @ invert2(d.matrix() - q.matrix())).scaled(-1.0)
     gap = (u_forward - u_adjoint).max_abs()
-    if gap > POTENTIAL_SYMMETRY_TOL * (1.0 + u_forward.max_abs()):
+    if gap > POTENTIAL_SYMMETRY_TOL * u_forward.max_abs():
         raise AsymmetricU(u_forward, u_adjoint, gap)
     u = (u_forward + u_adjoint).scaled(0.5)
 

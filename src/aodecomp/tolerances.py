@@ -22,10 +22,10 @@ SINGULAR_DET_TOL = 1e-12
 # Residual of the gyration constraint accepted as "solved".
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 
-# trace(A) counts as zero below TRACE_ZERO_TOL * (1 + max|A|).
+# trace(A) counts as zero below TRACE_ZERO_TOL * max|A|; the gyration constraint's right-hand side, below that * max|D|.
 TRACE_ZERO_TOL = 1e-10
 
-# Eigenvalue discriminant below SPECTRUM_TOL * (1 + max|A|)^2 counts as repeated.
+# Eigenvalue discriminant below SPECTRUM_TOL * max|A|^2 counts as repeated.
 SPECTRUM_TOL = 1e-10
 
 # ||f(x)|| <= EQUILIBRIUM_TOL * (1 + ||x||) marks an equilibrium point.

@@ -20,6 +20,7 @@ from aodecomp import (
     point_decomposition,
     radial_solution,
 )
+from aodecomp.cli import main
 from helpers import HOPF_FORMS, dot, random_point
 
 EXPECTED_NAMES = [
@@ -170,3 +171,31 @@ def test_conservative_entries_are_exactly_conservative():
         for _ in range(50):
             x = random_point(rng)
             assert abs(phi_rate(entry.system, x)) <= 1e-12
+
+
+LINEAR_NAMES = [name for name in EXPECTED_NAMES if get(name).decomposition is not None]
+# the row naming the system, in each decompose document format
+SYSTEM_ROW = {"json": '\n  "system": "{}",\n', "csv": "\nsystem,{}\n"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("at", [[], ["--at", "0.5,0.25"]])
+@pytest.mark.parametrize("name", LINEAR_NAMES)
+def test_linear_entry_decomposes_as_its_matrix_request(name, at, fmt, capsys):
+    # the catalog builds its entry from A, D and q as decompose --matrix does; only "system" tells them apart
+    dec = get(name).decomposition
+    a, d = dec.a, dec.diffusion
+    matrix = [
+        "--matrix", ",".join(map(repr, [a.a11, a.a12, a.a21, a.a22])),
+        "--d", ",".join(map(repr, [d.d11, d.d12, d.d22])), "--q", repr(dec.gyration.q),
+    ]
+    runs = []
+    for source in (["--system", name], matrix):
+        code = main(["decompose", *source, *at, "--format", fmt])
+        runs.append((code, *capsys.readouterr()))
+    (code, out, err), (code_matrix, out_matrix, err_matrix) = runs
+    assert code == code_matrix
+    assert err.replace(repr(name), "'custom'") == err_matrix
+    # zero_matrix has an equilibrium at every point, so its --at requests write nothing
+    assert out.count(SYSTEM_ROW[fmt].format(name)) == (code == 0)
+    assert out.replace(SYSTEM_ROW[fmt].format(name), SYSTEM_ROW[fmt].format("custom")) == out_matrix

@@ -57,9 +57,10 @@ def test_classify_repeated_diagonalizable():
     assert sc.values == (-1.0,)
 
 
-@pytest.mark.parametrize("factor", [1e200, 1e300])
-def test_classify_scales_past_overflow(factor):
-    # tr^2 - 4 det overflows for these entries; the class and the scaled eigenvalues must not change
+@pytest.mark.parametrize("factor", [1e200, 1e300, 1e-160, 1e-200, 1e-300])
+def test_classify_scales_past_overflow_and_underflow(factor):
+    # tr^2 - 4 det overflows for these entries, or its squares leave the normal floats; the class and
+    # the scaled eigenvalues must not change
     fixtures = (
         Matrix2.diagonal(-1.0, -2.0),
         Matrix2(0.0, 1.0, -1.0, 0.0),

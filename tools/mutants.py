@@ -67,6 +67,11 @@ MUTANTS = [
         "np.hypot(f1, f2) <= EQUILIBRIUM_TOL", "abs(f1 + f2) <= EQUILIBRIUM_TOL",
     ),
     ("div_verdict_signed", "src/aodecomp/dissipation.py", "np.where(np.abs(div) <= tol, 0,", "np.where(div <= tol, 0,"),
+    # the absolute floor the linear construction's trace test had, which reads a small A's trace as zero
+    (
+        "trace_tol_floor", "src/aodecomp/linear.py",
+        "trace_tol = TRACE_ZERO_TOL * a.max_abs()", "trace_tol = TRACE_ZERO_TOL * (1.0 + a.max_abs())",
+    ),
     # finite differences on arrays only, 1e-12 off: the batch must match the point loop bit for bit
     (
         "batch_central_divergence_scaled", "src/aodecomp/core.py",
