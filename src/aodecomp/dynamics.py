@@ -189,7 +189,8 @@ def definition2_check(
     The infimum over the whole state space cannot be verified by sampling;
     the report states the region it covered and adds a radial growth probe
     (potential along 8 rays at radii 10, 100, 1000 compared to the grid
-    minimum) rather than claiming a global bound.
+    minimum) rather than claiming a global bound. A sampled or probed
+    potential that is not finite raises NotFiniteQuantity.
     """
     if sys.potential is None:
         raise MissingPotential(f"system {sys.name!r} has no potential")
@@ -210,13 +211,10 @@ def definition2_check(
     ]
     infimum = float(sys.potential.evaluate_many(x1, x2).min())
 
-    radial_ok = True
-    for radius in (10.0, 100.0, 1000.0):
-        for k in range(8):
-            angle = k * math.pi / 4.0
-            probe = Point2(radius * math.cos(angle), radius * math.sin(angle))
-            if sys.potential.evaluate(probe) <= infimum:
-                radial_ok = False
+    probes = [(radius, k * math.pi / 4.0) for radius in (10.0, 100.0, 1000.0) for k in range(8)]
+    p1 = np.array([radius * math.cos(angle) for radius, angle in probes])
+    p2 = np.array([radius * math.sin(angle) for radius, angle in probes])
+    radial_ok = not (sys.potential.evaluate_many(p1, p2) <= infimum).any()
 
     region_text = f"[{xmin}, {xmax}] x [{ymin}, {ymax}] ({samples_per_axis}x{samples_per_axis} grid)"
     if violations:

@@ -28,10 +28,10 @@ class NotPSD(AodecompError):
 
 
 class AsymmetricU(AodecompError):
-    """The two routes to the potential matrix disagree.
+    """The potential matrix U = -(D + Q)^(-1) A is not symmetric.
 
     Signals a gyration value inconsistent with the constraint equation.
-    Carries both computed matrices for inspection.
+    Carries U, its transpose and the gap |u12 - u21| for inspection.
     """
 
     def __init__(self, u_forward, u_adjoint, gap: float):

@@ -11,9 +11,9 @@ which collapses to the scalar relation
 
 Inverting D + Q and splitting into symmetric and antisymmetric parts yields
 the friction matrix S and transverse coefficient t with S + T = [D+Q]^(-1).
-The potential matrix U = -[D+Q]^(-1) A = -A^T [D-Q]^(-1) is symmetric exactly
-when q satisfies the constraint, and phi(x) = x^T U x / 2 is the quadratic
-potential with gradient U x.
+The potential matrix U = -[D+Q]^(-1) A, from the same inverse, is symmetric
+exactly when q satisfies the constraint (the check is on |u12 - u21|), and
+phi(x) = x^T U x / 2 is the quadratic potential with gradient U x.
 
 The construction always takes this general path; the Jordan normal form of A
 is classification metadata, never a code branch.
@@ -82,8 +82,8 @@ class LinearDecomposition:
 
     friction + transverse.matrix() equals the inverse of
     diffusion + gyration.matrix(); potential_matrix is the symmetric U with
-    gradient U x.  ``potential_asymmetry`` records the per-entry gap between
-    the two computation routes for U before symmetrization.
+    gradient U x.  ``potential_asymmetry`` records |u12 - u21| of
+    U = -(D + Q)^(-1) A before symmetrization.
     """
 
     a: Matrix2
@@ -174,9 +174,9 @@ def assemble_decomposition(
 ) -> LinearDecomposition:
     """Build friction, transverse and potential matrices from A, D and q.
 
-    Raises SingularMatrix when D + Q is not invertible and AsymmetricU when
-    the two routes to the potential matrix disagree, which happens exactly
-    when q violates the gyration constraint.
+    U = -(D + Q)^(-1) A reuses the one inverse of D + Q. Raises SingularMatrix
+    when D + Q is not invertible and AsymmetricU when U is not symmetric,
+    which happens exactly when q violates the gyration constraint.
     """
     q = gyration if isinstance(gyration, AntisymScalar) else AntisymScalar(float(gyration))
     m = d.matrix() + q.matrix()
@@ -184,7 +184,7 @@ def assemble_decomposition(
     friction, transverse = sym_antisym_split(m_inv)
 
     u_forward = (m_inv @ a).scaled(-1.0)
-    u_adjoint = (a.transpose() @ invert2(d.matrix() - q.matrix())).scaled(-1.0)
+    u_adjoint = u_forward.transpose()
     gap = (u_forward - u_adjoint).max_abs()
     if gap > POTENTIAL_SYMMETRY_TOL * u_forward.max_abs():
         raise AsymmetricU(u_forward, u_adjoint, gap)

@@ -37,7 +37,7 @@ SINGULAR_SPLIT_TOL = 1e-20
 # Slack for positive-semidefiniteness checks on friction matrices.
 PSD_SLACK = 1e-12
 
-# Per-entry agreement required between the two potential-matrix routes.
+# The potential matrix U counts as symmetric while |u12 - u21| <= POTENTIAL_SYMMETRY_TOL * max|U|.
 POTENTIAL_SYMMETRY_TOL = 1e-9
 
 # Central finite differences use step FD_STEP * (1 + |x_i|) per coordinate.

@@ -16,7 +16,9 @@ from aodecomp import (
     Matrix2,
     MissingPotential,
     NonFinite,
+    NotFiniteQuantity,
     Point2,
+    ScalarField,
     SystemSpec,
     VectorField,
     check_monotonicity,
@@ -241,6 +243,27 @@ def test_definition2_reversed_field_violates(hopf):
     rep = definition2_check(reversed_system(hopf.system), (-2.0, 2.0, -2.0, 2.0), 30)
     assert len(rep.violations) > 0
     assert "violations found" in rep.note
+
+
+@pytest.mark.parametrize("name", [*list_systems(), "reversed_hopf"])
+def test_definition2_radial_probe_matches_a_point_loop(name):
+    system = reversed_system(get("hopf_limit_cycle").system) if name == "reversed_hopf" else get(name).system
+    rep = definition2_check(system, (-2.0, 2.0, -2.0, 2.0), 9)
+    drops = [
+        system.potential.evaluate(Point2(radius * math.cos(k * math.pi / 4.0), radius * math.sin(k * math.pi / 4.0)))
+        <= rep.empirical_infimum
+        for radius in (10.0, 100.0, 1000.0)
+        for k in range(8)
+    ]
+    assert rep.radial_growth_ok is not any(drops)
+
+
+def test_definition2_refuses_a_probe_potential_that_overflows():
+    # finite on the grid, 1e305 * 1000^2 overflows at the outer probes
+    phi = ScalarField(lambda x1, x2: 1e305 * (x1 * x1 + x2 * x2), gradient_fn=lambda x1, x2: (2e305 * x1, 2e305 * x2))
+    system = SystemSpec("steep", VectorField(lambda x1, x2: (-x1, -x2)), potential=phi)
+    with pytest.raises(NotFiniteQuantity, match="potential"):
+        definition2_check(system, (-1.0, 1.0, -1.0, 1.0), 5)
 
 
 def test_definition2_validates_input(hopf):

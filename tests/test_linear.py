@@ -16,6 +16,7 @@ from aodecomp import (
     SingularMatrix,
     assemble_decomposition,
     classify_spectrum,
+    invert2,
     lyapunov_equation_residual,
     quadratic_potential,
     reconstruct_drift,
@@ -30,6 +31,7 @@ from aodecomp.linear import (
     REPEATED_DIAGONALIZABLE,
     UNIQUE,
 )
+from aodecomp.tolerances import POTENTIAL_SYMMETRY_TOL
 from helpers import dot, friction_power, random_diffusion, random_matrix_nonzero_trace, random_point
 
 
@@ -143,6 +145,56 @@ def test_assemble_rejects_inconsistent_gyration():
 def test_assemble_singular_diffusion_gyration():
     with pytest.raises(SingularMatrix):
         assemble_decomposition(Matrix2.diagonal(1.0, -1.0), DiffusionParams.zero(), 0.0)
+
+
+def _two_route_outcome(a: Matrix2, d: DiffusionParams, q: float):
+    """U, its asymmetry or the exception, by the two routes -(D + Q)^(-1) A and -A^T (D - Q)^(-1)."""
+    try:
+        qm = AntisymScalar(q).matrix()
+        u_forward = (invert2(d.matrix() + qm) @ a).scaled(-1.0)
+        u_adjoint = (a.transpose() @ invert2(d.matrix() - qm)).scaled(-1.0)
+        gap = (u_forward - u_adjoint).max_abs()
+        if gap > POTENTIAL_SYMMETRY_TOL * u_forward.max_abs():
+            raise AsymmetricU(u_forward, u_adjoint, gap)
+        return "ok", repr((u_forward + u_adjoint).scaled(0.5).rows()), repr(gap)
+    except (AsymmetricU, SingularMatrix, ValueError) as exc:
+        return _exception_outcome(exc)
+
+
+def _exception_outcome(exc: Exception):
+    if isinstance(exc, AsymmetricU):
+        return "AsymmetricU", repr((exc.u_forward.rows(), exc.u_adjoint.rows())), repr(exc.gap)
+    return type(exc).__name__, str(exc), ""
+
+
+def _one_route_outcome(a: Matrix2, d: DiffusionParams, q: float):
+    try:
+        dec = assemble_decomposition(a, d, q)
+    except (AsymmetricU, SingularMatrix, ValueError) as exc:
+        return _exception_outcome(exc)
+    return "ok", repr(dec.potential_matrix.rows()), repr(dec.potential_asymmetry)
+
+
+def test_one_inversion_gives_the_two_route_potential_bit_for_bit():
+    # -A^T (D - Q)^(-1) is the transpose of -(D + Q)^(-1) A, product for product, so U, its asymmetry and every
+    # exception are the same by either route; draws span 1e-150 to 1e150 in A, D and q (every fifth 1e-300 to
+    # 1e300, where products overflow and underflow), with rank-1 and zero D
+    rng = np.random.default_rng(2029)
+    kinds = set()
+    for i in range(3000):
+        exponent = 300.0 if i % 5 == 0 else 150.0
+        scale_a, scale_d = (10.0 ** float(v) for v in rng.uniform(-exponent, exponent, 2))
+        a = Matrix2(*(scale_a * float(v) for v in rng.uniform(-1.0, 1.0, 4)))
+        d11, d22 = (scale_d * float(v) for v in rng.uniform(0.0, 1.0, 2))
+        rho = (-1.0, 1.0, float(rng.uniform(-1.0, 1.0)))[i % 3]
+        d = DiffusionParams.zero() if i % 50 == 0 else DiffusionParams(d11, rho * math.sqrt(d11) * math.sqrt(d22), d22)
+        sol = solve_gyration(a, d)
+        q_star = 0.0 if sol.q is None else sol.q
+        q = (q_star, q_star * (1.0 + 1e-12), scale_d * float(rng.normal()), 0.0)[i % 4]
+        outcome = _one_route_outcome(a, d, q)
+        assert outcome == _two_route_outcome(a, d, q)
+        kinds.add(outcome[0])
+    assert kinds == {"ok", "AsymmetricU", "SingularMatrix", "ValueError"}
 
 
 def test_residual_zero_on_unique_branch():

@@ -91,8 +91,8 @@ or product: fl(-a - b) = -fl(a + b) and fl((-a) b) = -fl(a b). So:
   with M = D + qJ and U = -M^-1 A symmetric, grad(phi) . f =
   x^T U^T A x = -f^T S f. The program forms M^-1 within
   (10 kappa_M + 2) eps mu of the inverse of the exact M of the float data
-  (as in B_S above), U as the symmetric part of -(M^-1 A), whose two routes
-  are transposes bit for bit, and f = A x and g = U x within 2 eps |A||x|
+  (as in B_S above), U as the symmetric part of -(M^-1 A) (the mean of
+  it and its transpose), and f = A x and g = U x within 2 eps |A||x|
   and 2 eps |U||x|. So U = -M^-1 A + W with
   |W| <= (20 kappa_M + 7) eps mu |A| + alpha, where alpha is the largest
   entry of the antisymmetric part of M^-1 A for the exact M: zero when the
