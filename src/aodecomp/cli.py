@@ -362,7 +362,7 @@ def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSol
             raise _UsageError(
                 f"the gyration constraint residual of 'custom' overflows float64 at {flag} {value}"
             ) from None
-        if residual > LYAPUNOV_RESIDUAL_TOL * a.max_abs() * (1.0 + d.max_abs()):  # linear in A, and in q and D
+        if residual > LYAPUNOV_RESIDUAL_TOL * a.max_abs() * max(abs(q), d.max_abs()):  # linear in A, and in (q, D)
             raise _UsageError(
                 f"--q {args.q} violates the gyration constraint "
                 f"(residual {residual!r}); the {sol.branch} solution is {sol.q!r}"

@@ -264,9 +264,9 @@ class DiffusionParams:
     """Symmetric positive-semidefinite diffusion matrix [[d11,d12],[d12,d22]].
 
     Construction rejects any triple violating d11 >= 0, d22 >= 0 or
-    d11*d22 - d12^2 >= -PSD_SLACK * (1 + max|entry|)^2, the slack that
-    absorbs the round-off of an exactly rank-1 matrix; a violation is an
-    invalid value, not a warning.
+    d11*d22 - d12^2 >= -PSD_SLACK * max|entry|^2, the slack that absorbs
+    the round-off of an exactly rank-1 matrix and scales with it; a
+    violation is an invalid value, not a warning.
     """
 
     d11: float
@@ -279,7 +279,7 @@ class DiffusionParams:
             raise ValueError(
                 f"diffusion diagonal must be nonnegative, got d11={self.d11!r}, d22={self.d22!r}"
             )
-        scale = 1.0 + self.max_abs()
+        scale = self.max_abs()
         if self.det < -PSD_SLACK * scale * scale:
             raise ValueError(f"diffusion must be positive semidefinite: d11*d22 - d12^2 = {self.det!r} < 0")
 
@@ -317,12 +317,11 @@ def sym_antisym_split(m: Matrix2) -> tuple[Matrix2, AntisymScalar]:
 def invert2(m: Matrix2) -> Matrix2:
     """Invert a 2x2 matrix by adjugate/determinant.
 
-    Raises SingularMatrix when |det| <= SINGULAR_DET_TOL * (1 + max|entry|^2);
-    the relative scaling keeps the vanishing locus of friction+transverse
-    splits (the isopotential circle) detected robustly.
+    Raises SingularMatrix when |det| <= SINGULAR_DET_TOL * max|entry|^2, a
+    test relative to the matrix, so M and c * M are singular together.
     """
     det = m.det
-    if abs(det) <= SINGULAR_DET_TOL * (1.0 + m.max_abs() * m.max_abs()):
+    if abs(det) <= SINGULAR_DET_TOL * m.max_abs() * m.max_abs():
         raise SingularMatrix(det)
     inv = 1.0 / det
     return Matrix2(m.a22 * inv, -m.a12 * inv, -m.a21 * inv, m.a11 * inv)

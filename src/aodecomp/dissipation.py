@@ -80,7 +80,7 @@ def _single(x: Point2) -> tuple[np.ndarray, np.ndarray]:
 
 def _friction_power(s: Matrix2, f1, f2):
     """xdot^T S xdot on coordinates, after the symmetry and PSD checks on S."""
-    scale = 1.0 + s.max_abs()
+    scale = s.max_abs()
     if abs(s.a12 - s.a21) > PSD_SLACK * scale:
         raise NotPSD(f"friction matrix is not symmetric: {s.rows()}")
     if s.trace < -PSD_SLACK * scale or s.det < -PSD_SLACK * scale * scale:

@@ -16,10 +16,10 @@ MASTER_TOL_ENV = "AODECOMP_TOL"
 # Zero verdicts and identity-gap comparisons in dissipation reports.
 DEFAULT_MASTER_TOL = 1e-9
 
-# invert2 treats |det| <= SINGULAR_DET_TOL * (1 + max|entry|^2) as singular.
+# invert2 treats |det| <= SINGULAR_DET_TOL * max|entry|^2 as singular.
 SINGULAR_DET_TOL = 1e-12
 
-# Residual of the gyration constraint accepted as "solved".
+# A --q is accepted while the constraint residual is <= LYAPUNOV_RESIDUAL_TOL * max|A| * max(|q|, max|D|).
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 
 # trace(A) counts as zero below TRACE_ZERO_TOL * max|A|; the gyration constraint's right-hand side, below that * max|D|.
@@ -34,7 +34,7 @@ EQUILIBRIUM_TOL = 1e-10
 # friction^2 + transverse^2 below this cannot be inverted (isopotential locus).
 SINGULAR_SPLIT_TOL = 1e-20
 
-# Slack for positive-semidefiniteness checks on friction matrices.
+# PSD slack of D and S: times max|entry| for S's symmetry and trace tests, times its square for the determinants.
 PSD_SLACK = 1e-12
 
 # The potential matrix U counts as symmetric while |u12 - u21| <= POTENTIAL_SYMMETRY_TOL * max|U|.

@@ -72,6 +72,17 @@ MUTANTS = [
         "trace_tol_floor", "src/aodecomp/linear.py",
         "trace_tol = TRACE_ZERO_TOL * a.max_abs()", "trace_tol = TRACE_ZERO_TOL * (1.0 + a.max_abs())",
     ),
+    # the absolute floors the singular, PSD and --q tests had, which made them absolute for a small D, S or q
+    (
+        "det_tol_floor", "src/aodecomp/core.py",
+        "SINGULAR_DET_TOL * m.max_abs() * m.max_abs()", "SINGULAR_DET_TOL * (1.0 + m.max_abs() * m.max_abs())",
+    ),
+    ("psd_slack_floor", "src/aodecomp/core.py", "scale = self.max_abs()", "scale = 1.0 + self.max_abs()"),
+    ("friction_psd_floor", "src/aodecomp/dissipation.py", "scale = s.max_abs()", "scale = 1.0 + s.max_abs()"),
+    (
+        "q_residual_floor", "src/aodecomp/cli.py",
+        "a.max_abs() * max(abs(q), d.max_abs())", "a.max_abs() * (1.0 + max(abs(q), d.max_abs()))",
+    ),
     # finite differences on arrays only, 1e-12 off: the batch must match the point loop bit for bit
     (
         "batch_central_divergence_scaled", "src/aodecomp/core.py",
