@@ -318,10 +318,10 @@ def invert2(m: Matrix2) -> Matrix2:
     """Invert a 2x2 matrix by adjugate/determinant.
 
     Raises SingularMatrix when |det| <= SINGULAR_DET_TOL * max|entry|^2, a
-    test relative to the matrix, so M and c * M are singular together.
+    test relative to the matrix, and when det overflows, where 1 / det is 0.
     """
     det = m.det
-    if abs(det) <= SINGULAR_DET_TOL * m.max_abs() * m.max_abs():
+    if abs(det) <= SINGULAR_DET_TOL * m.max_abs() * m.max_abs() or math.isinf(det):
         raise SingularMatrix(det)
     inv = 1.0 / det
     return Matrix2(m.a22 * inv, -m.a12 * inv, -m.a21 * inv, m.a11 * inv)

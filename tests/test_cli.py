@@ -687,6 +687,13 @@ def test_overflowing_matrix_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_diffusion_whose_inverse_determinant_overflows_is_refused(capsys):
+    # a family gyration of 1.3e154 makes det(D + Q) overflow; its inverse once came out as the zero matrix
+    code, out, err = run(capsys, "decompose", "--matrix", "1,0,0,-1", "--d", "1.3e154,0,1.3e154", "--q", "1.3e154")
+    assert (code, out) == (1, "")
+    assert err == "aodecomp: matrix is singular within tolerance (det=inf)\n"
+
+
 def _assert_overflow_names_input(code, out, err, flag, value):
     assert code == 1
     assert out == ""

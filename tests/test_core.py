@@ -70,6 +70,13 @@ def test_invert2_singular():
     assert excinfo.value.det == 0.0
 
 
+def test_invert2_refuses_a_determinant_that_overflows():
+    # both products are finite and their difference overflows: 1 / det would make a zero "inverse"
+    with pytest.raises(SingularMatrix) as excinfo:
+        invert2(Matrix2(1.3e154, 1.3e154, -1.3e154, 1.3e154))
+    assert excinfo.value.det == math.inf
+
+
 def test_invert2_roundtrip():
     rng = np.random.default_rng(11)
     count = 0
