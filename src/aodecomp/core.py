@@ -59,6 +59,25 @@ def _require_finite(type_name: str, *values: float) -> None:
             raise ValueError(f"{type_name} entries must be finite, got {v!r}")
 
 
+def unit_copy(*values: float) -> tuple[list[float], int]:
+    """``values`` times the power of two 2**-e that brings their largest magnitude into [0.5, 1), and e.
+
+    The copy is exact wherever its values stay normal floats, so a product of
+    the copy, scaled back with ``scale_back``, has the bits of that product of
+    ``values`` wherever both stay normal. Zeros come back as they are, with e = 0.
+    """
+    e = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -e) for v in values], e
+
+
+def scale_back(x: float, e: int) -> float:
+    """x * 2**e rounded once, and an infinity of x's sign where that overflows float64."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 class FrozenRecordError(AttributeError):
     """A field of a record was assigned or deleted."""
 
@@ -279,9 +298,13 @@ class DiffusionParams:
             raise ValueError(
                 f"diffusion diagonal must be nonnegative, got d11={self.d11!r}, d22={self.d22!r}"
             )
-        scale = self.max_abs()
-        if self.det < -PSD_SLACK * scale * scale:
-            raise ValueError(f"diffusion must be positive semidefinite: d11*d22 - d12^2 = {self.det!r} < 0")
+        (d11, d12, d22), e = unit_copy(self.d11, self.d12, self.d22)  # the determinant's products stay normal
+        det = d11 * d22 - d12 * d12
+        scale = max(d11, abs(d12), d22)
+        if det < -PSD_SLACK * scale * scale:
+            raise ValueError(
+                f"diffusion must be positive semidefinite: d11*d22 - d12^2 = {scale_back(det, 2 * e)!r} < 0"
+            )
 
     @classmethod
     def identity(cls) -> DiffusionParams:
@@ -315,16 +338,22 @@ def sym_antisym_split(m: Matrix2) -> tuple[Matrix2, AntisymScalar]:
 
 
 def invert2(m: Matrix2) -> Matrix2:
-    """Invert a 2x2 matrix by adjugate/determinant.
+    """Invert a 2x2 matrix by adjugate/determinant, on its unit copy (``unit_copy``).
 
     Raises SingularMatrix when |det| <= SINGULAR_DET_TOL * max|entry|^2, a
-    test relative to the matrix, and when det overflows, where 1 / det is 0.
+    test relative to the matrix. The copy's det and 1 / det stay normal, so
+    M and ``c * M`` are singular together, and M's inverse is the copy's
+    scaled back by the same power of two: the bits of the plain adjugate
+    formula wherever its products, det and 1 / det stay normal. An entry of
+    the inverse beyond float64 raises ValueError.
     """
-    det = m.det
-    if abs(det) <= SINGULAR_DET_TOL * m.max_abs() * m.max_abs() or math.isinf(det):
-        raise SingularMatrix(det)
+    (a11, a12, a21, a22), e = unit_copy(m.a11, m.a12, m.a21, m.a22)
+    det = a11 * a22 - a12 * a21
+    scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
+    if abs(det) <= SINGULAR_DET_TOL * scale * scale:
+        raise SingularMatrix(scale_back(det, 2 * e))
     inv = 1.0 / det
-    return Matrix2(m.a22 * inv, -m.a12 * inv, -m.a21 * inv, m.a11 * inv)
+    return Matrix2(*(scale_back(v, -e) for v in (a22 * inv, -a12 * inv, -a21 * inv, a11 * inv)))
 
 
 def central_gradient(f: Callable, x1, x2):

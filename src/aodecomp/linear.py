@@ -15,6 +15,10 @@ The potential matrix U = -[D+Q]^(-1) A, from the same inverse, is symmetric
 exactly when q satisfies the constraint (the check is on |u12 - u21|), and
 phi(x) = x^T U x / 2 is the quadratic potential with gradient U x.
 
+The trace, the right-hand side and the constraint residual are evaluated on
+power-of-two unit copies of A and of D, or of (q, D) (``core.unit_copy``),
+so A and (q, D) scaled by any powers of two get the same verdicts.
+
 The construction always takes this general path; the Jordan normal form of A
 is classification metadata, never a code branch.
 """
@@ -25,7 +29,8 @@ import math
 import sys
 
 from .core import (
-    AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, invert2, record, sym_antisym_split,
+    AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, invert2, record, scale_back,
+    sym_antisym_split, unit_copy,
 )
 from .errors import AsymmetricU
 from .tolerances import POTENTIAL_SYMMETRY_TOL, SPECTRUM_TOL, TRACE_ZERO_TOL
@@ -146,6 +151,12 @@ def _forced_diffusion_text(a: Matrix2, d: DiffusionParams) -> str:
     return f"trace(A) = 0 forces {eq}"
 
 
+def _unit_matrix(a: Matrix2) -> tuple[Matrix2, int]:
+    """A's unit copy (``core.unit_copy``) and the exponent of 2 that scales it back to A."""
+    entries, e = unit_copy(a.a11, a.a12, a.a21, a.a22)
+    return Matrix2(*entries), e
+
+
 def solve_gyration(a: Matrix2, d: DiffusionParams) -> QSolution:
     """Solve the gyration constraint for the given drift and diffusion.
 
@@ -153,20 +164,24 @@ def solve_gyration(a: Matrix2, d: DiffusionParams) -> QSolution:
     either holds for every q (family branch, default q reported) or cannot
     hold for the supplied diffusion (inconsistent branch; the residual is the
     unmatched right-hand side and the caller must re-choose the diffusion).
+    The trace and the right-hand side are evaluated on the unit copies of A
+    and D, and q and the unmatched right-hand side scaled back (an infinity
+    where that overflows).
     """
-    tr = a.trace
-    rhs = constraint_rhs(a, d)
-    trace_tol = TRACE_ZERO_TOL * a.max_abs()
-    rhs_tol = trace_tol * d.max_abs()  # the right-hand side is linear in A and in D
+    (u, e_a), (du, e_d) = _unit_matrix(a), unit_copy(d.d11, d.d12, d.d22)
+    tr = u.trace
+    rhs = constraint_rhs(u, DiffusionParams(*du))
+    trace_tol = TRACE_ZERO_TOL * u.max_abs()
+    rhs_tol = trace_tol * max(map(abs, du))  # the right-hand side is linear in A and in D
     if abs(tr) > trace_tol:
-        return QSolution(UNIQUE, rhs / tr)
+        return QSolution(UNIQUE, scale_back(rhs / tr, e_d))
     if abs(rhs) <= rhs_tol:
         return QSolution(
             FAMILY,
             FAMILY_DEFAULT_Q,
             note=f"{_forced_diffusion_text(a, d)}; satisfied, gyration is a free parameter",
         )
-    return QSolution(INCONSISTENT, None, note=_forced_diffusion_text(a, d), residual=rhs)
+    return QSolution(INCONSISTENT, None, note=_forced_diffusion_text(a, d), residual=scale_back(rhs, e_a + e_d))
 
 
 def assemble_decomposition(
@@ -217,13 +232,24 @@ def quadratic_potential(u: Matrix2) -> ScalarField:
 def lyapunov_equation_residual(
     a: Matrix2, d: DiffusionParams, gyration: AntisymScalar | float
 ) -> float:
-    """Frobenius norm of A Q + Q A^T - (A D - D A^T) for the given q."""
+    """Frobenius norm of A Q + Q A^T - (A D - D A^T) for the given q (an infinity beyond float64)."""
     q = gyration if isinstance(gyration, AntisymScalar) else AntisymScalar(float(gyration))
-    qm = q.matrix()
-    dm = d.matrix()
-    lhs = (a @ qm) + (qm @ a.transpose())
-    rhs = (a @ dm) - (dm @ a.transpose())
-    return (lhs - rhs).frobenius()
+    residual, exponent = _unit_constraint(a, d, q.q)
+    return scale_back(residual, exponent)
+
+
+def _unit_constraint(a: Matrix2, d: DiffusionParams, q: float) -> tuple[float, int]:
+    """The constraint residual on the unit copies of A and (q, D), and the exponent of 2 that scales it back.
+
+    The residual is bilinear in A and (q, D), so scaled back it is the
+    residual of A, D and q: the same bits wherever the products stay normal.
+    """
+    u, e_a = _unit_matrix(a)
+    (qu, d11, d12, d22), e_qd = unit_copy(q, d.d11, d.d12, d.d22)
+    qm, dm = Matrix2(0.0, qu, -qu, 0.0), Matrix2(d11, d12, d12, d22)
+    lhs = (u @ qm) + (qm @ u.transpose())
+    rhs = (u @ dm) - (dm @ u.transpose())
+    return (lhs - rhs).frobenius(), e_a + e_qd
 
 
 def reconstruct_drift(dec: LinearDecomposition, x: Point2) -> Point2:

@@ -16,7 +16,7 @@ MASTER_TOL_ENV = "AODECOMP_TOL"
 # Zero verdicts and identity-gap comparisons in dissipation reports.
 DEFAULT_MASTER_TOL = 1e-9
 
-# invert2 treats |det| <= SINGULAR_DET_TOL * max|entry|^2 (and an overflowed det) as singular.
+# invert2 treats |det| <= SINGULAR_DET_TOL * max|entry|^2 as singular.
 SINGULAR_DET_TOL = 1e-12
 
 # A --q is accepted while the constraint residual is <= LYAPUNOV_RESIDUAL_TOL * max|A| * max(|q|, max|D|).

@@ -687,11 +687,14 @@ def test_overflowing_matrix_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
-def test_diffusion_whose_inverse_determinant_overflows_is_refused(capsys):
-    # a family gyration of 1.3e154 makes det(D + Q) overflow; its inverse once came out as the zero matrix
+def test_diffusion_whose_determinant_overflows_decomposes(capsys):
+    # a family gyration of 1.3e154 makes det(D + Q) overflow; D + Q is inverted on its unit copy
     code, out, err = run(capsys, "decompose", "--matrix", "1,0,0,-1", "--d", "1.3e154,0,1.3e154", "--q", "1.3e154")
-    assert (code, out) == (1, "")
-    assert err == "aodecomp: matrix is singular within tolerance (det=inf)\n"
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["gyration"] == 1.3e154
+    assert doc["friction"] == [[0.5 / 1.3e154, 0.0], [0.0, 0.5 / 1.3e154]]
+    assert doc["transverse"] == -0.5 / 1.3e154
 
 
 def _assert_overflow_names_input(code, out, err, flag, value):
@@ -709,21 +712,15 @@ def test_overflowing_matrix_message_names_the_flag(capsys):
     assert "decomposition" in err
 
 
-@pytest.mark.parametrize(
-    "argv, flag, value",
-    [
-        (["--matrix", "1,2,3,4", "--q", "-1e308"], "--q", "-1e308"),
-        (["--matrix", "1,2,3,-1", "--d", "0,0,0", "--q", "1e308"], "--q", "1e308"),  # the family branch
-        (["--matrix", "1e308,1e308,1e308,1e308", "--d", "2,0,2", "--q", "0"], "--matrix", "1e308,1e308,1e308,1e308"),
-    ],
-    ids=["unique", "family", "matrix"],
-)
-def test_overflowing_q_residual_message_names_the_flag(capsys, argv, flag, value):
-    # A Q + Q A^T overflows at the override (at q = 0 too for the matrix case); a finite residual
-    # that only its norm overflows is the "violates" message of test_decompose_invalid_q_override
-    code, out, err = run(capsys, "decompose", *argv)
-    _assert_overflow_names_input(code, out, err, flag, value)
-    assert "gyration constraint residual" in err
+def test_q_whose_residual_overflows_is_judged_on_unit_copies(capsys):
+    # A Q + Q A^T overflows at these overrides; on unit copies the unique one violates the constraint,
+    # with a residual past float64, and the family one satisfies it
+    code, out, err = run(capsys, "decompose", "--matrix", "1,2,3,4", "--q", "-1e308")
+    assert (code, out) == (1, "")
+    assert err == "aodecomp: --q -1e308 violates the gyration constraint (residual inf); the unique solution is -0.2\n"
+    code, out, err = run(capsys, "decompose", "--matrix", "1,2,3,-1", "--d", "0,0,0", "--q", "1e308")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["gyration"] == 1e308
 
 
 def test_overflowing_initial_state_message_names_the_flag(capsys):

@@ -21,7 +21,7 @@ from aodecomp import (
     invert2,
     sym_antisym_split,
 )
-from aodecomp.core import FrozenRecordError, record
+from aodecomp.core import FrozenRecordError, record, scale_back, unit_copy
 from helpers import random_matrix
 
 
@@ -70,11 +70,37 @@ def test_invert2_singular():
     assert excinfo.value.det == 0.0
 
 
-def test_invert2_refuses_a_determinant_that_overflows():
-    # both products are finite and their difference overflows: 1 / det would make a zero "inverse"
-    with pytest.raises(SingularMatrix) as excinfo:
-        invert2(Matrix2(1.3e154, 1.3e154, -1.3e154, 1.3e154))
-    assert excinfo.value.det == math.inf
+def test_invert2_inverts_where_the_determinant_overflows():
+    # both products are finite and their difference overflows; the unit copy's inverse, scaled back, is finite
+    m = Matrix2(1.3e154, 1.3e154, -1.3e154, 1.3e154)
+    (a11, a12, a21, a22), e = unit_copy(m.a11, m.a12, m.a21, m.a22)
+    unit_inverse = invert2(Matrix2(a11, a12, a21, a22))
+    assert invert2(m) == unit_inverse.scaled(2.0 ** -e)
+    assert ((m @ invert2(m)) - Matrix2.identity()).max_abs() <= 1e-15
+
+
+def test_invert2_keeps_the_adjugate_bits_where_they_stay_normal():
+    # the unit copy's det and 1 / det are the plain formula's scaled by powers of two, rounding for rounding
+    rng = np.random.default_rng(30)
+    for _ in range(2000):
+        scale = 10.0 ** float(rng.uniform(-100, 100))
+        m = Matrix2(*(scale * float(v) * 10.0 ** float(w) for v, w in zip(rng.uniform(-1, 1, 4), rng.uniform(-3, 3, 4))))
+        inv = 1.0 / m.det
+        assert invert2(m) == Matrix2(m.a22 * inv, -m.a12 * inv, -m.a21 * inv, m.a11 * inv)
+
+
+def test_unit_copy_scales_by_a_power_of_two_into_half_to_one():
+    for values in ([3.0, -0.25], [1e-300, 5e-310], [1.7e308, 0.0], [-0.5, 0.0, 0.5]):
+        copy, e = unit_copy(*values)
+        assert 0.5 <= max(map(abs, copy)) < 1.0
+        assert [math.ldexp(v, e) for v in copy] == values
+    assert unit_copy(0.0, -0.0) == ([0.0, -0.0], 0)
+
+
+def test_scale_back_overflows_to_a_signed_infinity():
+    assert scale_back(0.75, 1025) == math.inf and scale_back(-0.75, 1025) == -math.inf
+    assert scale_back(0.75, -1100) == 0.0
+    assert scale_back(0.75, 2) == 3.0
 
 
 def test_invert2_roundtrip():

@@ -13,6 +13,11 @@ The same holds for the diffusion and friction matrices: ``invert2``'s
 singular test, the PSD tests of ``DiffusionParams`` and of a friction
 matrix, and the ``--q`` check (linear in q and D together) are relative to
 the matrix, so a small D, S or q gets the verdict of its scaled copy.
+
+Each of the linear tests is made on power-of-two unit copies, so it holds
+past the range where a product of two entries stays a normal float (about
+1e-154 to 1e154): the boundary tests below pin each bound at three scales
+across that range.
 """
 
 from __future__ import annotations
@@ -24,9 +29,13 @@ import pytest
 
 import numpy as np
 
-from aodecomp import AsymmetricU, DiffusionParams, Matrix2, NotPSD, SystemSpec, assemble_decomposition
+from aodecomp import (
+    AsymmetricU, DiffusionParams, Matrix2, NotPSD, SingularMatrix, SystemSpec, assemble_decomposition, invert2,
+    solve_gyration,
+)
 from aodecomp.cli import main
 from aodecomp.dissipation import VERDICTS, report_many
+from aodecomp.linear import FAMILY, INCONSISTENT, UNIQUE
 
 BIG = 1e12
 # (--matrix at 1e-12 scale, --d, --q or None); the large copy is the matrix times BIG
@@ -77,6 +86,11 @@ SMALL_DIFFUSION_REQUESTS = {
     "indefinite_d": ((1e-7, 2e-7, 1e-7), None, 1e7),
     "violating_q": ((1e-12, 3e-13, 1e-12), 0.0, 1e12),
     "solving_q": ((1e-12, 3e-13, 1e-12), -1e-13, 1e12),
+    # det(D + Q) leaves the normal floats; once the inverse of 1e-160 I overflowed and 1e160 I read as singular
+    "d_whose_det_underflows": ((1e-160, 0.0, 1e-160), None, 1e160),
+    "d_whose_det_overflows": ((1.0, 0.0, 1.0), None, 1e160),
+    "solving_q_of_a_tiny_d": ((1e-160, 3e-161, 1e-160), -1e-161, 1e160),
+    "violating_q_of_a_huge_d": ((1.0, 0.3, 1.0), 0.0, 1e160),
 }
 # the phrase that names each refusal of a decompose request
 REFUSALS = (
@@ -115,7 +129,8 @@ def test_small_diffusion_reads_as_its_large_copy(label, capsys):
 
 
 def test_small_indefinite_diffusion_is_refused():
-    for factor in (1.0, 1e7):
+    # at 1e-170 the determinant's products underflow to 0, and at 1e170 they overflow
+    for factor in (1.0, 1e7, 1e-163, 1e177):
         with pytest.raises(ValueError, match="positive semidefinite"):
             DiffusionParams(1e-7 * factor, 2e-7 * factor, 1e-7 * factor)
 
@@ -143,3 +158,54 @@ def test_small_friction_reads_as_its_large_copy(label):
     friction, verdict = SMALL_FRICTIONS[label]
     assert _power_verdict(Matrix2(*friction)) == verdict
     assert _power_verdict(Matrix2(*(v * 1e7 for v in friction))) == verdict
+
+
+def test_huge_drift_over_a_huge_diffusion_decomposes(capsys):
+    # A D once overflowed in the constraint residual; U = -D^(-1) A = diag(1e50, 2e50)
+    code = main(["decompose", "--matrix", "-1e200,0,0,-2e200", "--d", "1e150,0,1e150"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    for got, want in zip(sum(doc["potential_matrix"], []), (1e50, 0.0, 0.0, 2e50), strict=True):
+        assert math.isclose(got, want, rel_tol=1e-15)
+
+
+# Each bound of the linear construction, at 1.5 times and 0.5 times its tolerance, at three scales;
+# a bound made looser by a factor of 2 or more (an absolute floor on a unit copy) moves the first verdict.
+SCALES = (1e-160, 1.0, 1e160)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_trace_is_zero_up_to_its_bound(scale):
+    # trace(A) is zero below 1e-10 * max|A|
+    d = DiffusionParams(1.0, 0.0, 1.0)
+    assert solve_gyration(Matrix2.diagonal(1.0, -1.0 + 1.5e-10).scaled(scale), d).branch == UNIQUE
+    assert solve_gyration(Matrix2.diagonal(1.0, -1.0 + 0.5e-10).scaled(scale), d).branch == FAMILY
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_right_hand_side_is_zero_up_to_its_bound(scale):
+    # with trace(A) = 0, the right-hand side 2 * d12 is zero below 1e-10 * max|A| * max|D| = 2e-10
+    a = Matrix2.diagonal(1.0, -1.0)
+    assert solve_gyration(a, DiffusionParams(2.0 * scale, 1.5e-10 * scale, 2.0 * scale)).branch == INCONSISTENT
+    assert solve_gyration(a, DiffusionParams(2.0 * scale, 0.5e-10 * scale, 2.0 * scale)).branch == FAMILY
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_inverse_is_singular_up_to_its_bound(scale):
+    # det = d * max|M|^2 against the bound 1e-12 * max|M|^2
+    for d, singular in ((1.5e-12, False), (0.5e-12, True)):
+        m = Matrix2(1.0, 1.0, 1.0, 1.0 + d).scaled(scale)
+        if singular:
+            with pytest.raises(SingularMatrix):
+                invert2(m)
+        else:
+            invert2(m)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_diffusion_is_semidefinite_up_to_its_slack(scale):
+    # d11 * d22 - d12^2 = -2 e against the slack -1e-12 * max|D|^2
+    DiffusionParams(scale, (1.0 + 0.25e-12) * scale, scale)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DiffusionParams(scale, (1.0 + 0.75e-12) * scale, scale)

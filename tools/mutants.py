@@ -67,22 +67,25 @@ MUTANTS = [
         "np.hypot(f1, f2) <= EQUILIBRIUM_TOL", "abs(f1 + f2) <= EQUILIBRIUM_TOL",
     ),
     ("div_verdict_signed", "src/aodecomp/dissipation.py", "np.where(np.abs(div) <= tol, 0,", "np.where(div <= tol, 0,"),
-    # the absolute floor the linear construction's trace test had, which reads a small A's trace as zero
+    # the absolute floors the trace, singular, PSD and gyration tests once had; on the power-of-two unit copies
+    # those tests are made on, a floor loosens each bound by a factor of 1.5 to 9, and on a friction matrix it
+    # makes the test absolute for a small S
     (
         "trace_tol_floor", "src/aodecomp/linear.py",
-        "trace_tol = TRACE_ZERO_TOL * a.max_abs()", "trace_tol = TRACE_ZERO_TOL * (1.0 + a.max_abs())",
+        "trace_tol = TRACE_ZERO_TOL * u.max_abs()", "trace_tol = TRACE_ZERO_TOL * (1.0 + u.max_abs())",
     ),
-    # the absolute floors the singular, PSD and --q tests had, which made them absolute for a small D, S or q
     (
         "det_tol_floor", "src/aodecomp/core.py",
-        "SINGULAR_DET_TOL * m.max_abs() * m.max_abs()", "SINGULAR_DET_TOL * (1.0 + m.max_abs() * m.max_abs())",
+        "SINGULAR_DET_TOL * scale * scale", "SINGULAR_DET_TOL * (1.0 + scale * scale)",
     ),
-    ("psd_slack_floor", "src/aodecomp/core.py", "scale = self.max_abs()", "scale = 1.0 + self.max_abs()"),
+    ("psd_slack_floor", "src/aodecomp/core.py", "scale = max(d11, abs(d12), d22)", "scale = 1.0 + max(d11, abs(d12), d22)"),
     ("friction_psd_floor", "src/aodecomp/dissipation.py", "scale = s.max_abs()", "scale = 1.0 + s.max_abs()"),
     (
         "q_residual_floor", "src/aodecomp/cli.py",
         "a.max_abs() * max(abs(q), d.max_abs())", "a.max_abs() * (1.0 + max(abs(q), d.max_abs()))",
     ),
+    # no unit copy: every product of entries beyond about 1e+-154 leaves the normal floats again
+    ("unit_copy_skipped", "src/aodecomp/core.py", "e = math.frexp(max(map(abs, values)))[1]", "e = 0"),
     # finite differences on arrays only, 1e-12 off: the batch must match the point loop bit for bit
     (
         "batch_central_divergence_scaled", "src/aodecomp/core.py",
