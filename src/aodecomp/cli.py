@@ -52,8 +52,8 @@ import numpy as np
 
 from . import catalog, dissipation, dynamics, field, linear, render
 from .core import DiffusionParams, Matrix2, Point2, SystemSpec
-from .errors import AodecompError, NonFinite, NotFiniteQuantity
-from .tolerances import LYAPUNOV_RESIDUAL_TOL, master_tol
+from .errors import AodecompError, AsymmetricU, NonFinite, NotFiniteQuantity
+from .tolerances import master_tol
 
 # Flags whose value is a comma list that may begin with a negative number;
 # their values are folded into --flag=value before argparse sees them.
@@ -326,9 +326,7 @@ def _linear_doc(name: str, dec: linear.LinearDecomposition, branch: str, note: s
             "x2^2": 0.5 * u.a22,
         },
         "residuals": {
-            "gyration_constraint": linear.lyapunov_equation_residual(
-                dec.a, dec.diffusion, dec.gyration
-            ),
+            "gyration_constraint": dec.constraint_residual,
             "potential_asymmetry": dec.potential_asymmetry,
             "drift_reconstruction": reconstruction,
         },
@@ -336,9 +334,10 @@ def _linear_doc(name: str, dec: linear.LinearDecomposition, branch: str, note: s
 
 
 def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSolution]:
-    """The decomposition of ``--matrix`` under ``--d`` (default I) at the solved q or a valid ``--q``, and the solution.
+    """The decomposition of ``--matrix`` under ``--d`` (default I) at ``--q`` or the solved q, and the solution.
 
-    No q satisfying the gyration constraint exits 2; a ``--q`` that violates it, or float64 overflow, exits 1.
+    No q satisfying the gyration constraint exits 2. ``linear.assemble_decomposition``
+    judges q; a ``--q`` it refuses, or float64 overflow, exits 1.
     """
     a = Matrix2(*_parse_floats(args.matrix, 4, "--matrix"))
     d = DiffusionParams(*_parse_floats(args.d, 3, "--d")) if args.d is not None else DiffusionParams.identity()
@@ -348,27 +347,16 @@ def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSol
             f"no gyration value satisfies the constraint for this diffusion: "
             f"{sol.note}; unmatched right-hand side {sol.residual!r}"
         )
-    q = sol.q
-    if args.q is not None:
-        q = _parse_floats(args.q, 1, "--q")[0]
-        try:
-            residual = linear.lyapunov_equation_residual(a, d, q)
-        except ValueError:  # a product of the residual got a non-finite entry: q's, unless q = 0 overflows too
-            try:
-                linear.lyapunov_equation_residual(a, d, 0.0)
-                flag, value = "--q", args.q
-            except ValueError:
-                flag, value = "--matrix", args.matrix
-            raise _UsageError(
-                f"the gyration constraint residual of 'custom' overflows float64 at {flag} {value}"
-            ) from None
-        if residual > LYAPUNOV_RESIDUAL_TOL * a.max_abs() * max(abs(q), d.max_abs()):  # linear in A, and in (q, D)
-            raise _UsageError(
-                f"--q {args.q} violates the gyration constraint "
-                f"(residual {residual!r}); the {sol.branch} solution is {sol.q!r}"
-            )
+    q = sol.q if args.q is None else _parse_floats(args.q, 1, "--q")[0]
     try:
         return linear.assemble_decomposition(a, d, q), sol
+    except AsymmetricU as exc:
+        if args.q is None:
+            raise
+        raise _UsageError(
+            f"--q {args.q} violates the gyration constraint "
+            f"(residual {exc.residual!r}); the {sol.branch} solution is {sol.q!r}"
+        ) from None
     except ValueError:  # a matrix of the decomposition got a non-finite entry
         raise _UsageError(
             f"the decomposition of --matrix {args.matrix} overflows float64: "

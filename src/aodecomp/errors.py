@@ -28,20 +28,19 @@ class NotPSD(AodecompError):
 
 
 class AsymmetricU(AodecompError):
-    """The potential matrix U = -(D + Q)^(-1) A is not symmetric.
+    """A gyration value q violates the constraint equation A Q + Q A^T = A D - D A^T.
 
-    Signals a gyration value inconsistent with the constraint equation.
-    Carries U, its transpose and the gap |u12 - u21| for inspection.
+    The potential matrix U = -(D + Q)^(-1) A is symmetric exactly when q
+    satisfies it. Carries the constraint residual and the bound it exceeds.
     """
 
-    def __init__(self, u_forward, u_adjoint, gap: float):
+    def __init__(self, residual: float, bound: float):
         super().__init__(
-            f"potential matrix is not symmetric (per-entry gap {gap:.3e}); "
-            "the gyration value does not satisfy the constraint equation"
+            f"potential matrix is not symmetric: the gyration value does not satisfy the constraint equation "
+            f"(residual {residual!r} > bound {bound!r})"
         )
-        self.u_forward = u_forward
-        self.u_adjoint = u_adjoint
-        self.gap = gap
+        self.residual = residual
+        self.bound = bound
 
 
 class NonFinite(AodecompError):

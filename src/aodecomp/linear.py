@@ -12,12 +12,16 @@ which collapses to the scalar relation
 Inverting D + Q and splitting into symmetric and antisymmetric parts yields
 the friction matrix S and transverse coefficient t with S + T = [D+Q]^(-1).
 The potential matrix U = -[D+Q]^(-1) A, from the same inverse, is symmetric
-exactly when q satisfies the constraint (the check is on |u12 - u21|), and
-phi(x) = x^T U x / 2 is the quadratic potential with gradient U x.
+exactly when q satisfies the constraint, and phi(x) = x^T U x / 2 is the
+quadratic potential with gradient U x.
 
-The trace, the right-hand side and the constraint residual are evaluated on
-power-of-two unit copies of A and of D, or of (q, D) (``core.unit_copy``),
-so A and (q, D) scaled by any powers of two get the same verdicts.
+One judge decides every q, solved or given: ``assemble_decomposition``
+accepts q while the constraint residual R = sqrt(2) |trace(A) q - rhs| is at
+most sqrt(2) * TRACE_ZERO_TOL * max|A| * (|q| + max|D|), the bound that
+``solve_gyration``'s zero tests give every q it returns. The residual, its
+bound, the trace and the right-hand side are evaluated on power-of-two unit
+copies of A and of D, or of (q, D) (``core.unit_copy``), so A and (q, D)
+scaled by any powers of two get the same verdicts.
 
 The construction always takes this general path; the Jordan normal form of A
 is classification metadata, never a code branch.
@@ -33,7 +37,7 @@ from .core import (
     sym_antisym_split, unit_copy,
 )
 from .errors import AsymmetricU
-from .tolerances import POTENTIAL_SYMMETRY_TOL, SPECTRUM_TOL, TRACE_ZERO_TOL
+from .tolerances import SPECTRUM_TOL, TRACE_ZERO_TOL
 
 REAL_DISTINCT = "real_distinct"
 REPEATED_DIAGONALIZABLE = "repeated_diagonalizable"
@@ -88,7 +92,8 @@ class LinearDecomposition:
     friction + transverse.matrix() equals the inverse of
     diffusion + gyration.matrix(); potential_matrix is the symmetric U with
     gradient U x.  ``potential_asymmetry`` records |u12 - u21| of
-    U = -(D + Q)^(-1) A before symmetrization.
+    U = -(D + Q)^(-1) A before symmetrization, and ``constraint_residual``
+    the gyration constraint residual that q was judged by.
     """
 
     a: Matrix2
@@ -98,6 +103,7 @@ class LinearDecomposition:
     transverse: AntisymScalar
     potential_matrix: Matrix2
     potential_asymmetry: float
+    constraint_residual: float
 
     def potential(self) -> ScalarField:
         return quadratic_potential(self.potential_matrix)
@@ -189,21 +195,19 @@ def assemble_decomposition(
 ) -> LinearDecomposition:
     """Build friction, transverse and potential matrices from A, D and q.
 
-    U = -(D + Q)^(-1) A reuses the one inverse of D + Q. Raises SingularMatrix
-    when D + Q is not invertible and AsymmetricU when U is not symmetric,
-    which happens exactly when q violates the gyration constraint.
+    q is judged first, solved or not: AsymmetricU is raised when the
+    constraint residual exceeds its bound (see the module docstring), which
+    is where U would not be symmetric. U = -(D + Q)^(-1) A then reuses the
+    one inverse of D + Q, and is symmetrized. Raises SingularMatrix when
+    D + Q is not invertible.
     """
     q = gyration if isinstance(gyration, AntisymScalar) else AntisymScalar(float(gyration))
-    m = d.matrix() + q.matrix()
-    m_inv = invert2(m)
+    residual, bound, exponent = _unit_constraint(a, d, q.q)
+    if residual > bound:
+        raise AsymmetricU(scale_back(residual, exponent), scale_back(bound, exponent))
+    m_inv = invert2(d.matrix() + q.matrix())
     friction, transverse = sym_antisym_split(m_inv)
-
-    u_forward = (m_inv @ a).scaled(-1.0)
-    u_adjoint = u_forward.transpose()
-    gap = (u_forward - u_adjoint).max_abs()
-    if gap > POTENTIAL_SYMMETRY_TOL * u_forward.max_abs():
-        raise AsymmetricU(u_forward, u_adjoint, gap)
-    u = (u_forward + u_adjoint).scaled(0.5)
+    u = (m_inv @ a).scaled(-1.0)
 
     return LinearDecomposition(
         a=a,
@@ -211,8 +215,9 @@ def assemble_decomposition(
         gyration=q,
         friction=friction,
         transverse=transverse,
-        potential_matrix=u,
-        potential_asymmetry=gap,
+        potential_matrix=(u + u.transpose()).scaled(0.5),
+        potential_asymmetry=(u - u.transpose()).max_abs(),
+        constraint_residual=scale_back(residual, exponent),
     )
 
 
@@ -234,22 +239,23 @@ def lyapunov_equation_residual(
 ) -> float:
     """Frobenius norm of A Q + Q A^T - (A D - D A^T) for the given q (an infinity beyond float64)."""
     q = gyration if isinstance(gyration, AntisymScalar) else AntisymScalar(float(gyration))
-    residual, exponent = _unit_constraint(a, d, q.q)
+    residual, _, exponent = _unit_constraint(a, d, q.q)
     return scale_back(residual, exponent)
 
 
-def _unit_constraint(a: Matrix2, d: DiffusionParams, q: float) -> tuple[float, int]:
-    """The constraint residual on the unit copies of A and (q, D), and the exponent of 2 that scales it back.
+def _unit_constraint(a: Matrix2, d: DiffusionParams, q: float) -> tuple[float, float, int]:
+    """The constraint residual and its bound on the unit copies of A and (q, D), and the exponent of 2 that scales both back.
 
-    The residual is bilinear in A and (q, D), so scaled back it is the
-    residual of A, D and q: the same bits wherever the products stay normal.
+    Both are bilinear in A and (q, D), so each scaled back is the same
+    quantity of A, D and q: the same bits wherever the products stay normal.
     """
     u, e_a = _unit_matrix(a)
     (qu, d11, d12, d22), e_qd = unit_copy(q, d.d11, d.d12, d.d22)
     qm, dm = Matrix2(0.0, qu, -qu, 0.0), Matrix2(d11, d12, d12, d22)
     lhs = (u @ qm) + (qm @ u.transpose())
     rhs = (u @ dm) - (dm @ u.transpose())
-    return (lhs - rhs).frobenius(), e_a + e_qd
+    bound = math.sqrt(2.0) * TRACE_ZERO_TOL * u.max_abs() * (abs(qu) + dm.max_abs())
+    return (lhs - rhs).frobenius(), bound, e_a + e_qd
 
 
 def reconstruct_drift(dec: LinearDecomposition, x: Point2) -> Point2:

@@ -19,10 +19,8 @@ DEFAULT_MASTER_TOL = 1e-9
 # invert2 treats |det| <= SINGULAR_DET_TOL * max|entry|^2 as singular.
 SINGULAR_DET_TOL = 1e-12
 
-# A --q is accepted while the constraint residual is <= LYAPUNOV_RESIDUAL_TOL * max|A| * max(|q|, max|D|).
-LYAPUNOV_RESIDUAL_TOL = 1e-10
-
-# trace(A) counts as zero below TRACE_ZERO_TOL * max|A|; the gyration constraint's right-hand side, below that * max|D|.
+# trace(A) counts as zero below TRACE_ZERO_TOL * max|A|; the gyration constraint's right-hand side, below that
+# * max|D|; a gyration q is accepted while the constraint residual is <= sqrt(2) * that * max|A| * (|q| + max|D|).
 TRACE_ZERO_TOL = 1e-10
 
 # Eigenvalue discriminant below SPECTRUM_TOL * max|A|^2 counts as repeated.
@@ -36,9 +34,6 @@ SINGULAR_SPLIT_TOL = 1e-20
 
 # PSD slack of D and S: times max|entry| for S's symmetry and trace tests, times its square for the determinants.
 PSD_SLACK = 1e-12
-
-# The potential matrix U counts as symmetric while |u12 - u21| <= POTENTIAL_SYMMETRY_TOL * max|U|.
-POTENTIAL_SYMMETRY_TOL = 1e-9
 
 # Central finite differences use step FD_STEP * (1 + |x_i|) per coordinate.
 FD_STEP = 1e-6

@@ -697,6 +697,15 @@ def test_diffusion_whose_determinant_overflows_decomposes(capsys):
     assert doc["transverse"] == -0.5 / 1.3e154
 
 
+def test_a_family_gyration_gets_one_document_with_and_without_its_q(capsys):
+    # trace 9e-11 is zero for the family branch, whose default q = 1 the one judge accepts as a --q too
+    argv = ["decompose", "--matrix", "1,0,0,-0.99999999991"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["gyration_branch"] == "family"
+    assert run(capsys, *argv, "--q", "1") == (0, out, "")
+
+
 def _assert_overflow_names_input(code, out, err, flag, value):
     assert code == 1
     assert out == ""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from aodecomp.linear import (
     REPEATED_DIAGONALIZABLE,
     UNIQUE,
 )
-from aodecomp.tolerances import POTENTIAL_SYMMETRY_TOL
+from aodecomp.tolerances import TRACE_ZERO_TOL
 from helpers import dot, friction_power, random_diffusion, random_matrix_nonzero_trace, random_point
 
 
@@ -142,28 +143,49 @@ def test_assemble_rejects_inconsistent_gyration():
         assemble_decomposition(Matrix2.diagonal(-1.0, -2.0), DiffusionParams(1.0, 0.3, 1.0), 0.1)
 
 
+def test_assemble_refuses_a_gyration_the_cli_refuses():
+    # stable_node's q* + 1e-10: residual sqrt(2) * 3e-10 against the bound sqrt(2) * 1e-10 * 2 * (0.1 + 1)
+    a, d = Matrix2.diagonal(-1.0, -2.0), DiffusionParams(1.0, 0.3, 1.0)
+    q = solve_gyration(a, d).q + 1e-10
+    with pytest.raises(AsymmetricU) as info:
+        assemble_decomposition(a, d, q)
+    assert info.value.residual == lyapunov_equation_residual(a, d, q)
+    assert info.value.bound == math.sqrt(2.0) * TRACE_ZERO_TOL * 2.0 * (abs(q) + 1.0)
+    assert info.value.residual > info.value.bound
+    assert assemble_decomposition(a, d, q - 0.5e-10).constraint_residual <= info.value.bound
+
+
 def test_assemble_singular_diffusion_gyration():
     with pytest.raises(SingularMatrix):
         assemble_decomposition(Matrix2.diagonal(1.0, -1.0), DiffusionParams.zero(), 0.0)
 
 
+def _exact_violation(a: Matrix2, d: DiffusionParams, q: float) -> bool:
+    """Whether sqrt(2) |trace(A) q - rhs| exceeds sqrt(2) * TRACE_ZERO_TOL * max|A| * (|q| + max|D|), in rationals."""
+    a11, a12, a21, a22, d11, d12, d22, q_ = map(Fraction, (a.a11, a.a12, a.a21, a.a22, d.d11, d.d12, d.d22, q))
+    gap = (a11 + a22) * q_ - (-a21 * d11 + (a11 - a22) * d12 + a12 * d22)
+    bound = Fraction(TRACE_ZERO_TOL) * Fraction(a.max_abs()) * (abs(q_) + Fraction(d.max_abs()))
+    return abs(gap) > bound
+
+
 def _two_route_outcome(a: Matrix2, d: DiffusionParams, q: float):
-    """U, its asymmetry or the exception, by the two routes -(D + Q)^(-1) A and -A^T (D - Q)^(-1)."""
+    """The judgment of q in rationals, then U and its asymmetry or the exception by the two routes
+    -(D + Q)^(-1) A and -A^T (D - Q)^(-1)."""
     try:
         qm = AntisymScalar(q).matrix()
+        if _exact_violation(a, d, q):
+            return "AsymmetricU", "", ""
         u_forward = (invert2(d.matrix() + qm) @ a).scaled(-1.0)
         u_adjoint = (a.transpose() @ invert2(d.matrix() - qm)).scaled(-1.0)
         gap = (u_forward - u_adjoint).max_abs()
-        if gap > POTENTIAL_SYMMETRY_TOL * u_forward.max_abs():
-            raise AsymmetricU(u_forward, u_adjoint, gap)
         return "ok", repr((u_forward + u_adjoint).scaled(0.5).rows()), repr(gap)
-    except (AsymmetricU, SingularMatrix, ValueError) as exc:
+    except (SingularMatrix, ValueError) as exc:
         return _exception_outcome(exc)
 
 
 def _exception_outcome(exc: Exception):
     if isinstance(exc, AsymmetricU):
-        return "AsymmetricU", repr((exc.u_forward.rows(), exc.u_adjoint.rows())), repr(exc.gap)
+        return "AsymmetricU", "", ""
     return type(exc).__name__, str(exc), ""
 
 
@@ -177,8 +199,9 @@ def _one_route_outcome(a: Matrix2, d: DiffusionParams, q: float):
 
 def test_one_inversion_gives_the_two_route_potential_bit_for_bit():
     # -A^T (D - Q)^(-1) is the transpose of -(D + Q)^(-1) A, product for product, so U, its asymmetry and every
-    # exception are the same by either route; draws span 1e-150 to 1e150 in A, D and q (every fifth 1e-300 to
-    # 1e300, where products overflow and underflow), with rank-1 and zero D
+    # exception are the same by either route, and q is refused exactly where its residual exceeds the bound in
+    # rationals (no draw lies within round-off of it); draws span 1e-150 to 1e150 in A, D and q (every fifth
+    # 1e-300 to 1e300, where products overflow and underflow), with rank-1 and zero D
     rng = np.random.default_rng(2029)
     kinds = set()
     for i in range(3000):

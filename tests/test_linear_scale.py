@@ -11,7 +11,7 @@ reads right.
 
 The same holds for the diffusion and friction matrices: ``invert2``'s
 singular test, the PSD tests of ``DiffusionParams`` and of a friction
-matrix, and the ``--q`` check (linear in q and D together) are relative to
+matrix, and the judgment of q (linear in q and D together) are relative to
 the matrix, so a small D, S or q gets the verdict of its scaled copy.
 
 Each of the linear tests is made on power-of-two unit copies, so it holds
@@ -170,8 +170,8 @@ def test_huge_drift_over_a_huge_diffusion_decomposes(capsys):
         assert math.isclose(got, want, rel_tol=1e-15)
 
 
-# Each bound of the linear construction, at 1.5 times and 0.5 times its tolerance, at three scales;
-# a bound made looser by a factor of 2 or more (an absolute floor on a unit copy) moves the first verdict.
+# Each bound of the linear construction, just above and at half or less of its tolerance, at several scales;
+# a bound made looser by a factor of 1.5 or more (an absolute floor on a unit copy) moves the first verdict.
 SCALES = (1e-160, 1.0, 1e160)
 
 
@@ -209,3 +209,15 @@ def test_diffusion_is_semidefinite_up_to_its_slack(scale):
     DiffusionParams(scale, (1.0 + 0.25e-12) * scale, scale)
     with pytest.raises(ValueError, match="positive semidefinite"):
         DiffusionParams(scale, (1.0 + 0.75e-12) * scale, scale)
+
+
+@pytest.mark.parametrize("scale_a, scale_d", [(1.0, 1.0), (1e-160, 1e160), (1e100, 1e-160), (1e-200, 1e-200)])
+def test_gyration_is_accepted_up_to_its_bound(scale_a, scale_d):
+    # stable_node: the residual sqrt(2) * 3 * |q - q*| against the bound sqrt(2) * 1e-10 * 2 * (|q| + 1),
+    # about 1.36 times the bound at q* + 1e-10 and 0.68 times it at q* + 0.5e-10
+    a, d = Matrix2.diagonal(-1.0, -2.0).scaled(scale_a), DiffusionParams(scale_d, 0.3 * scale_d, scale_d)
+    q_star = solve_gyration(a, d).q
+    assert math.isclose(q_star, -0.1 * scale_d, rel_tol=1e-15)
+    with pytest.raises(AsymmetricU):
+        assemble_decomposition(a, d, q_star + 1e-10 * scale_d)
+    assemble_decomposition(a, d, q_star + 0.5e-10 * scale_d)

@@ -81,8 +81,8 @@ MUTANTS = [
     ("psd_slack_floor", "src/aodecomp/core.py", "scale = max(d11, abs(d12), d22)", "scale = 1.0 + max(d11, abs(d12), d22)"),
     ("friction_psd_floor", "src/aodecomp/dissipation.py", "scale = s.max_abs()", "scale = 1.0 + s.max_abs()"),
     (
-        "q_residual_floor", "src/aodecomp/cli.py",
-        "a.max_abs() * max(abs(q), d.max_abs())", "a.max_abs() * (1.0 + max(abs(q), d.max_abs()))",
+        "q_residual_floor", "src/aodecomp/linear.py",
+        "u.max_abs() * (abs(qu) + dm.max_abs())", "u.max_abs() * (1.0 + abs(qu) + dm.max_abs())",
     ),
     # no unit copy: every product of entries beyond about 1e+-154 leaves the normal floats again
     ("unit_copy_skipped", "src/aodecomp/core.py", "e = math.frexp(max(map(abs, values)))[1]", "e = 0"),
