@@ -302,12 +302,22 @@ def _pointwise_doc(system: SystemSpec, text: str, name: str) -> dict:
 
 
 def _linear_doc(name: str, dec: linear.LinearDecomposition, branch: str, note: str) -> dict:
+    """The linear decomposition document; raises ValueError where one of its values is not finite."""
     spectral = linear.classify_spectrum(dec.a)
     u = dec.potential_matrix
     probes = (Point2(1.0, 0.0), Point2(0.0, 1.0), Point2(1.0, 1.0), Point2(-1.0, 0.5))
     reconstruction = max(
         (linear.reconstruct_drift(dec, p) - dec.a.apply(p)).norm() for p in probes
     )
+    coefficients = {"x1^2": 0.5 * u.a11, "x1*x2": 0.5 * (u.a12 + u.a21), "x2^2": 0.5 * u.a22}
+    residuals = {
+        "gyration_constraint": dec.constraint_residual,
+        "potential_asymmetry": dec.potential_asymmetry,
+        "drift_reconstruction": reconstruction,
+    }
+    for value in (*spectral.values, *coefficients.values(), *residuals.values()):  # every matrix entry is finite
+        if not math.isfinite(value):
+            raise ValueError(f"a value of the linear decomposition document is not finite: {value!r}")
     return {
         "kind": "linear_decomposition",
         "system": name,
@@ -320,17 +330,21 @@ def _linear_doc(name: str, dec: linear.LinearDecomposition, branch: str, note: s
         "friction": dec.friction.rows(),
         "transverse": dec.transverse.q,
         "potential_matrix": u.rows(),
-        "potential_coefficients": {
-            "x1^2": 0.5 * u.a11,
-            "x1*x2": 0.5 * (u.a12 + u.a21),
-            "x2^2": 0.5 * u.a22,
-        },
-        "residuals": {
-            "gyration_constraint": dec.constraint_residual,
-            "potential_asymmetry": dec.potential_asymmetry,
-            "drift_reconstruction": reconstruction,
-        },
+        "potential_coefficients": coefficients,
+        "residuals": residuals,
     }
+
+
+@contextmanager
+def _naming_matrix_overflow(matrix: str):
+    """Turn a ValueError raised in the block, a value not finite, into a _UsageError naming ``--matrix``."""
+    try:
+        yield
+    except ValueError:
+        raise _UsageError(
+            f"the decomposition of --matrix {matrix} overflows float64: "
+            "a matrix entry or another value of its document is not finite"
+        ) from None
 
 
 def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSolution]:
@@ -349,18 +363,14 @@ def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSol
         )
     q = sol.q if args.q is None else _parse_floats(args.q, 1, "--q")[0]
     try:
-        return linear.assemble_decomposition(a, d, q), sol
+        with _naming_matrix_overflow(args.matrix):
+            return linear.assemble_decomposition(a, d, q), sol
     except AsymmetricU as exc:
         if args.q is None:
             raise
         raise _UsageError(
             f"--q {args.q} violates the gyration constraint "
             f"(residual {exc.residual!r}); the {sol.branch} solution is {sol.q!r}"
-        ) from None
-    except ValueError:  # a matrix of the decomposition got a non-finite entry
-        raise _UsageError(
-            f"the decomposition of --matrix {args.matrix} overflows float64: "
-            "a gyration, friction or potential matrix entry is not finite"
         ) from None
 
 
@@ -383,7 +393,8 @@ def cmd_decompose(args) -> int:
         raise _UsageError(f"system {name!r} is not linear; pointwise decomposition needs --at x1,x2")
     else:
         sol = sol or linear.solve_gyration(dec.a, dec.diffusion)  # a catalog entry's, solved for this document only
-        doc = _linear_doc(name, dec, sol.branch, sol.note)
+        with _naming_matrix_overflow(args.matrix):  # a catalog entry's document is finite
+            doc = _linear_doc(name, dec, sol.branch, sol.note)
 
     if args.format == "json":
         _emit_json(doc, args.out)

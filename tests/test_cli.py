@@ -732,6 +732,22 @@ def test_q_whose_residual_overflows_is_judged_on_unit_copies(capsys):
     assert json.loads(out)["gyration"] == 1e308
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "matrix, extra",
+    [
+        # q = 0 is valid and D + Q = 2 I inverts, but A x at (1, 1) overflows in the drift reconstruction
+        ("1e308,1e308,1e308,1e308", ["--d", "2,0,2", "--q", "0"]),
+        # every matrix is finite, but the eigenvalue 1.8e308 is not: once an inf cell or a JSON-encoder error
+        ("1e308,-0.8e308,-0.8e308,1e308", ["--d", "4,0,4"]),
+    ],
+)
+def test_document_that_overflows_names_the_matrix(capsys, matrix, extra, fmt):
+    code, out, err = run(capsys, "decompose", "--matrix", matrix, *extra, "--format", fmt)
+    _assert_overflow_names_input(code, out, err, "--matrix", matrix)
+    assert "decomposition" in err and "JSON" not in err
+
+
 def test_overflowing_initial_state_message_names_the_flag(capsys):
     code, out, err = run(capsys, "simulate", "--system", "hopf_limit_cycle", "--x0", "1e200,0")
     _assert_overflow_names_input(code, out, err, "--x0", "1e200,0")

@@ -17,15 +17,20 @@ the matrix, so a small D, S or q gets the verdict of its scaled copy.
 Each of the linear tests is made on power-of-two unit copies, so it holds
 past the range where a product of two entries stays a normal float (about
 1e-154 to 1e154): the boundary tests below pin each bound at three scales
-across that range.
+across that range, and a derandomized property scales A and (q, D) by
+powers of two up to 2^+-1000.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -221,3 +226,86 @@ def test_gyration_is_accepted_up_to_its_bound(scale_a, scale_d):
     with pytest.raises(AsymmetricU):
         assemble_decomposition(a, d, q_star + 1e-10 * scale_d)
     assemble_decomposition(a, d, q_star + 0.5e-10 * scale_d)
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _verdict(a: Matrix2, d: DiffusionParams, q: float) -> str:
+    try:
+        assemble_decomposition(a, d, q)
+    except AsymmetricU:
+        return "violates"
+    except (SingularMatrix, ValueError):  # D + Q singular, or a matrix entry past float64
+        return "accepted"
+    return "accepted"
+
+
+# a unit entry: a sign times [0.5, 1) times 2^-i for i <= 30, or 0, so every copy scaled below stays normal
+nonzero_entry = st.builds(
+    lambda m, i, sign: sign * math.ldexp(m, -i),
+    st.floats(0.5, 1.0, exclude_max=True), st.integers(0, 30), st.sampled_from((-1.0, 1.0)),
+)
+unit_entry = st.one_of(nonzero_entry, st.just(0.0))
+
+
+@st.composite
+def unit_requests(draw):
+    """(A, D, q or None): a drift, a PSD diffusion and an optional gyration, all of magnitude at most 1."""
+    a11, a12, a21, a22 = (draw(unit_entry) for _ in range(4))
+    d11, d22 = abs(draw(nonzero_entry)), abs(draw(unit_entry))
+    rho = draw(st.sampled_from((0.0, 1.0, -1.0, 0.5, -0.3)))
+    shape = draw(st.sampled_from(("any", "family", "trace_zero")))
+    if shape != "any":
+        a22 = -a11
+    if shape == "family":  # the right-hand side -a21 d11 + 2 a11 d12 + a12 d22 vanishes too
+        a12, d22, rho = a21, d11, 0.0
+    d = DiffusionParams(d11, rho * math.sqrt(d11) * math.sqrt(d22), d22)
+    a = Matrix2(a11, a12, a21, a22)
+    sol = solve_gyration(a, d)
+    q_star = 0.0 if sol.q is None else sol.q
+    q = draw(st.sampled_from((None, q_star, q_star + 1e-9, q_star * (1.0 + 1e-12), 0.0, "drawn")))
+    if q == "drawn":
+        q = draw(unit_entry)
+    return a, d, q
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(unit_requests(), st.integers(-990, 1000), st.integers(-990, 1000), st.sampled_from(("json", "csv")))
+def test_one_judge_at_every_power_of_two_scale(request, j, k, fmt):
+    unit_a, unit_d, unit_q = request
+    a = unit_a.scaled(2.0 ** j)
+    d = DiffusionParams(*(math.ldexp(v, k) for v in (unit_d.d11, unit_d.d12, unit_d.d22)))
+    q = None if unit_q is None else math.ldexp(unit_q, k)
+    sol = solve_gyration(a, d)
+    assert sol.branch == solve_gyration(unit_a, unit_d).branch
+    # every q that solve_gyration returns is accepted
+    if sol.q is not None:
+        assert _verdict(a, d, sol.q) == "accepted", (a, d, sol)
+    argv = ["decompose", "--matrix", ",".join(map(repr, (a.a11, a.a12, a.a21, a.a22))),
+            "--d", ",".join(map(repr, (d.d11, d.d12, d.d22))), "--format", fmt]
+    code, out, err = _cli(argv + ([] if q is None else ["--q", repr(q)]))
+    if q is not None and sol.branch != INCONSISTENT:
+        # the library and the CLI give the same verdict, and the scaled copy its unit copy's
+        verdict = _verdict(a, d, q)
+        assert verdict == _verdict(unit_a, unit_d, unit_q)
+        assert (code == 1 and "violates the gyration constraint" in err) == (verdict == "violates"), (argv, err)
+    # a strict document, exit 2, or exit 1 with a message of the program's own
+    assert code in (0, 1, 2), (argv, err)
+    if code == 0:
+        assert err == ""
+        if fmt == "json":
+            json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {argv}"))
+        else:
+            assert not {"inf", "-inf", "nan"} & {c for line in out.splitlines() for c in line.split(",")[1].split(";")}
+        return
+    assert out == "" and err.startswith("aodecomp: ")
+    for text in ("Point2", "Matrix2", "math range error", "JSON"):
+        assert text not in err, (argv, err)
