@@ -19,8 +19,9 @@ DEFAULT_MASTER_TOL = 1e-9
 # invert2 treats |det| <= SINGULAR_DET_TOL * max|entry|^2 as singular.
 SINGULAR_DET_TOL = 1e-12
 
-# trace(A) counts as zero below TRACE_ZERO_TOL * max|A|; the gyration constraint's right-hand side, below that
-# * max|D|; a gyration q is accepted while the constraint residual is <= sqrt(2) * that * max|A| * (|q| + max|D|).
+# trace(A) counts as zero below TRACE_ZERO_TOL * max|A|, and the gyration constraint's right-hand side below
+# TRACE_ZERO_TOL * max|A| * max|D|. Within those, every solved q has a constraint residual of at most
+# sqrt(2) * TRACE_ZERO_TOL * max|A| * (|q| + max|D|), the bound that every q, solved or given, is judged by.
 TRACE_ZERO_TOL = 1e-10
 
 # Eigenvalue discriminant below SPECTRUM_TOL * max|A|^2 counts as repeated.
