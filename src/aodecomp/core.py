@@ -78,6 +78,13 @@ def scale_back(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def semidefinite_det(a11: float, a12: float, a21: float, a22: float) -> tuple[float, bool]:
+    """A unit copy's determinant, and whether it is at least -PSD_SLACK * max|entry|^2 (a rank-1 matrix's round-off)."""
+    det = a11 * a22 - a12 * a21
+    scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
+    return det, det >= -PSD_SLACK * scale * scale
+
+
 class FrozenRecordError(AttributeError):
     """A field of a record was assigned or deleted."""
 
@@ -283,9 +290,8 @@ class DiffusionParams:
     """Symmetric positive-semidefinite diffusion matrix [[d11,d12],[d12,d22]].
 
     Construction rejects any triple violating d11 >= 0, d22 >= 0 or
-    d11*d22 - d12^2 >= -PSD_SLACK * max|entry|^2, the slack that absorbs
-    the round-off of an exactly rank-1 matrix and scales with it; a
-    violation is an invalid value, not a warning.
+    d11*d22 - d12^2 >= -PSD_SLACK * max|entry|^2 on its unit copy
+    (``semidefinite_det``); a violation is an invalid value, not a warning.
     """
 
     d11: float
@@ -299,9 +305,8 @@ class DiffusionParams:
                 f"diffusion diagonal must be nonnegative, got d11={self.d11!r}, d22={self.d22!r}"
             )
         (d11, d12, d22), e = unit_copy(self.d11, self.d12, self.d22)  # the determinant's products stay normal
-        det = d11 * d22 - d12 * d12
-        scale = max(d11, abs(d12), d22)
-        if det < -PSD_SLACK * scale * scale:
+        det, semidefinite = semidefinite_det(d11, d12, d12, d22)
+        if not semidefinite:
             raise ValueError(
                 f"diffusion must be positive semidefinite: d11*d22 - d12^2 = {scale_back(det, 2 * e)!r} < 0"
             )

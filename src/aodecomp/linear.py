@@ -18,9 +18,10 @@ quadratic potential with gradient U x.
 One judge decides every q, solved or given: ``assemble_decomposition``
 accepts q while the constraint residual R = sqrt(2) |trace(A) q - rhs| is at
 most sqrt(2) * TRACE_ZERO_TOL * max|A| * (|q| + max|D|), the bound that
-``solve_gyration``'s zero tests give every q it returns. The residual, its
-bound, the trace and the right-hand side are evaluated on power-of-two unit
-copies of A and of D, or of (q, D) (``core.unit_copy``), so A and (q, D)
+``solve_gyration``'s zero tests give every q it returns. Every 2x2 test is
+made on power-of-two unit copies (``core.unit_copy``): the spectral tests and
+the forced-diffusion note on A's, the trace and the right-hand side on A's
+and D's, the residual and its bound on A's and (q, D)'s. So A and (q, D)
 scaled by any powers of two get the same verdicts.
 
 The construction always takes this general path; the Jordan normal form of A
@@ -30,7 +31,6 @@ is classification metadata, never a code branch.
 from __future__ import annotations
 
 import math
-import sys
 
 from .core import (
     AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, invert2, record, scale_back,
@@ -114,29 +114,19 @@ class LinearDecomposition:
 
 
 def classify_spectrum(a: Matrix2) -> SpectralClass:
-    """Classify the eigenvalues of A into the four planar normal-form types."""
-    tr = a.trace
-    disc = tr * tr - 4.0 * a.det
-    m = a.max_abs()
-    if not math.isfinite(disc) or (0.0 < m and SPECTRUM_TOL * m * m < sys.float_info.min):
-        # tr^2 or det overflowed, or a nonzero A's squares underflowed; the eigenvalues of A / max|a_ij| scale back
-        unit = classify_spectrum(Matrix2(a.a11 / m, a.a12 / m, a.a21 / m, a.a22 / m))
-        return SpectralClass(unit.kind, tuple(m * v for v in unit.values))
-    scale = m * m
-    if disc > SPECTRUM_TOL * scale:
-        root = math.sqrt(disc)
-        return SpectralClass(REAL_DISTINCT, (0.5 * (tr + root), 0.5 * (tr - root)))
-    if disc < -SPECTRUM_TOL * scale:
-        return SpectralClass(COMPLEX_PAIR, (0.5 * tr, 0.5 * math.sqrt(-disc)))
-    lam = 0.5 * tr
-    off_scale = TRACE_ZERO_TOL * m
-    is_scalar = (
-        abs(a.a12) <= off_scale
-        and abs(a.a21) <= off_scale
-        and abs(a.a11 - a.a22) <= off_scale
-    )
-    kind = REPEATED_DIAGONALIZABLE if is_scalar else REPEATED_DEFECTIVE
-    return SpectralClass(kind, (lam,))
+    """Classify A's eigenvalues into the four planar normal-form types, every test made on A's unit copy."""
+    u, e = _unit_matrix(a)
+    tr = u.trace
+    disc = tr * tr - 4.0 * u.det
+    m = u.max_abs()
+    if abs(disc) <= SPECTRUM_TOL * m * m:
+        off_scale = TRACE_ZERO_TOL * m
+        is_scalar = abs(u.a12) <= off_scale and abs(u.a21) <= off_scale and abs(u.a11 - u.a22) <= off_scale
+        return SpectralClass(REPEATED_DIAGONALIZABLE if is_scalar else REPEATED_DEFECTIVE, (scale_back(0.5 * tr, e),))
+    root = math.sqrt(abs(disc))
+    if disc > 0.0:
+        return SpectralClass(REAL_DISTINCT, (scale_back(0.5 * (tr + root), e), scale_back(0.5 * (tr - root), e)))
+    return SpectralClass(COMPLEX_PAIR, (scale_back(0.5 * tr, e), scale_back(0.5 * root, e)))
 
 
 def constraint_rhs(a: Matrix2, d: DiffusionParams) -> float:
@@ -149,8 +139,8 @@ def _forced_diffusion_text(a: Matrix2, d: DiffusionParams) -> str:
     # + 0.0 folds a negative zero, so the note never prints (-0.0)
     c11, c12, c22 = -a.a21 + 0.0, a.a11 - a.a22 + 0.0, a.a12 + 0.0
     eq = f"({c11!r})*d11 + ({c12!r})*d12 + ({c22!r})*d22 = 0"
-    small = TRACE_ZERO_TOL * a.max_abs()
-    if abs(c12) <= small and c11 * c22 > 0.0:
+    u = _unit_matrix(a)[0]
+    if abs(u.a11 - u.a22) <= TRACE_ZERO_TOL * u.max_abs() and -u.a21 * u.a12 > 0.0:
         # Same-sign coefficients on the nonnegative diagonal force the whole
         # diffusion to vanish (semidefiniteness then kills d12 too).
         return f"trace(A) = 0 forces {eq}, hence d11 = d22 = d12 = 0"

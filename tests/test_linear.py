@@ -32,6 +32,7 @@ from aodecomp.linear import (
     REPEATED_DIAGONALIZABLE,
     UNIQUE,
 )
+from aodecomp.core import unit_copy
 from aodecomp.tolerances import TRACE_ZERO_TOL
 from helpers import dot, friction_power, random_diffusion, random_matrix_nonzero_trace, random_point
 
@@ -62,8 +63,9 @@ def test_classify_repeated_diagonalizable():
 
 @pytest.mark.parametrize("factor", [1e200, 1e300, 1e-160, 1e-200, 1e-300])
 def test_classify_scales_past_overflow_and_underflow(factor):
-    # tr^2 - 4 det overflows for these entries, or its squares leave the normal floats; the class and
-    # the scaled eigenvalues must not change
+    # tr^2 - 4 det overflows for these entries, or its squares leave the normal floats; the class must not
+    # change, and the eigenvalues are the power-of-two unit copy's scaled back (within rounding of factor * v,
+    # since factor itself is no power of two)
     fixtures = (
         Matrix2.diagonal(-1.0, -2.0),
         Matrix2(0.0, 1.0, -1.0, 0.0),
@@ -71,9 +73,14 @@ def test_classify_scales_past_overflow_and_underflow(factor):
         Matrix2.diagonal(-1.0, -1.0),
     )
     for a in fixtures:
-        sc, big = classify_spectrum(a), classify_spectrum(a.scaled(factor))
-        assert big.kind == sc.kind
-        assert big.values == tuple(factor * v for v in sc.values)
+        sc, scaled = classify_spectrum(a), a.scaled(factor)
+        big = classify_spectrum(scaled)
+        (a11, a12, a21, a22), e = unit_copy(scaled.a11, scaled.a12, scaled.a21, scaled.a22)
+        unit = classify_spectrum(Matrix2(a11, a12, a21, a22))
+        assert big.kind == unit.kind == sc.kind
+        assert big.values == tuple(math.ldexp(v, e) for v in unit.values)
+        for got, want in zip(big.values, sc.values, strict=True):
+            assert math.isclose(got, factor * want, rel_tol=1e-15)
 
 
 def test_classify_matches_numpy_eigvals():

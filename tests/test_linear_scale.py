@@ -165,6 +165,18 @@ def test_small_friction_reads_as_its_large_copy(label):
     assert _power_verdict(Matrix2(*(v * 1e7 for v in friction))) == verdict
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_forced_diffusion_note_at_every_scale(scale):
+    # c11 = c22 = scale and c12 = 0: same-sign coefficients force D = 0; c11 * c22 once underflowed to 0
+    code, out, err = _cli(["decompose", "--matrix", f"0,{scale!r},{-scale!r},0", "--d", "0,0,0"])
+    assert (code, err) == (0, "")
+    c = repr(scale)
+    assert json.loads(out)["gyration_note"] == (
+        f"trace(A) = 0 forces ({c})*d11 + (0.0)*d12 + ({c})*d22 = 0, hence d11 = d22 = d12 = 0; "
+        "satisfied, gyration is a free parameter"
+    )
+
+
 def test_huge_drift_over_a_huge_diffusion_decomposes(capsys):
     # A D once overflowed in the constraint residual; U = -D^(-1) A = diag(1e50, 2e50)
     code = main(["decompose", "--matrix", "-1e200,0,0,-2e200", "--d", "1e150,0,1e150"])
@@ -214,6 +226,13 @@ def test_diffusion_is_semidefinite_up_to_its_slack(scale):
     DiffusionParams(scale, (1.0 + 0.25e-12) * scale, scale)
     with pytest.raises(ValueError, match="positive semidefinite"):
         DiffusionParams(scale, (1.0 + 0.75e-12) * scale, scale)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_friction_is_symmetric_up_to_its_slack(scale):
+    # |s21 - s12| = e * max|S| against the slack 1e-12 * max|S|
+    for e, refused in ((1.5e-12, True), (0.5e-12, False)):
+        assert (_power_verdict(Matrix2(1.0, 0.0, e, 1.0).scaled(scale)) == "NotPSD") == refused
 
 
 @pytest.mark.parametrize("scale_a, scale_d", [(1.0, 1.0), (1e-160, 1e160), (1e100, 1e-160), (1e-200, 1e-200)])

@@ -68,8 +68,7 @@ MUTANTS = [
     ),
     ("div_verdict_signed", "src/aodecomp/dissipation.py", "np.where(np.abs(div) <= tol, 0,", "np.where(div <= tol, 0,"),
     # the absolute floors the trace, singular, PSD and gyration tests once had; on the power-of-two unit copies
-    # those tests are made on, a floor loosens each bound by a factor of 1.5 to 9, and on a friction matrix it
-    # makes the test absolute for a small S
+    # those tests are made on, a floor loosens each bound by a factor of 1.5 to 9
     (
         "trace_tol_floor", "src/aodecomp/linear.py",
         "trace_tol = TRACE_ZERO_TOL * u.max_abs()", "trace_tol = TRACE_ZERO_TOL * (1.0 + u.max_abs())",
@@ -78,12 +77,23 @@ MUTANTS = [
         "det_tol_floor", "src/aodecomp/core.py",
         "SINGULAR_DET_TOL * scale * scale", "SINGULAR_DET_TOL * (1.0 + scale * scale)",
     ),
-    ("psd_slack_floor", "src/aodecomp/core.py", "scale = max(d11, abs(d12), d22)", "scale = 1.0 + max(d11, abs(d12), d22)"),
-    ("friction_psd_floor", "src/aodecomp/dissipation.py", "scale = s.max_abs()", "scale = 1.0 + s.max_abs()"),
+    (
+        "psd_slack_floor", "src/aodecomp/core.py",
+        "det >= -PSD_SLACK * scale * scale", "det >= -PSD_SLACK * (1.0 + scale * scale)",
+    ),
+    (
+        "friction_psd_floor", "src/aodecomp/dissipation.py",
+        "scale = max(abs(a11), abs(a12), abs(a21), abs(a22))",
+        "scale = 1.0 + max(abs(a11), abs(a12), abs(a21), abs(a22))",
+    ),
     (
         "q_residual_floor", "src/aodecomp/linear.py",
         "u.max_abs() * (abs(qu) + dm.max_abs())", "u.max_abs() * (1.0 + abs(qu) + dm.max_abs())",
     ),
+    # the repeated-eigenvalue threshold ten times too loose or too tight, or strict at its value
+    ("spectrum_tol_loose", "src/aodecomp/tolerances.py", "SPECTRUM_TOL = 1e-10", "SPECTRUM_TOL = 1e-9"),
+    ("spectrum_tol_tight", "src/aodecomp/tolerances.py", "SPECTRUM_TOL = 1e-10", "SPECTRUM_TOL = 1e-11"),
+    ("spectrum_test_strict", "src/aodecomp/linear.py", "abs(disc) <= SPECTRUM_TOL", "abs(disc) < SPECTRUM_TOL"),
     # no unit copy: every product of entries beyond about 1e+-154 leaves the normal floats again
     ("unit_copy_skipped", "src/aodecomp/core.py", "e = math.frexp(max(map(abs, values)))[1]", "e = 0"),
     # finite differences on arrays only, 1e-12 off: the batch must match the point loop bit for bit
