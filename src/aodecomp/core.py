@@ -78,6 +78,12 @@ def scale_back(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def scaled_repr(x: float, e: int) -> str:
+    """repr of x * 2**e, or ``x * 2**e`` spelled out where that float would lose bits of x (underflow or overflow)."""
+    back = scale_back(x, e)
+    return repr(back) if math.ldexp(back, -e) == x else f"{x!r} * 2**{e}"
+
+
 def semidefinite_det(a11: float, a12: float, a21: float, a22: float) -> tuple[float, bool]:
     """A unit copy's determinant, and whether it is at least -PSD_SLACK * max|entry|^2 (a rank-1 matrix's round-off)."""
     det = a11 * a22 - a12 * a21
@@ -308,7 +314,7 @@ class DiffusionParams:
         det, semidefinite = semidefinite_det(d11, d12, d12, d22)
         if not semidefinite:
             raise ValueError(
-                f"diffusion must be positive semidefinite: d11*d22 - d12^2 = {scale_back(det, 2 * e)!r} < 0"
+                f"diffusion must be positive semidefinite: d11*d22 - d12^2 = {scaled_repr(det, 2 * e)} < 0"
             )
 
     @classmethod
@@ -356,7 +362,7 @@ def invert2(m: Matrix2) -> Matrix2:
     det = a11 * a22 - a12 * a21
     scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
     if abs(det) <= SINGULAR_DET_TOL * scale * scale:
-        raise SingularMatrix(scale_back(det, 2 * e))
+        raise SingularMatrix(scale_back(det, 2 * e), scaled_repr(det, 2 * e))
     inv = 1.0 / det
     return Matrix2(*(scale_back(v, -e) for v in (a22 * inv, -a12 * inv, -a21 * inv, a11 * inv)))
 

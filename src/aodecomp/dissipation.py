@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Matrix2, Point2, SystemSpec, check_finite, record, semidefinite_det, unit_copy
+from .core import Matrix2, Point2, SystemSpec, check_finite, record, scaled_repr, semidefinite_det, unit_copy
 from .errors import MissingPotential, NotPSD
 from .field import equilibrium_mask, friction_at
 from .tolerances import PSD_SLACK, master_tol
@@ -80,15 +80,15 @@ def _single(x: Point2) -> tuple[np.ndarray, np.ndarray]:
 
 def _friction_power(s: Matrix2, f1, f2):
     """xdot^T S xdot on coordinates, after the symmetry, trace and determinant checks on S's unit copy."""
-    (a11, a12, a21, a22), _ = unit_copy(s.a11, s.a12, s.a21, s.a22)
+    (a11, a12, a21, a22), e = unit_copy(s.a11, s.a12, s.a21, s.a22)
     scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
     if abs(a12 - a21) > PSD_SLACK * scale:
         raise NotPSD(f"friction matrix is not symmetric: {s.rows()}")
-    _, semidefinite = semidefinite_det(a11, a12, a21, a22)
+    det, semidefinite = semidefinite_det(a11, a12, a21, a22)
     if a11 + a22 < -PSD_SLACK * scale or not semidefinite:
         raise NotPSD(
-            f"friction matrix is not positive semidefinite: trace={s.trace!r}, "
-            f"det={s.det!r}"
+            f"friction matrix is not positive semidefinite: trace={scaled_repr(a11 + a22, e)}, "
+            f"det={scaled_repr(det, 2 * e)}"
         )
     return s.a11 * f1 * f1 + (s.a12 + s.a21) * f1 * f2 + s.a22 * f2 * f2
 

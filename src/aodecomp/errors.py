@@ -8,10 +8,10 @@ class AodecompError(Exception):
 
 
 class SingularMatrix(AodecompError):
-    """Matrix inversion requested below the singularity threshold."""
+    """Matrix inversion requested below the singularity threshold; ``shown`` spells out a det beyond the floats."""
 
-    def __init__(self, det: float):
-        super().__init__(f"matrix is singular within tolerance (det={det!r})")
+    def __init__(self, det: float, shown: str | None = None):
+        super().__init__(f"matrix is singular within tolerance (det={shown or repr(det)})")
         self.det = det
 
 

@@ -24,7 +24,7 @@ SINGULAR_DET_TOL = 1e-12
 # sqrt(2) * TRACE_ZERO_TOL * max|A| * (|q| + max|D|), the bound that every q, solved or given, is judged by.
 TRACE_ZERO_TOL = 1e-10
 
-# Eigenvalue discriminant below SPECTRUM_TOL * max|A|^2 counts as repeated.
+# Eigenvalue discriminant at most SPECTRUM_TOL * max|A|^2 counts as repeated; both sides are taken on A's unit copy.
 SPECTRUM_TOL = 1e-10
 
 # ||f(x)|| <= EQUILIBRIUM_TOL * (1 + ||x||) marks an equilibrium point.
@@ -33,7 +33,8 @@ EQUILIBRIUM_TOL = 1e-10
 # friction^2 + transverse^2 below this cannot be inverted (isopotential locus).
 SINGULAR_SPLIT_TOL = 1e-20
 
-# PSD slack of D and S: times max|entry| for S's symmetry and trace tests, times its square for the determinants.
+# PSD slack of D and S: times max|entry| for S's symmetry and trace tests, times its square for the determinants
+# (core.semidefinite_det); every one of these tests is made on the matrix's unit copy.
 PSD_SLACK = 1e-12
 
 # Central finite differences use step FD_STEP * (1 + |x_i|) per coordinate.

@@ -70,6 +70,29 @@ def test_invert2_singular():
     assert excinfo.value.det == 0.0
 
 
+@pytest.mark.parametrize(
+    "scale, shown",
+    [(1.0, "-3.0"), (1e-170, "-0.27346161377212586 * 2**-1126"), (2.0**-1000, "-0.1875 * 2**-1996")],
+)
+def test_refused_diffusion_names_its_determinant(scale, shown):
+    # the determinant of scale * (1, 2, 1) underflows below 1e-162; its unit copy's value and power of two do not
+    with pytest.raises(ValueError) as excinfo:
+        DiffusionParams(scale, 2.0 * scale, scale)
+    assert str(excinfo.value) == f"diffusion must be positive semidefinite: d11*d22 - d12^2 = {shown} < 0"
+
+
+def test_singular_matrix_names_its_determinant():
+    # det(M) = 1e-13 * max|M|^2 is singular; at 1e-170 it underflows past the subnormals and is spelled out,
+    # while the determinant of a matrix of equal entries is exactly 0 at every scale
+    for scale, shown in ((1.0, "1e-13"), (1e-170, "3.646154850295011e-14 * 2**-1128")):
+        with pytest.raises(SingularMatrix) as excinfo:
+            invert2(Matrix2(1.0, 0.0, 0.0, 1e-13).scaled(scale))
+        assert str(excinfo.value) == f"matrix is singular within tolerance (det={shown})"
+        with pytest.raises(SingularMatrix) as excinfo:
+            invert2(Matrix2(scale, scale, scale, scale))
+        assert str(excinfo.value) == "matrix is singular within tolerance (det=0.0)"
+
+
 def test_invert2_inverts_where_the_determinant_overflows():
     # both products are finite and their difference overflows; the unit copy's inverse, scaled back, is finite
     m = Matrix2(1.3e154, 1.3e154, -1.3e154, 1.3e154)

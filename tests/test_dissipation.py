@@ -65,10 +65,11 @@ def test_power_saddle_fixture(saddle):
 
 
 def test_power_rejects_non_psd():
-    with pytest.raises(NotPSD):
-        friction_power(Matrix2.diagonal(-1.0, 1.0), 1.0, 0.0)
-    with pytest.raises(NotPSD):
-        friction_power(Matrix2(1.0, 0.5, -0.5, 1.0), 1.0, 0.0)
+    # at 1e170 the plain determinant is inf - inf, and at 1e-170 it and max|S|^2 underflow to 0
+    for scale in (1.0, 1e170, 1e-170):
+        for s in (Matrix2.diagonal(-1.0, 1.0), Matrix2(1.0, 0.5, -0.5, 1.0), Matrix2(1.0, 2.0, 2.0, 1.0)):
+            with pytest.raises(NotPSD):
+                friction_power(s.scaled(scale), 1.0, 0.0)
 
 
 def test_divergence_on_cycle(hopf):
