@@ -20,7 +20,8 @@ arrays. A ``*_many`` result
 that is NaN or infinite anywhere raises NotFiniteQuantity, a ValueError.
 A vector field may instead be given as a stage, source lines that set
 (f1, f2) from (x1, x2); ``VectorField.from_stage`` compiles its closure from
-that text, and the RK4 stepper inlines the same text.
+that text, and the RK4 stepper inlines the same text, a pairing that
+``VectorField.__post_init__`` checks.
 
 The value types of the package are frozen records: a class whose annotations
 list its fields, decorated with ``record``. It gives the class what
@@ -29,15 +30,13 @@ or keyword in annotation order, with the class attributes as defaults and
 ``__post_init__`` called after them; the repr ``Point2(x1=1.0, x2=2.0)``;
 ``__eq__`` and ``__hash__`` over the tuple of field values, equal only
 within one class; and assignment or deletion raising ``FrozenRecordError``,
-an AttributeError. A field whose default is ``NotInit(value)`` is left out
-of ``__init__`` and starts at that value. ``dataclasses`` is not used because
-on Python 3.10-3.12 it writes each class's methods as source text and
-``exec``s them at every start, which cost a one-shot run about 10 ms of
-import for the package's 17 records (Python 3.11 on a 2-vCPU KVM guest).
-``record`` attaches closures over the field names instead, whose code is
-compiled once with this module, so a class takes microseconds. Their price
-is a slower ``__init__``, 0.2-0.3 us more a construction there, which no
-batch path pays per point.
+an AttributeError. ``dataclasses`` is not used because on Python 3.10-3.12
+it writes each class's methods as source text and ``exec``s them at every
+start, which cost a one-shot run about 10 ms of import for the package's 17
+records (Python 3.11 on a 2-vCPU KVM guest). ``record`` attaches closures
+over the field names instead, whose code is compiled once with this module,
+so a class takes microseconds. Their price is a slower ``__init__``, 0.2-0.3
+us more a construction there, which no batch path pays per point.
 """
 
 from __future__ import annotations
@@ -95,15 +94,6 @@ class FrozenRecordError(AttributeError):
     """A field of a record was assigned or deleted."""
 
 
-class NotInit:
-    """The default of a record field that ``__init__`` does not take."""
-
-    __slots__ = ("default",)
-
-    def __init__(self, default):
-        self.default = default
-
-
 def _bind(cls: type, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> tuple:
     """The values of ``names`` from ``cls(*args, **kwargs)``, defaults filled in, or TypeError."""
     if len(args) > len(names):
@@ -126,19 +116,14 @@ def record(cls: type) -> type:
     """Make ``cls`` a frozen record of the fields its annotations list (see the module docstring)."""
     names = tuple(cls.__annotations__)
     own = vars(cls)
-    later = {name: own[name].default for name in names if isinstance(own.get(name), NotInit)}
-    init_names = tuple(name for name in names if name not in later)
-    defaults = {name: own[name] for name in init_names if name in own}
-    arity = len(init_names)
+    defaults = {name: own[name] for name in names if name in own}
+    arity = len(names)
     post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != arity:
-            args = _bind(cls, init_names, defaults, args, kwargs)
-        state = self.__dict__
-        state.update(zip(init_names, args))
-        if later:
-            state.update(later)
+            args = _bind(cls, names, defaults, args, kwargs)
+        self.__dict__.update(zip(names, args))
         if post_init:
             self.__post_init__()  # looked up at every call, so a patched class method runs
 
@@ -163,8 +148,6 @@ def record(cls: type) -> type:
     def __delattr__(self, name):
         raise FrozenRecordError(f"cannot delete field {name!r}")
 
-    for name, value in later.items():
-        setattr(cls, name, value)
     for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
@@ -464,13 +447,17 @@ class VectorField:
     """Planar vector field with optional analytic divergence.
 
     ``fn(x1, x2)`` returns the pair (f1, f2) and ``divergence_fn(x1, x2)`` the
-    divergence. A field built by ``from_stage`` keeps the ``stage`` source its
-    ``fn`` was compiled from, and the RK4 stepper inlines that same text.
+    divergence. ``stage`` is None, or the source that ``from_stage`` compiled
+    ``fn`` from, which the RK4 stepper inlines; any other stage is a TypeError.
     """
 
     fn: Callable
     divergence_fn: Callable | None = None
-    stage: str | None = NotInit(None)  # set by from_stage alone, after its checks
+    stage: str | None = None
+
+    def __post_init__(self):
+        if self.stage is not None and getattr(self.fn, "stage", None) != self.stage:
+            raise TypeError(f"stage {self.stage!r} is not the text fn was compiled from; use from_stage")
 
     @classmethod
     def from_stage(cls, stage: str, divergence_fn: Callable | None = None) -> VectorField:
@@ -478,15 +465,15 @@ class VectorField:
 
         A stage reads only x1, x2, literals, builtins and its own temporaries,
         whose names start with ``_``, so it means the same inside the stepper.
+        ``fn`` is marked with its text, ``fn.stage``, for ``__post_init__``'s check.
         """
         fn = define("def fn(x1, x2):\n" + textwrap.indent(stage, "    ") + "\n    return f1, f2\n", "fn")
         code = fn.__code__
         temporaries = set(code.co_varnames) - {"x1", "x2", "f1", "f2"}
         if any(not t.startswith("_") for t in temporaries) or not set(code.co_names) <= set(vars(builtins)):
             raise ValueError(f"a stage may bind only f1, f2 and _-prefixed names and read no globals, got {stage!r}")
-        vector_field = cls(fn, divergence_fn)
-        object.__setattr__(vector_field, "stage", stage)
-        return vector_field
+        fn.stage = stage
+        return cls(fn, divergence_fn, stage)
 
     def _divergence(self, x1, x2):
         if self.divergence_fn is not None:
