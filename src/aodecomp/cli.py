@@ -357,10 +357,7 @@ def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSol
     d = DiffusionParams(*_parse_floats(args.d, 3, "--d")) if args.d is not None else DiffusionParams.identity()
     sol = linear.solve_gyration(a, d)
     if sol.branch == linear.INCONSISTENT:
-        raise _InconsistentRequest(
-            f"no gyration value satisfies the constraint for this diffusion: "
-            f"{sol.note}; unmatched right-hand side {sol.residual!r}"
-        )
+        raise _InconsistentRequest(f"no gyration value satisfies the constraint for this diffusion: {sol.note}")
     q = sol.q if args.q is None else _parse_floats(args.q, 1, "--q")[0]
     try:
         with _naming_matrix_overflow(args.matrix):
@@ -370,7 +367,7 @@ def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSol
             raise
         raise _UsageError(
             f"--q {args.q} violates the gyration constraint "
-            f"(residual {exc.residual!r}); the {sol.branch} solution is {sol.q!r}"
+            f"(residual {exc.shown[0]}); the {sol.branch} solution is {sol.q!r}"
         ) from None
 
 

@@ -31,13 +31,15 @@ class AsymmetricU(AodecompError):
     """A gyration value q violates the constraint equation A Q + Q A^T = A D - D A^T.
 
     The potential matrix U = -(D + Q)^(-1) A is symmetric exactly when q
-    satisfies it. Carries the constraint residual and the bound it exceeds.
+    satisfies it. Carries the constraint residual and the bound it exceeds;
+    ``shown`` spells out the two where they underflow.
     """
 
-    def __init__(self, residual: float, bound: float):
+    def __init__(self, residual: float, bound: float, shown: tuple[str, str] | None = None):
+        self.shown = shown or (repr(residual), repr(bound))
         super().__init__(
-            f"potential matrix is not symmetric: the gyration value does not satisfy the constraint equation "
-            f"(residual {residual!r} > bound {bound!r})"
+            "potential matrix is not symmetric: the gyration value does not satisfy the constraint equation "
+            f"(residual {self.shown[0]} > bound {self.shown[1]})"
         )
         self.residual = residual
         self.bound = bound

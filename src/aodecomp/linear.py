@@ -34,7 +34,7 @@ import math
 
 from .core import (
     AntisymScalar, DiffusionParams, Matrix2, Point2, ScalarField, SystemSpec, invert2, record, scale_back,
-    sym_antisym_split, unit_copy,
+    scaled_repr, sym_antisym_split, unit_copy,
 )
 from .errors import AsymmetricU
 from .tolerances import SPECTRUM_TOL, TRACE_ZERO_TOL
@@ -76,7 +76,8 @@ class QSolution:
     branch "family": trace(A) = 0 and the constraint holds for every q;
         ``q`` carries the default and ``note`` the condition that was met.
     branch "inconsistent": trace(A) = 0 but the right-hand side does not
-        vanish; ``residual`` carries it and the diffusion must be re-chosen.
+        vanish; ``residual`` carries it, ``note`` the condition and the value
+        (spelled out where it underflows); the diffusion must be re-chosen.
     """
 
     branch: str
@@ -177,7 +178,8 @@ def solve_gyration(a: Matrix2, d: DiffusionParams) -> QSolution:
             FAMILY_DEFAULT_Q,
             note=f"{_forced_diffusion_text(a, d)}; satisfied, gyration is a free parameter",
         )
-    return QSolution(INCONSISTENT, None, note=_forced_diffusion_text(a, d), residual=scale_back(rhs, e_a + e_d))
+    note = f"{_forced_diffusion_text(a, d)}; unmatched right-hand side {_shown(rhs, e_a + e_d)}"
+    return QSolution(INCONSISTENT, None, note=note, residual=scale_back(rhs, e_a + e_d))
 
 
 def assemble_decomposition(
@@ -194,7 +196,8 @@ def assemble_decomposition(
     q = gyration if isinstance(gyration, AntisymScalar) else AntisymScalar(float(gyration))
     residual, bound, exponent = _unit_constraint(a, d, q.q)
     if residual > bound:
-        raise AsymmetricU(scale_back(residual, exponent), scale_back(bound, exponent))
+        shown = (_shown(residual, exponent), _shown(bound, exponent))
+        raise AsymmetricU(scale_back(residual, exponent), scale_back(bound, exponent), shown)
     m_inv = invert2(d.matrix() + q.matrix())
     friction, transverse = sym_antisym_split(m_inv)
     u = (m_inv @ a).scaled(-1.0)
@@ -246,6 +249,12 @@ def _unit_constraint(a: Matrix2, d: DiffusionParams, q: float) -> tuple[float, f
     rhs = (u @ dm) - (dm @ u.transpose())
     bound = math.sqrt(2.0) * TRACE_ZERO_TOL * u.max_abs() * (abs(qu) + dm.max_abs())
     return (lhs - rhs).frobenius(), bound, e_a + e_qd
+
+
+def _shown(x: float, e: int) -> str:
+    """``core.scaled_repr`` of x * 2**e, so a value that underflows keeps x's digits; inf where it overflows."""
+    back = scale_back(x, e)
+    return repr(back) if math.isinf(back) else scaled_repr(x, e)
 
 
 def reconstruct_drift(dec: LinearDecomposition, x: Point2) -> Point2:

@@ -11,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -730,6 +731,35 @@ def test_q_whose_residual_overflows_is_judged_on_unit_copies(capsys):
     code, out, err = run(capsys, "decompose", "--matrix", "1,2,3,-1", "--d", "0,0,0", "--q", "1e308")
     assert (code, err) == (0, "")
     assert json.loads(out)["gyration"] == 1e308
+
+
+@pytest.mark.parametrize(
+    ("unit_argv", "tiny_argv", "code", "label", "end"),
+    [
+        (
+            ("--matrix", "-1,0,0,-2", "--d", "1,0.3,1", "--q", "1"),
+            ("--matrix", "-1e-200,0,0,-2e-200", "--d", "1e-200,3e-201,1e-200", "--q", "1e-200"),
+            1, "(residual ", ");",
+        ),
+        (
+            ("--matrix", "1,1,0,-1", "--d", "1,0,1"),
+            ("--matrix", "1e-200,1e-200,0,-1e-200", "--d", "1e-200,0,1e-200"),
+            2, "unmatched right-hand side ", "\n",
+        ),
+    ],
+    ids=["gyration_residual", "unmatched_rhs"],
+)
+def test_a_refusal_prints_the_value_of_its_unit_scale_copy(capsys, unit_argv, tiny_argv, code, label, end):
+    # the refused value is bilinear in A and (q, D), so the 1e-200 copy's is the unit copy's times 1e-400, far
+    # below the smallest float64; it is spelled out as m * 2**e (core.scaled_repr), not printed as 0.0
+    values = []
+    for argv in (unit_argv, tiny_argv):
+        got, out, err = run(capsys, "decompose", *argv)
+        assert (got, out) == (code, ""), err
+        start = err.index(label) + len(label)
+        mantissa, _, exponent = err[start:err.index(end, start)].partition(" * 2**")
+        values.append(Fraction(mantissa) * Fraction(2) ** int(exponent or 0))
+    assert values[0] == pytest.approx(float(values[1] * 10**400), rel=1e-12)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -17,7 +17,10 @@ from aodecomp import (
     SingularMatrix,
     SystemSpec,
     VectorField,
+    central_divergence,
     central_gradient,
+    get,
+    integrate,
     invert2,
     sym_antisym_split,
 )
@@ -188,6 +191,15 @@ def test_central_gradient_matches_analytic():
         assert (approx - exact).norm() <= 1e-5 * (1.0 + exact.norm())
 
 
+def test_central_differences_take_the_documented_step():
+    # a central difference of a cubic is off by h^2 f''' / 6, which is h^2 here, so these values pin the step
+    # h = FD_STEP * (1 + |x_i|) of each coordinate, with FD_STEP = 1e-6
+    g1, g2 = central_gradient(lambda x1, x2: (x1 - 1.0) ** 3 + (x2 + 3.0) ** 3, 1.0, -3.0)
+    assert (g1, g2) == (pytest.approx(2e-6**2, rel=1e-6), pytest.approx(4e-6**2, rel=1e-6))
+    div = central_divergence(lambda x1, x2: ((x1 - 1.0) ** 3, (x2 + 3.0) ** 3), 1.0, -3.0)
+    assert div == pytest.approx(2e-6**2 + 4e-6**2, rel=1e-6)
+
+
 def test_scalar_field_fallback_flag():
     with_grad = ScalarField(lambda x1, x2: x1, gradient_fn=lambda x1, x2: (1.0, 0.0))
     without = ScalarField(lambda x1, x2: x1)
@@ -225,6 +237,22 @@ def test_records_print_like_dataclasses():
     assert repr(Matrix2(1.0, -0.0, 0.5, 4.0)) == "Matrix2(a11=1.0, a12=-0.0, a21=0.5, a22=4.0)"
     field = VectorField.from_stage("f1, f2 = x2, -x1")
     assert repr(field) == f"VectorField(fn={field.fn!r}, divergence_fn=None, stage='f1, f2 = x2, -x1')"
+
+
+def test_a_stage_field_rebuilt_from_its_fields_equals_it_and_steps_the_same():
+    field = get("hopf_limit_cycle").system.field
+    rebuilt = VectorField(field.fn, field.divergence_fn, field.stage)
+    assert rebuilt == field and repr(rebuilt) == repr(field)
+    runs = [integrate(SystemSpec("hopf", f), Point2(0.5, 0.25), dt=0.01, t_end=5.0) for f in (field, rebuilt)]
+    assert np.array_equal(runs[0].x, runs[1].x) and np.array_equal(runs[0].div_f, runs[1].div_f)
+
+
+def test_a_stage_beside_another_stages_fn_is_refused():
+    one, other = VectorField.from_stage("f1, f2 = x2, -x1"), VectorField.from_stage("f1, f2 = -x2, x1")
+    with pytest.raises(TypeError, match="stage"):
+        VectorField(one.fn, one.divergence_fn, other.stage)
+    with pytest.raises(TypeError, match="stage"):
+        VectorField(other.fn, stage=one.stage)
 
 
 def test_records_compare_and_hash_their_field_tuples_within_one_class():

@@ -23,6 +23,15 @@ def test_every_mutant_matches_its_file_once():
     assert all(old != new for _, _, old, new in mutants.MUTANTS)
 
 
+def test_the_sweep_multiplies_each_tolerance_by_ten_and_a_tenth():
+    # tolerances.py holds 9 float constants; a constant added or removed there changes this count on purpose
+    entries = mutants.sweep(ROOT)
+    assert len(entries) == 18
+    assert mutants.stale(ROOT, entries) == []
+    assert len({label for label, *_ in entries}) == 18
+    assert ("fd_step_x0.1", "src/aodecomp/tolerances.py", "FD_STEP = 1e-6", "FD_STEP = 1e-6 * 0.1") in entries
+
+
 def test_a_stale_entry_is_named(tmp_path):
     (tmp_path / "module.py").write_text("x = 1\nx = 1\n")
     entries = [("twice", "module.py", "x = 1", "x = 2"), ("missing", "gone.py", "y", "z"), ("once", "module.py", "x = 1\nx", "x")]

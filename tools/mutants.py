@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/mutants.py [LABEL ...] [--tests PATH ...]
+    python3 tools/mutants.py [LABEL ...] [--sweep] [--tests PATH ...]
 
 Each entry of ``MUTANTS`` is (label, file, old text, new text): a small
 change to the program that a sound suite must notice. Before anything runs,
@@ -17,11 +17,16 @@ table against the tree, so it fails on every mutated copy. Each entry gets one l
 failed, and the seconds the run took. The exit status is 0 when every
 mutation was caught, 1 when one survived or its run could not complete, and
 2 when an entry is stale. The standard library is all it needs.
+
+``--sweep`` runs generated entries in place of the table: each float
+constant of ``tolerances.py``, found with ``ast``, times 10 and times 0.1
+(``sweep``). The sweep's survivors and their dispositions are in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import shutil
 import subprocess
@@ -96,6 +101,11 @@ MUTANTS = [
     ("spectrum_test_strict", "src/aodecomp/linear.py", "abs(disc) <= SPECTRUM_TOL", "abs(disc) < SPECTRUM_TOL"),
     # no unit copy: every product of entries beyond about 1e+-154 leaves the normal floats again
     ("unit_copy_skipped", "src/aodecomp/core.py", "e = math.frexp(max(map(abs, values)))[1]", "e = 0"),
+    # a stage beside an fn it was not compiled from: the stepper would inline one field and evaluate another
+    (
+        "stage_pairing_unchecked", "src/aodecomp/core.py",
+        'if self.stage is not None and getattr(self.fn, "stage", None) != self.stage:', "if False:",
+    ),
     # finite differences on arrays only, 1e-12 off: the batch must match the point loop bit for bit
     (
         "batch_central_divergence_scaled", "src/aodecomp/core.py",
@@ -109,6 +119,18 @@ TIMEOUT_S = 900
 _NOT_COPIED = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_build", ".benchmarks", "*.egg-info", "BENCH_*.json"
 )
+
+
+def sweep(root: Path = ROOT) -> list[tuple[str, str, str, str]]:
+    """Entries of ``MUTANTS``' form that multiply each float constant of ``tolerances.py`` by 10 and by 0.1."""
+    file = "src/aodecomp/tolerances.py"
+    source = (root / file).read_text(encoding="utf-8")
+    entries = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) and type(node.value.value) is float:
+            old = ast.get_source_segment(source, node)
+            entries += [(f"{node.targets[0].id.lower()}_x{k}", file, old, f"{old} * {k}") for k in ("10", "0.1")]
+    return entries
 
 
 def stale(root: Path, mutants=MUTANTS) -> list[str]:
@@ -151,13 +173,15 @@ def run(label: str, file: str, old: str, new: str, tests: list[str]) -> tuple[st
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("labels", nargs="*", help="the entries to run (default: every entry)")
+    parser.add_argument("--sweep", action="store_true", help="run the generated tolerance entries, not the table")
     parser.add_argument("--tests", nargs="+", default=[], help="test files to run in place of the whole suite")
     args = parser.parse_args(argv)
-    known = {entry[0] for entry in MUTANTS}
+    entries = sweep() if args.sweep else MUTANTS
+    known = {entry[0] for entry in entries}
     unknown = sorted(set(args.labels) - known)
     if unknown:
         parser.error(f"no mutant named {', '.join(unknown)}; known: {', '.join(sorted(known))}")
-    selected = [entry for entry in MUTANTS if not args.labels or entry[0] in args.labels]
+    selected = [entry for entry in entries if not args.labels or entry[0] in args.labels]
     problems = stale(ROOT, selected)
     if problems:
         print("\n".join(problems), file=sys.stderr)
