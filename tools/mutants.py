@@ -162,8 +162,13 @@ def run(label: str, file: str, old: str, new: str, tests: list[str]) -> tuple[st
         except subprocess.TimeoutExpired:  # a mutant can make a loop run forever
             return f"error (over {TIMEOUT_S} s)", "", time.perf_counter() - start
         seconds = time.perf_counter() - start
+    # "FAILED <node id> - <message>", where a parametrized node id may hold spaces
     failed = next(
-        (line.split(" ", 2)[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))), ""
+        (
+            line.split(" ", 1)[1].split(" - ", 1)[0]
+            for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))
+        ),
+        "",
     )
     # pytest exits 0 when every test passed and 1 when a test failed; anything else is not a verdict
     outcome = {0: "survived", 1: "caught"}.get(proc.returncode, f"error (pytest exit {proc.returncode})")
