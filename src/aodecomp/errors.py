@@ -8,10 +8,10 @@ class AodecompError(Exception):
 
 
 class SingularMatrix(AodecompError):
-    """Matrix inversion requested below the singularity threshold; ``shown`` spells out a det beyond the floats."""
+    """Matrix inversion requested below the singularity threshold; ``shown`` is the det's ``core.scaled_repr`` text."""
 
-    def __init__(self, det: float, shown: str | None = None):
-        super().__init__(f"matrix is singular within tolerance (det={shown or repr(det)})")
+    def __init__(self, det: float, shown: str):
+        super().__init__(f"matrix is singular within tolerance (det={shown})")
         self.det = det
 
 
@@ -31,12 +31,12 @@ class AsymmetricU(AodecompError):
     """A gyration value q violates the constraint equation A Q + Q A^T = A D - D A^T.
 
     The potential matrix U = -(D + Q)^(-1) A is symmetric exactly when q
-    satisfies it. Carries the constraint residual and the bound it exceeds;
-    ``shown`` spells out the two where they underflow.
+    satisfies it. Carries the constraint residual and the bound it exceeds,
+    and ``shown``, their texts from ``core.scaled_repr``.
     """
 
-    def __init__(self, residual: float, bound: float, shown: tuple[str, str] | None = None):
-        self.shown = shown or (repr(residual), repr(bound))
+    def __init__(self, residual: float, bound: float, shown: tuple[str, str]):
+        self.shown = shown
         super().__init__(
             "potential matrix is not symmetric: the gyration value does not satisfy the constraint equation "
             f"(residual {self.shown[0]} > bound {self.shown[1]})"

@@ -77,7 +77,7 @@ class QSolution:
         ``q`` carries the default and ``note`` the condition that was met.
     branch "inconsistent": trace(A) = 0 but the right-hand side does not
         vanish; ``residual`` carries it, ``note`` the condition and the value
-        (spelled out where it underflows); the diffusion must be re-chosen.
+        (``core.scaled_repr``'s text); the diffusion must be re-chosen.
     """
 
     branch: str
@@ -162,8 +162,8 @@ def solve_gyration(a: Matrix2, d: DiffusionParams) -> QSolution:
     hold for the supplied diffusion (inconsistent branch; the residual is the
     unmatched right-hand side and the caller must re-choose the diffusion).
     The trace and the right-hand side are evaluated on the unit copies of A
-    and D, and q and the unmatched right-hand side scaled back (an infinity
-    where that overflows).
+    and D; q and ``residual`` are scaled back (an infinity where that
+    overflows), and the note prints the residual with ``core.scaled_repr``.
     """
     (u, e_a), (du, e_d) = _unit_matrix(a), unit_copy(d.d11, d.d12, d.d22)
     tr = u.trace
@@ -178,7 +178,7 @@ def solve_gyration(a: Matrix2, d: DiffusionParams) -> QSolution:
             FAMILY_DEFAULT_Q,
             note=f"{_forced_diffusion_text(a, d)}; satisfied, gyration is a free parameter",
         )
-    note = f"{_forced_diffusion_text(a, d)}; unmatched right-hand side {_shown(rhs, e_a + e_d)}"
+    note = f"{_forced_diffusion_text(a, d)}; unmatched right-hand side {scaled_repr(rhs, e_a + e_d)}"
     return QSolution(INCONSISTENT, None, note=note, residual=scale_back(rhs, e_a + e_d))
 
 
@@ -189,14 +189,14 @@ def assemble_decomposition(
 
     q is judged first, solved or not: AsymmetricU is raised when the
     constraint residual exceeds its bound (see the module docstring), which
-    is where U would not be symmetric. U = -(D + Q)^(-1) A then reuses the
-    one inverse of D + Q, and is symmetrized. Raises SingularMatrix when
-    D + Q is not invertible.
+    is where U would not be symmetric, and prints both with ``scaled_repr``.
+    U = -(D + Q)^(-1) A then reuses the one inverse of D + Q, and is
+    symmetrized. Raises SingularMatrix when D + Q is not invertible.
     """
     q = gyration if isinstance(gyration, AntisymScalar) else AntisymScalar(float(gyration))
     residual, bound, exponent = _unit_constraint(a, d, q.q)
     if residual > bound:
-        shown = (_shown(residual, exponent), _shown(bound, exponent))
+        shown = (scaled_repr(residual, exponent), scaled_repr(bound, exponent))
         raise AsymmetricU(scale_back(residual, exponent), scale_back(bound, exponent), shown)
     m_inv = invert2(d.matrix() + q.matrix())
     friction, transverse = sym_antisym_split(m_inv)
@@ -249,12 +249,6 @@ def _unit_constraint(a: Matrix2, d: DiffusionParams, q: float) -> tuple[float, f
     rhs = (u @ dm) - (dm @ u.transpose())
     bound = math.sqrt(2.0) * TRACE_ZERO_TOL * u.max_abs() * (abs(qu) + dm.max_abs())
     return (lhs - rhs).frobenius(), bound, e_a + e_qd
-
-
-def _shown(x: float, e: int) -> str:
-    """``core.scaled_repr`` of x * 2**e, so a value that underflows keeps x's digits; inf where it overflows."""
-    back = scale_back(x, e)
-    return repr(back) if math.isinf(back) else scaled_repr(x, e)
 
 
 def reconstruct_drift(dec: LinearDecomposition, x: Point2) -> Point2:

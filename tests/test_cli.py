@@ -724,10 +724,13 @@ def test_overflowing_matrix_message_names_the_flag(capsys):
 
 def test_q_whose_residual_overflows_is_judged_on_unit_copies(capsys):
     # A Q + Q A^T overflows at these overrides; on unit copies the unique one violates the constraint,
-    # with a residual past float64, and the family one satisfies it
+    # with a residual past float64, spelled out as m * 2**e (core.scaled_repr), and the family one satisfies it
     code, out, err = run(capsys, "decompose", "--matrix", "1,2,3,4", "--q", "-1e308")
     assert (code, out) == (1, "")
-    assert err == "aodecomp: --q -1e308 violates the gyration constraint (residual inf); the unique solution is -0.2\n"
+    assert err == (
+        "aodecomp: --q -1e308 violates the gyration constraint (residual 0.4916765043722996 * 2**1027); "
+        "the unique solution is -0.2\n"
+    )
     code, out, err = run(capsys, "decompose", "--matrix", "1,2,3,-1", "--d", "0,0,0", "--q", "1e308")
     assert (code, err) == (0, "")
     assert json.loads(out)["gyration"] == 1e308

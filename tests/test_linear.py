@@ -167,6 +167,36 @@ def test_assemble_singular_diffusion_gyration():
         assemble_decomposition(Matrix2.diagonal(1.0, -1.0), DiffusionParams.zero(), 0.0)
 
 
+def _spelled_out(text: str) -> Fraction:
+    """The exact value of a ``core.scaled_repr`` text ``m * 2**e`` that is spelled out."""
+    mantissa, times, exponent = text.partition(" * 2**")
+    assert times, text
+    return Fraction(mantissa) * Fraction(2) ** int(exponent)
+
+
+def test_refused_values_past_float64_are_spelled_out():
+    # A Q + Q A^T - (A D - D A^T) = (trace(A) q - rhs) J, so the residual's square is 2 (trace(A) q - rhs)^2,
+    # about 2.4e617 here, and the unmatched right-hand side is a12 * d22 = 1e600: both past float64. Each
+    # printed value, squared, lies within a relative 1e-15 of its exact square
+    close = Fraction(1, 10**15)
+
+    def near(value: Fraction, square: Fraction) -> bool:
+        return value > 0 and (1 - close) ** 2 * square <= value * value <= (1 + close) ** 2 * square
+
+    q = -1e308
+    with pytest.raises(AsymmetricU) as info:
+        assemble_decomposition(Matrix2(1.0, 2.0, 3.0, 4.0), DiffusionParams.identity(), q)
+    gap = 5 * Fraction(q) - (-3 + 0 + 2)  # trace(A) q - (-a21 d11 + (a11 - a22) d12 + a12 d22)
+    assert math.isinf(info.value.residual)
+    assert near(_spelled_out(info.value.shown[0]), 2 * gap * gap)
+    assert info.value.shown[1] == repr(info.value.bound)  # about 5.7e298, an ordinary float
+
+    sol = solve_gyration(Matrix2(1e300, 1e300, 0.0, -1e300), DiffusionParams(1e300, 0.0, 1e300))
+    assert sol.branch == INCONSISTENT and math.isinf(sol.residual)
+    label = "unmatched right-hand side "
+    assert near(_spelled_out(sol.note[sol.note.index(label) + len(label):]), (Fraction(1e300) * Fraction(1e300)) ** 2)
+
+
 def _exact_violation(a: Matrix2, d: DiffusionParams, q: float) -> bool:
     """Whether sqrt(2) |trace(A) q - rhs| exceeds sqrt(2) * TRACE_ZERO_TOL * max|A| * (|q| + max|D|), in rationals."""
     a11, a12, a21, a22, d11, d12, d22, q_ = map(Fraction, (a.a11, a.a12, a.a21, a.a22, d.d11, d.d12, d.d22, q))
