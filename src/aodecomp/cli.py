@@ -52,7 +52,7 @@ import numpy as np
 
 from . import catalog, dissipation, dynamics, field, linear, render
 from .core import DiffusionParams, Matrix2, Point2, SystemSpec
-from .errors import AodecompError, AsymmetricU, NonFinite, NotFiniteQuantity
+from .errors import AodecompError, AsymmetricU, NonFinite, NotFiniteQuantity, SingularMatrix
 from .tolerances import master_tol
 
 # Flags whose value is a comma list that may begin with a negative number;
@@ -351,7 +351,7 @@ def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSol
     """The decomposition of ``--matrix`` under ``--d`` (default I) at ``--q`` or the solved q, and the solution.
 
     No q satisfying the gyration constraint exits 2. ``linear.assemble_decomposition``
-    judges q; a ``--q`` it refuses, or float64 overflow, exits 1.
+    judges q; a ``--q`` it refuses, a singular D + Q, or float64 overflow, exits 1.
     """
     a = Matrix2(*_parse_floats(args.matrix, 4, "--matrix"))
     d = DiffusionParams(*_parse_floats(args.d, 3, "--d")) if args.d is not None else DiffusionParams.identity()
@@ -369,6 +369,9 @@ def _matrix_decomposition(args) -> tuple[linear.LinearDecomposition, linear.QSol
             f"--q {args.q} violates the gyration constraint "
             f"(residual {exc.shown[0]}); the {sol.branch} solution is {sol.q!r}"
         ) from None
+    except SingularMatrix as exc:  # D = I, the default, gives det(D + Q) = 1 + q^2
+        given = f"--d {args.d} and " + (f"the {sol.branch} solution q = {q!r}" if args.q is None else f"--q {args.q}")
+        raise _UsageError(f"D + Q is singular within tolerance (det={exc.shown}) for {given}") from None
 
 
 def cmd_decompose(args) -> int:

@@ -13,6 +13,7 @@ class SingularMatrix(AodecompError):
     def __init__(self, det: float, shown: str):
         super().__init__(f"matrix is singular within tolerance (det={shown})")
         self.det = det
+        self.shown = shown
 
 
 class EquilibriumPoint(AodecompError):

@@ -765,6 +765,23 @@ def test_a_refusal_prints_the_value_of_its_unit_scale_copy(capsys, unit_argv, ti
     assert values[0] == pytest.approx(float(values[1] * 10**400), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    ("argv", "source"),
+    [
+        (("--matrix", "1,0,0,1", "--d", "0,0,0"), "--d 0,0,0 and the unique solution q = 0.0"),
+        (("--matrix", "1,0,0,1", "--d", "1,1,1"), "--d 1,1,1 and the unique solution q = 0.0"),
+        (("--matrix", "1e-200,0,0,1e-200", "--d", "0,0,0"), "--d 0,0,0 and the unique solution q = 0.0"),
+        (("--matrix", "1,0,0,-1", "--d", "0,0,0", "--q", "0"), "--d 0,0,0 and --q 0"),
+    ],
+    ids=["zero_d", "rank_one_d", "zero_d_tiny_matrix", "family_q"],
+)
+def test_a_singular_d_plus_q_names_itself(capsys, argv, source):
+    # each --matrix is invertible; A = s * I has the unique q = 0, and the trace-zero A takes --q 0: D + Q is singular
+    code, out, err = run(capsys, "decompose", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"aodecomp: D + Q is singular within tolerance (det=0.0) for {source}\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize(
     "matrix, extra",
