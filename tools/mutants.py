@@ -18,9 +18,16 @@ failed, and the seconds the run took. The exit status is 0 when every
 mutation was caught, 1 when one survived or its run could not complete, and
 2 when an entry is stale. The standard library is all it needs.
 
-``--sweep`` runs generated entries in place of the table: each float
-constant of ``tolerances.py``, found with ``ast``, times 10 and times 0.1
-(``sweep``). The sweep's survivors and their dispositions are in CHANGES.md.
+``--sweep`` runs generated entries in place of the table (``sweep``), found
+with ``ast``: each float constant of ``tolerances.py`` times 10 and times 0.1,
+and each ordering comparison (``<``, ``<=``, ``>``, ``>=``) in ``src/aodecomp/``
+with its inclusive and strict forms swapped and with its direction flipped.
+A comparison's entry is labelled by module, enclosing function, the
+comparison's place in that function and the edit, as in
+``linear_classify_spectrum_1_strict``; its old text is the comparison,
+widened a line at a time until it occurs once. Labels name entries of the
+table and of the sweep alike. The sweep's survivors and their dispositions
+are in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -39,13 +46,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (label, file, old text, new text)
 MUTANTS = [
-    # zero verdicts and the singular split are inclusive at their tolerance
-    ("div_verdict_strict", "src/aodecomp/dissipation.py", "np.abs(div) <= tol", "np.abs(div) < tol"),
-    ("power_verdict_strict", "src/aodecomp/dissipation.py", "np.abs(h_p) <= tol", "np.abs(h_p) < tol"),
-    (
-        "singular_split_strict", "src/aodecomp/field.py",
-        "norm2 <= SINGULAR_SPLIT_TOL", "norm2 < SINGULAR_SPLIT_TOL",
-    ),
     # a power verdict ten times too forgiving, which only the exact verdicts see
     ("power_verdict_loose", "src/aodecomp/dissipation.py", "np.abs(h_p) <= tol", "np.abs(h_p) <= 10 * tol"),
     # value errors in the friction power, the linear divergence, the stepper and the overflow rescale
@@ -95,16 +95,18 @@ MUTANTS = [
         "q_residual_floor", "src/aodecomp/linear.py",
         "u.max_abs() * (abs(qu) + dm.max_abs())", "u.max_abs() * (1.0 + abs(qu) + dm.max_abs())",
     ),
-    # the repeated-eigenvalue threshold ten times too loose or too tight, or strict at its value
-    ("spectrum_tol_loose", "src/aodecomp/tolerances.py", "SPECTRUM_TOL = 1e-10", "SPECTRUM_TOL = 1e-9"),
-    ("spectrum_tol_tight", "src/aodecomp/tolerances.py", "SPECTRUM_TOL = 1e-10", "SPECTRUM_TOL = 1e-11"),
-    ("spectrum_test_strict", "src/aodecomp/linear.py", "abs(disc) <= SPECTRUM_TOL", "abs(disc) < SPECTRUM_TOL"),
     # no unit copy: every product of entries beyond about 1e+-154 leaves the normal floats again
     ("unit_copy_skipped", "src/aodecomp/core.py", "e = math.frexp(max(map(abs, values)))[1]", "e = 0"),
     # a stage beside an fn it was not compiled from: the stepper would inline one field and evaluate another
     (
         "stage_pairing_unchecked", "src/aodecomp/core.py",
         'if self.stage is not None and getattr(self.fn, "stage", None) != self.stage:', "if False:",
+    ),
+    # a refused value past float64 printed as inf, not spelled out as m * 2**e
+    (
+        "refusal_overflow_prints_inf", "src/aodecomp/core.py",
+        "return repr(back) if math.ldexp(back, -e) == x",
+        "return repr(back) if math.isinf(back) or math.ldexp(back, -e) == x",
     ),
     # finite differences on arrays only, 1e-12 off: the batch must match the point loop bit for bit
     (
@@ -121,7 +123,22 @@ _NOT_COPIED = shutil.ignore_patterns(
 )
 
 
+# each ordering comparison's token, and the edits made to it: (label suffix, new token)
+_TOKENS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+_EDITS = {
+    ast.Lt: (("inclusive", "<="), ("flipped", ">")),
+    ast.LtE: (("strict", "<"), ("flipped", ">=")),
+    ast.Gt: (("inclusive", ">="), ("flipped", "<")),
+    ast.GtE: (("strict", ">"), ("flipped", "<=")),
+}
+
+
 def sweep(root: Path = ROOT) -> list[tuple[str, str, str, str]]:
+    """The generated entries: ``tolerance_entries`` and then ``comparison_entries``."""
+    return tolerance_entries(root) + comparison_entries(root)
+
+
+def tolerance_entries(root: Path = ROOT) -> list[tuple[str, str, str, str]]:
     """Entries of ``MUTANTS``' form that multiply each float constant of ``tolerances.py`` by 10 and by 0.1."""
     file = "src/aodecomp/tolerances.py"
     source = (root / file).read_text(encoding="utf-8")
@@ -131,6 +148,59 @@ def sweep(root: Path = ROOT) -> list[tuple[str, str, str, str]]:
             old = ast.get_source_segment(source, node)
             entries += [(f"{node.targets[0].id.lower()}_x{k}", file, old, f"{old} * {k}") for k in ("10", "0.1")]
     return entries
+
+
+def comparison_entries(root: Path = ROOT) -> list[tuple[str, str, str, str]]:
+    """Two entries for each ordering comparison in ``src/aodecomp/``: inclusive and strict swapped, and flipped."""
+    entries = []
+    for path in sorted((root / "src" / "aodecomp").glob("*.py")):
+        file = path.relative_to(root).as_posix()
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines(keepends=True)
+        starts = [0]
+        for line in lines:
+            starts.append(starts[-1] + len(line))
+
+        def offset(node: ast.AST, end: bool = False) -> int:
+            """The index in ``source`` of where ``node`` starts or ends; ast counts columns in UTF-8 bytes."""
+            row, col = (node.end_lineno, node.end_col_offset) if end else (node.lineno, node.col_offset)
+            return starts[row - 1] + len(lines[row - 1].encode("utf-8")[:col].decode("utf-8"))
+
+        sites = []
+        for scope, node in _compares(ast.parse(source)):
+            for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators):
+                if type(op) in _TOKENS:
+                    gap = offset(left, end=True)
+                    at = gap + source[gap:offset(right)].index(_TOKENS[type(op)])
+                    sites.append((at, scope, type(op), offset(left), offset(right, end=True)))
+        ordinals = dict.fromkeys((scope for _, scope, *_ in sites), 0)
+        for at, scope, op, start, end in sorted(sites):
+            ordinals[scope] += 1
+            start, end = _once(source, start, end)
+            old = source[start:end]
+            for suffix, token in _EDITS[op]:
+                new = old[:at - start] + token + old[at - start + len(_TOKENS[op]):]
+                entries.append((f"{path.stem}_{scope.strip('_')}_{ordinals[scope]}_{suffix}", file, old, new))
+    return entries
+
+
+def _compares(node: ast.AST, scope: str = "module"):
+    """(name of the innermost enclosing function, or "module", comparison) for each comparison under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if isinstance(child, ast.Compare):
+            yield inner, child
+        yield from _compares(child, inner)
+
+
+def _once(source: str, start: int, end: int) -> tuple[int, int]:
+    """``start, end`` widened to whole lines, then a line up and down at a time, until its text occurs once."""
+    while source.count(source[start:end]) != 1:
+        up, down = source.rfind("\n", 0, start) + 1, source.find("\n", end)
+        if (up, down) == (start, end):  # whole lines already
+            up, down = source.rfind("\n", 0, max(start - 1, 0)) + 1, source.find("\n", end + 1)
+        start, end = up, len(source) if down < 0 else down
+    return start, end
 
 
 def stale(root: Path, mutants=MUTANTS) -> list[str]:
@@ -177,16 +247,22 @@ def run(label: str, file: str, old: str, new: str, tests: list[str]) -> tuple[st
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("labels", nargs="*", help="the entries to run (default: every entry)")
-    parser.add_argument("--sweep", action="store_true", help="run the generated tolerance entries, not the table")
+    parser.add_argument(
+        "labels", nargs="*",
+        help="entries of the table or the sweep to run (default: the table, or the sweep with --sweep)",
+    )
+    parser.add_argument("--sweep", action="store_true", help="run the generated entries, not the table")
     parser.add_argument("--tests", nargs="+", default=[], help="test files to run in place of the whole suite")
     args = parser.parse_args(argv)
-    entries = sweep() if args.sweep else MUTANTS
-    known = {entry[0] for entry in entries}
+    generated = sweep()
+    known = {entry[0] for entry in MUTANTS + generated}
     unknown = sorted(set(args.labels) - known)
     if unknown:
         parser.error(f"no mutant named {', '.join(unknown)}; known: {', '.join(sorted(known))}")
-    selected = [entry for entry in entries if not args.labels or entry[0] in args.labels]
+    if args.labels:
+        selected = [entry for entry in MUTANTS + generated if entry[0] in args.labels]
+    else:
+        selected = generated if args.sweep else MUTANTS
     problems = stale(ROOT, selected)
     if problems:
         print("\n".join(problems), file=sys.stderr)
