@@ -330,6 +330,14 @@ def test_grid_usage_errors(capsys):
     )[0] == 1
 
 
+@pytest.mark.parametrize("bounds", ["1,1,0,1", "0,1,1,1"])
+def test_grid_bounds_must_increase_strictly(capsys, bounds):
+    argv = ["grid", "--system", "hopf_limit_cycle", "--grid", f"{bounds},3,3", "--quantity", "potential"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "grid bounds must satisfy xmin < xmax and ymin < ymax" in err
+
+
 def test_grid_quantities_keep_the_readme_order(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     note = readme[readme.index("- Grid quantities: "):]
@@ -366,6 +374,19 @@ def test_simulate_step_cap_exits_1_naming_the_flags(capsys, dt, t_end):
         f"aodecomp: --t-end {float(t_end)!r} / --dt {float(dt)!r} asks for more than 1000000 steps; "
         "raise --dt or lower --t-end\n"
     )
+
+
+def test_simulate_takes_from_one_step_to_max_steps(capsys, monkeypatch):
+    # both bounds are inclusive: t_end = dt takes one step, and t_end / dt = MAX_STEPS takes that many
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 4)
+    argv = ["simulate", "--system", "hopf_limit_cycle", "--x0", "0.5,0", "--dt", "0.25", "--t-end"]
+    for t_end, steps in (("0.25", 1), ("1", 4)):
+        code, out, err = run(capsys, *argv, t_end)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 1 + steps  # the header and the initial state
+    code, out, err = run(capsys, *argv, "1.25")
+    assert (code, out) == (1, "")
+    assert "asks for more than 4 steps" in err
 
 
 def test_catalog_listing(capsys):

@@ -312,3 +312,13 @@ def test_records_fill_defaults_and_refuse_bad_arguments():
         with pytest.raises(TypeError):
             Point2(*args, **kwargs)
 
+
+
+def test_a_record_names_what_is_wrong_with_its_arguments():
+    # every field given positionally and once more by keyword is a duplicate, not one positional too many
+    with pytest.raises(TypeError, match="^Point2\\(\\) got multiple values for argument 'x1'$"):
+        Point2(1.0, 2.0, x1=3.0)
+    with pytest.raises(TypeError, match="^Point2\\(\\) takes 2 positional arguments but 3 were given$"):
+        Point2(1.0, 2.0, 3.0)
+    with pytest.raises(TypeError, match="^Point2\\(\\) got an unexpected keyword argument 'x3'$"):
+        Point2(1.0, 2.0, x3=3.0)

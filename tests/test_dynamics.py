@@ -176,6 +176,13 @@ def test_monotonicity_flips_for_reversed_field(hopf):
     assert check_monotonicity(traj) > 0.0
 
 
+def test_monotonicity_of_a_single_step(hopf):
+    # two samples make one difference: the reversed field's potential rises over its one step
+    traj = integrate(reversed_system(hopf.system), Point2(0.5, 0.0), dt=1e-3, t_end=1e-3)
+    assert len(traj) == 2
+    assert check_monotonicity(traj) == float(traj.phi[1] - traj.phi[0]) > 0.0
+
+
 def test_monotonicity_needs_potential():
     bare = SystemSpec.linear("bare", Matrix2.diagonal(-1.0, -1.0))
     traj = integrate(bare, Point2(1.0, 0.0), dt=1e-3, t_end=1.0)
@@ -236,6 +243,22 @@ def test_definition2_hopf(hopf):
 def test_definition2_saddle():
     saddle = get("saddle_tracezero")
     rep = definition2_check(saddle.system, (-1.0, 1.0, -1.0, 1.0), 50)
+    assert rep.violations == []
+
+
+def test_definition2_takes_a_two_point_axis_and_refuses_an_empty_region(hopf):
+    assert "(2x2 grid)" in definition2_check(hopf.system, (-1.0, 1.0, -1.0, 1.0), 2).note
+    with pytest.raises(ValueError, match="at least 2"):
+        definition2_check(hopf.system, (-1.0, 1.0, -1.0, 1.0), 1)
+    for region in ((1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="empty region"):
+            definition2_check(hopf.system, region, 3)
+
+
+def test_definition2_violation_is_a_rate_above_the_tolerance(hopf):
+    # the 3x3 grid's rates are -2 at the corners and exactly 0 at the centre and on the cycle; at zero
+    # tolerance a zero rate is no violation
+    rep = definition2_check(hopf.system, (-1.0, 1.0, -1.0, 1.0), 3, zero_tol=0.0)
     assert rep.violations == []
 
 

@@ -343,6 +343,16 @@ def test_float_cells_mixes_small_and_large_distinct_sets(monkeypatch):
     assert calls == []  # below the break-even every value goes through repr
 
 
+def test_float_cells_take_floatfmt_from_the_break_even_count_on(monkeypatch):
+    calls = []
+    original = floatfmt.repr_many
+    monkeypatch.setattr(floatfmt, "repr_many", lambda values: calls.append(len(values)) or original(values))
+    for n in (render._NUMPY_MIN_VALUES - 1, render._NUMPY_MIN_VALUES):
+        column = np.arange(n) * 0.25 + 0.5
+        assert [column_texts(c) for c in render._float_cells([column], False)] == [list(map(repr, column.tolist()))]
+    assert calls == [render._NUMPY_MIN_VALUES]
+
+
 def test_float_cells_keeps_row_order_across_a_csv_block(capsys):
     rng = np.random.default_rng(8)
     n = render._BLOCK_ROWS + 300
