@@ -58,7 +58,8 @@ def test_a_comparison_is_widened_a_line_at_a_time_until_it_occurs_once(tmp_path)
     package = tmp_path / "src" / "aodecomp"
     package.mkdir(parents=True)
     # ast counts columns in UTF-8 bytes, so the "é" before the last comparison moves it by one character
-    (package / "m.py").write_text("def f(x):\n    if x < 1:\n        return x < 1\n    return 'é' and x >= 2\n")
+    source = "def f(x):\n    if x < 1:\n        return x < 1\n    return 'é' and x >= 2\n"
+    (package / "m.py").write_text(source, encoding="utf-8")
     assert mutants.comparison_entries(tmp_path) == [
         ("m_f_1_inclusive", "src/aodecomp/m.py", "    if x < 1:", "    if x <= 1:"),
         ("m_f_1_flipped", "src/aodecomp/m.py", "    if x < 1:", "    if x > 1:"),
