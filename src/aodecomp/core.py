@@ -20,8 +20,9 @@ arrays. A ``*_many`` result
 that is NaN or infinite anywhere raises NotFiniteQuantity, a ValueError.
 A vector field may instead be given as a stage, source lines that set
 (f1, f2) from (x1, x2); ``VectorField.from_stage`` compiles its closure from
-that text, and the RK4 stepper inlines the same text, a pairing that
-``VectorField.__post_init__`` checks.
+that text, a pairing that ``VectorField.__post_init__`` checks, and the RK4
+stepper inlines the same text, with a linear stage's multiplies by 0 and +-1
+folded away (``dynamics._folded``); the closure keeps every coefficient.
 
 The value types of the package are frozen records: a class whose annotations
 list its fields, decorated with ``record``. It gives the class what
@@ -524,7 +525,8 @@ class SystemSpec:
         """The linear system x' = A x, with its divergence in closed form."""
         trace = a.trace
         # A x, with each coefficient's repr in parentheses: repr round-trips a
-        # float exactly, -0.0 included, so the stage rounds like Matrix2.apply_coords.
+        # float exactly, -0.0 included, so fn rounds like Matrix2.apply_coords;
+        # the stepper inlines a folded copy (dynamics._folded).
         stage = "f1, f2 = ({!r}) * x1 + ({!r}) * x2, ({!r}) * x1 + ({!r}) * x2".format(a.a11, a.a12, a.a21, a.a22)
         field = VectorField.from_stage(stage, divergence_fn=lambda _x1, _x2: trace)
         return cls(name=name, field=field, potential=potential, friction=friction)

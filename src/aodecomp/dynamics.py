@@ -6,18 +6,21 @@ command-line layer relies on for golden files. There is one RK4 source text,
 and cached by that text: a field built by ``VectorField.from_stage`` has its
 stage inlined four times a step, on plain floats, and any other field gets
 the same loop calling its ``fn``. The field's ``fn`` is compiled from the
-same stage, so the stepper and the field compute the same bits. The
-Cartesian and the polar chart run alike. Along a
-trajectory the sampled columns carry the potential, its rate of change, the
-dissipation power and the divergence, so the dissipation criteria can be
-audited against time series as well as closed forms; they are computed on
-all states at once by the batched functions of ``dissipation``.
+same stage, so the stepper and the field compute the same bits, except that
+the stepper folds a linear stage's multiplies by 0 and +-1 away
+(``_folded``), which may change a state only in the sign of a zero. The
+Cartesian and the polar chart run alike. Along a trajectory the sampled
+columns carry the potential, its rate of change, the dissipation power and
+the divergence, so the dissipation criteria can be audited against time
+series as well as closed forms; they are computed on all states at once by
+the batched functions of ``dissipation``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 import textwrap
 from array import array
 
@@ -119,14 +122,45 @@ def loop(fn, a, b, dt, n, limit):
 """
 # The stage of a field with no stage of its own.
 _CALL_FN = "f1, f2 = fn(x1, x2)"
+# The stage SystemSpec.linear writes: two sums of (c) * x1 and (c) * x2 terms.
+_LINEAR = re.compile(r"f1, f2 = ([^,\n]+), ([^,\n]+)")
+_TERM = re.compile(r"\((-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)\) \* (x[12])")
+
+
+def _folded(stage: str) -> str:
+    """``stage`` with no multiply by 0 or +-1 if it is a linear stage, else ``stage`` itself.
+
+    A ``(+-0.0) * x`` term is dropped, ``(1.0) * x`` is written ``x`` and
+    ``(-1.0) * x`` is written ``-x``, or ``- x`` after another term; an output
+    with no term left is ``0.0``. The +-1 folds are exact in IEEE 754. A
+    dropped term changes a sum only in the sign of a zero, or where its
+    coordinate is infinite at a midpoint. If some output reads that
+    coordinate, the step leaves the box either way; if none does, the full
+    stage's ``0.0 * inf`` ends the run, and the folded stage ends it too
+    unless that coordinate's slopes cancel exactly, as with dt = 2**1022 in
+    ``test_stage_fold`` (no catalog system can). Short of that, a state
+    differs from one stepped through the full stage at most in a zero's sign.
+    """
+    outputs = _LINEAR.fullmatch(stage)
+    rows = [[_TERM.fullmatch(t) for t in out.split(" + ")] for out in outputs.groups()] if outputs else []
+    if not rows or not all(map(all, rows)):
+        return stage
+    folded = []
+    for row in rows:
+        # each kept term as "+ x", "- x" or "+ (c) * x"; a leading "+ " is dropped and a leading "- " is "-"
+        terms = [(c, x) for c, x in (t.groups() for t in row) if float(c) != 0.0]
+        pieces = [{1.0: f"+ {x}", -1.0: f"- {x}"}.get(float(c), f"+ ({c}) * {x}") for c, x in terms]
+        text = " ".join(pieces) or "+ 0.0"
+        folded.append(text[2:] if text[0] == "+" else "-" + text[2:])
+    return "f1, f2 = {}, {}".format(*folded)
 
 
 # Bounded, so a program that steps many distinct linear systems does not keep
 # every loop it ever compiled; the catalog needs ten.
 @functools.lru_cache(maxsize=64)
 def _loop(stage: str):
-    """The step loop compiled with ``stage`` inlined, once per distinct text."""
-    source = _RK4.format(stage=textwrap.indent(stage, " " * 12))
+    """The step loop compiled with ``stage`` inlined, folded by ``_folded``, once per distinct text."""
+    source = _RK4.format(stage=textwrap.indent(_folded(stage), " " * 12))
     return define(source, "loop", {"array": array, "math": math})
 
 
