@@ -122,13 +122,14 @@ def loop(fn, a, b, dt, n, limit):
 """
 # The stage of a field with no stage of its own.
 _CALL_FN = "f1, f2 = fn(x1, x2)"
-# The stage SystemSpec.linear writes: two sums of (c) * x1 and (c) * x2 terms.
-_LINEAR = re.compile(r"f1, f2 = ([^,\n]+), ([^,\n]+)")
-_TERM = re.compile(r"\((-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)\) \* (x[12])")
+# The stage SystemSpec.linear writes: A x, each coefficient's repr in parentheses.
+_COEFFICIENT = r"\((-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)\)"
+_SUM = rf"{_COEFFICIENT} \* x1 \+ {_COEFFICIENT} \* x2"
+_LINEAR = re.compile(rf"f1, f2 = {_SUM}, {_SUM}")
 
 
 def _folded(stage: str) -> str:
-    """``stage`` with no multiply by 0 or +-1 if it is a linear stage, else ``stage`` itself.
+    """``stage`` with no multiply by 0 or +-1 if ``SystemSpec.linear`` wrote it, else ``stage`` itself.
 
     A ``(+-0.0) * x`` term is dropped, ``(1.0) * x`` is written ``x`` and
     ``(-1.0) * x`` is written ``-x``, or ``- x`` after another term; an output
@@ -141,16 +142,14 @@ def _folded(stage: str) -> str:
     ``test_stage_fold`` (no catalog system can). Short of that, a state
     differs from one stepped through the full stage at most in a zero's sign.
     """
-    outputs = _LINEAR.fullmatch(stage)
-    rows = [[_TERM.fullmatch(t) for t in out.split(" + ")] for out in outputs.groups()] if outputs else []
-    if not rows or not all(map(all, rows)):
+    linear = _LINEAR.fullmatch(stage)
+    if linear is None:
         return stage
     folded = []
-    for row in rows:
+    for row in (linear.group(1, 2), linear.group(3, 4)):
         # each kept term as "+ x", "- x" or "+ (c) * x"; a leading "+ " is dropped and a leading "- " is "-"
-        terms = [(c, x) for c, x in (t.groups() for t in row) if float(c) != 0.0]
-        pieces = [{1.0: f"+ {x}", -1.0: f"- {x}"}.get(float(c), f"+ ({c}) * {x}") for c, x in terms]
-        text = " ".join(pieces) or "+ 0.0"
+        terms = [(c, x) for c, x in zip(row, ("x1", "x2")) if float(c) != 0.0]
+        text = " ".join({1.0: f"+ {x}", -1.0: f"- {x}"}.get(float(c), f"+ ({c}) * {x}") for c, x in terms) or "+ 0.0"
         folded.append(text[2:] if text[0] == "+" else "-" + text[2:])
     return "f1, f2 = {}, {}".format(*folded)
 

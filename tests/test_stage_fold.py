@@ -38,13 +38,15 @@ def test_linear_catalog_stages_fold_to_these_texts():
         get("hopf_limit_cycle").system.field.stage,
         HOPF_POLAR.field.stage,
         dynamics._CALL_FN,
-        # near misses of the linear form: a product, a temporary, a third coordinate, a three-way split
+        # near misses of the linear form: terms out of order, a product, a temporary, a third coordinate,
+        # a three-way split
+        "f1, f2 = (1.0) * x2 + (0.0) * x1, (0.0) * x1 + (1.0) * x2",
         "f1, f2 = (1.0) * x1 * x2, (0.0) * x2",
         "_s = (0.0) * x1\nf1, f2 = _s, (1.0) * x2",
         "f1, f2 = (1.0) * x3, (0.0) * x1",
         "f1, f2, _t = (1.0) * x1, (0.0) * x2, (1.0) * x1",
     ],
-    ids=["hopf", "polar", "no_stage", "product", "temporary", "x3", "three"],
+    ids=["hopf", "polar", "no_stage", "reordered", "product", "temporary", "x3", "three"],
 )
 def test_other_stages_are_inlined_unchanged(stage):
     assert dynamics._folded(stage) == stage
