@@ -123,9 +123,10 @@ def loop(fn, a, b, dt, n, limit):
 # The stage of a field with no stage of its own.
 _CALL_FN = "f1, f2 = fn(x1, x2)"
 # The stage SystemSpec.linear writes: A x, each coefficient's repr in parentheses.
+# Left as text, so re compiles it on the first fold and not at import.
 _COEFFICIENT = r"\((-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)\)"
 _SUM = rf"{_COEFFICIENT} \* x1 \+ {_COEFFICIENT} \* x2"
-_LINEAR = re.compile(rf"f1, f2 = {_SUM}, {_SUM}")
+_LINEAR = rf"f1, f2 = {_SUM}, {_SUM}"
 
 
 def _folded(stage: str) -> str:
@@ -142,7 +143,7 @@ def _folded(stage: str) -> str:
     ``test_stage_fold`` (no catalog system can). Short of that, a state
     differs from one stepped through the full stage at most in a zero's sign.
     """
-    linear = _LINEAR.fullmatch(stage)
+    linear = re.fullmatch(_LINEAR, stage)
     if linear is None:
         return stage
     folded = []
