@@ -18,11 +18,10 @@ array power has paths of its own, and the two can differ in the last bit
 of ``catalog.HOPF_POLAR``, ``x1 - x1**3``, which no output evaluates on
 arrays. A ``*_many`` result
 that is NaN or infinite anywhere raises NotFiniteQuantity, a ValueError.
-A vector field may instead be given as a stage, source lines that set
-(f1, f2) from (x1, x2); ``VectorField.from_stage`` compiles its closure from
-that text, a pairing that ``VectorField.__post_init__`` checks, and the RK4
-stepper inlines the same text, with a linear stage's multiplies by 0 and +-1
-folded away (``dynamics._folded``); the closure keeps every coefficient.
+A vector field may instead be given as a stage, source lines that set (f1, f2)
+from (x1, x2): ``VectorField.from_stage`` compiles its closure from that text
+and marks it ``fn.stage``, the text the RK4 stepper inlines; the mark of
+``SystemSpec.linear`` has no multiply by 0 or +-1 (``_folded_linear_stage``).
 
 The value types of the package are frozen records: a class whose annotations
 list its fields, decorated with ``record``. It gives the class what
@@ -447,18 +446,16 @@ class ScalarField:
 class VectorField:
     """Planar vector field with optional analytic divergence.
 
-    ``fn(x1, x2)`` returns the pair (f1, f2) and ``divergence_fn(x1, x2)`` the
-    divergence. ``stage`` is None, or the source that ``from_stage`` compiled
-    ``fn`` from, which the RK4 stepper inlines; any other stage is a TypeError.
+    ``fn(x1, x2)`` returns (f1, f2), and ``divergence_fn(x1, x2)`` the divergence.
     """
 
     fn: Callable
     divergence_fn: Callable | None = None
-    stage: str | None = None
 
-    def __post_init__(self):
-        if self.stage is not None and getattr(self.fn, "stage", None) != self.stage:
-            raise TypeError(f"stage {self.stage!r} is not the text fn was compiled from; use from_stage")
+    @property
+    def stage(self) -> str | None:
+        """The text ``fn`` is marked with, which the RK4 stepper inlines, or None for a plain closure."""
+        return getattr(self.fn, "stage", None)
 
     @classmethod
     def from_stage(cls, stage: str, divergence_fn: Callable | None = None) -> VectorField:
@@ -466,7 +463,6 @@ class VectorField:
 
         A stage reads only x1, x2, literals, builtins and its own temporaries,
         whose names start with ``_``, so it means the same inside the stepper.
-        ``fn`` is marked with its text, ``fn.stage``, for ``__post_init__``'s check.
         """
         fn = define("def fn(x1, x2):\n" + textwrap.indent(stage, "    ") + "\n    return f1, f2\n", "fn")
         code = fn.__code__
@@ -474,7 +470,7 @@ class VectorField:
         if any(not t.startswith("_") for t in temporaries) or not set(code.co_names) <= set(vars(builtins)):
             raise ValueError(f"a stage may bind only f1, f2 and _-prefixed names and read no globals, got {stage!r}")
         fn.stage = stage
-        return cls(fn, divergence_fn, stage)
+        return cls(fn, divergence_fn)
 
     def _divergence(self, x1, x2):
         if self.divergence_fn is not None:
@@ -524,9 +520,30 @@ class SystemSpec:
     ) -> SystemSpec:
         """The linear system x' = A x, with its divergence in closed form."""
         trace = a.trace
-        # A x, with each coefficient's repr in parentheses: repr round-trips a
-        # float exactly, -0.0 included, so fn rounds like Matrix2.apply_coords;
-        # the stepper inlines a folded copy (dynamics._folded).
+        # fn runs A x with each coefficient's repr, exact for -0.0 too, so it rounds like Matrix2.apply_coords;
+        # its mark, the text the stepper inlines, is the folded copy
         stage = "f1, f2 = ({!r}) * x1 + ({!r}) * x2, ({!r}) * x1 + ({!r}) * x2".format(a.a11, a.a12, a.a21, a.a22)
         field = VectorField.from_stage(stage, divergence_fn=lambda _x1, _x2: trace)
+        field.fn.stage = _folded_linear_stage(a)
         return cls(name=name, field=field, potential=potential, friction=friction)
+
+
+def _folded_linear_stage(a: Matrix2) -> str:
+    """The stage of x' = A x with no multiply by 0 or +-1, which the RK4 stepper inlines.
+
+    A +-0.0 term is dropped, and ``(1.0) * x`` and ``(-1.0) * x`` are written
+    ``x`` and ``-x`` (``- x`` after a term); an output with no term is ``0.0``.
+    Both folds are exact in IEEE 754, and a dropped term changes a sum only in
+    a zero's sign, or where its coordinate is infinite at a midpoint: then the
+    step leaves the box either way if an output reads it, and if none does,
+    the full stage's ``0.0 * inf`` ends the run while this one ends it too
+    unless the coordinate's slopes cancel exactly, as with dt = 2**1022 in
+    ``test_stage_fold`` (no catalog system can).
+    """
+    rows = []
+    for row in ((a.a11, a.a12), (a.a21, a.a22)):
+        # each kept term as "+ x", "- x" or "+ (c) * x"; a leading "+ " is dropped and a leading "- " is "-"
+        terms = [(c, x) for c, x in zip(row, ("x1", "x2")) if c != 0.0]
+        text = " ".join({1.0: f"+ {x}", -1.0: f"- {x}"}.get(c, f"+ ({c!r}) * {x}") for c, x in terms) or "+ 0.0"
+        rows.append(text[2:] if text[0] == "+" else "-" + text[2:])
+    return "f1, f2 = {}, {}".format(*rows)

@@ -3,24 +3,22 @@
 Fixed-step classical Runge-Kutta keeps runs bit-reproducible, which the
 command-line layer relies on for golden files. There is one RK4 source text,
 ``_RK4``. A step loop is compiled from it for each field stage on first use
-and cached by that text: a field built by ``VectorField.from_stage`` has its
-stage inlined four times a step, on plain floats, and any other field gets
-the same loop calling its ``fn``. The field's ``fn`` is compiled from the
-same stage, so the stepper and the field compute the same bits, except that
-the stepper folds a linear stage's multiplies by 0 and +-1 away
-(``_folded``), which may change a state only in the sign of a zero. The
-Cartesian and the polar chart run alike. Along a trajectory the sampled
-columns carry the potential, its rate of change, the dissipation power and
-the divergence, so the dissipation criteria can be audited against time
-series as well as closed forms; they are computed on all states at once by
-the batched functions of ``dissipation``.
+and cached by that text: a field whose ``fn`` carries a stage, ``fn.stage``,
+has it inlined as given, four times a step, on plain floats, and any other
+field gets the same loop calling its ``fn``. A stage computes ``fn``'s bits,
+except that ``SystemSpec.linear``'s has no multiply by 0 or +-1, so a state
+may differ from ``fn``'s only in the sign of a zero
+(``core._folded_linear_stage``). The Cartesian and the polar chart run alike.
+Along a trajectory the sampled columns carry the potential, its rate of
+change, the dissipation power and the divergence, so the dissipation criteria
+can be audited against time series as well as closed forms; they are computed
+on all states at once by the batched functions of ``dissipation``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 import textwrap
 from array import array
 
@@ -122,45 +120,14 @@ def loop(fn, a, b, dt, n, limit):
 """
 # The stage of a field with no stage of its own.
 _CALL_FN = "f1, f2 = fn(x1, x2)"
-# The stage SystemSpec.linear writes: A x, each coefficient's repr in parentheses.
-# Left as text, so re compiles it on the first fold and not at import.
-_COEFFICIENT = r"\((-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)\)"
-_SUM = rf"{_COEFFICIENT} \* x1 \+ {_COEFFICIENT} \* x2"
-_LINEAR = rf"f1, f2 = {_SUM}, {_SUM}"
-
-
-def _folded(stage: str) -> str:
-    """``stage`` with no multiply by 0 or +-1 if ``SystemSpec.linear`` wrote it, else ``stage`` itself.
-
-    A ``(+-0.0) * x`` term is dropped, ``(1.0) * x`` is written ``x`` and
-    ``(-1.0) * x`` is written ``-x``, or ``- x`` after another term; an output
-    with no term left is ``0.0``. The +-1 folds are exact in IEEE 754. A
-    dropped term changes a sum only in the sign of a zero, or where its
-    coordinate is infinite at a midpoint. If some output reads that
-    coordinate, the step leaves the box either way; if none does, the full
-    stage's ``0.0 * inf`` ends the run, and the folded stage ends it too
-    unless that coordinate's slopes cancel exactly, as with dt = 2**1022 in
-    ``test_stage_fold`` (no catalog system can). Short of that, a state
-    differs from one stepped through the full stage at most in a zero's sign.
-    """
-    linear = re.fullmatch(_LINEAR, stage)
-    if linear is None:
-        return stage
-    folded = []
-    for row in (linear.group(1, 2), linear.group(3, 4)):
-        # each kept term as "+ x", "- x" or "+ (c) * x"; a leading "+ " is dropped and a leading "- " is "-"
-        terms = [(c, x) for c, x in zip(row, ("x1", "x2")) if float(c) != 0.0]
-        text = " ".join({1.0: f"+ {x}", -1.0: f"- {x}"}.get(float(c), f"+ ({c}) * {x}") for c, x in terms) or "+ 0.0"
-        folded.append(text[2:] if text[0] == "+" else "-" + text[2:])
-    return "f1, f2 = {}, {}".format(*folded)
 
 
 # Bounded, so a program that steps many distinct linear systems does not keep
 # every loop it ever compiled; the catalog needs ten.
 @functools.lru_cache(maxsize=64)
 def _loop(stage: str):
-    """The step loop compiled with ``stage`` inlined, folded by ``_folded``, once per distinct text."""
-    source = _RK4.format(stage=textwrap.indent(_folded(stage), " " * 12))
+    """The step loop compiled with ``stage`` inlined as given, once per distinct text."""
+    source = _RK4.format(stage=textwrap.indent(stage, " " * 12))
     return define(source, "loop", {"array": array, "math": math})
 
 

@@ -49,7 +49,7 @@ class AsymmetricU(AodecompError):
 class NonFinite(AodecompError):
     """Trajectory integration blew up. Carries the partial trajectory."""
 
-    def __init__(self, message: str, trajectory=None):
+    def __init__(self, message: str, trajectory):
         super().__init__(message)
         self.trajectory = trajectory
 

@@ -182,10 +182,8 @@ def solve_gyration(a: Matrix2, d: DiffusionParams) -> QSolution:
     return QSolution(INCONSISTENT, None, note=note, residual=scale_back(rhs, e_a + e_d))
 
 
-def assemble_decomposition(
-    a: Matrix2, d: DiffusionParams, gyration: AntisymScalar | float
-) -> LinearDecomposition:
-    """Build friction, transverse and potential matrices from A, D and q.
+def assemble_decomposition(a: Matrix2, d: DiffusionParams, gyration: float) -> LinearDecomposition:
+    """Build friction, transverse and potential matrices from A, D and the float q.
 
     q is judged first, solved or not: AsymmetricU is raised when the
     constraint residual exceeds its bound (see the module docstring), which
@@ -193,7 +191,7 @@ def assemble_decomposition(
     U = -(D + Q)^(-1) A then reuses the one inverse of D + Q, and is
     symmetrized. Raises SingularMatrix when D + Q is not invertible.
     """
-    q = gyration if isinstance(gyration, AntisymScalar) else AntisymScalar(float(gyration))
+    q = AntisymScalar(float(gyration))
     residual, bound, exponent = _unit_constraint(a, d, q.q)
     if residual > bound:
         shown = (scaled_repr(residual, exponent), scaled_repr(bound, exponent))
@@ -227,12 +225,9 @@ def quadratic_potential(u: Matrix2) -> ScalarField:
     return ScalarField(value, gradient_fn=u.apply_coords)
 
 
-def lyapunov_equation_residual(
-    a: Matrix2, d: DiffusionParams, gyration: AntisymScalar | float
-) -> float:
-    """Frobenius norm of A Q + Q A^T - (A D - D A^T) for the given q (an infinity beyond float64)."""
-    q = gyration if isinstance(gyration, AntisymScalar) else AntisymScalar(float(gyration))
-    residual, _, exponent = _unit_constraint(a, d, q.q)
+def lyapunov_equation_residual(a: Matrix2, d: DiffusionParams, gyration: float) -> float:
+    """Frobenius norm of A Q + Q A^T - (A D - D A^T) for the float q (an infinity beyond float64)."""
+    residual, _, exponent = _unit_constraint(a, d, AntisymScalar(gyration).q)
     return scale_back(residual, exponent)
 
 

@@ -122,7 +122,7 @@ def test_criterion_04_gyration_constraint_residual():
         entry = get(name)
         if entry.decomposition is not None:
             dec = entry.decomposition
-            assert lyapunov_equation_residual(dec.a, dec.diffusion, dec.gyration) < 1e-10
+            assert lyapunov_equation_residual(dec.a, dec.diffusion, dec.gyration.q) < 1e-10
     rng = np.random.default_rng(227)
     for _ in range(1000):
         a = random_matrix_nonzero_trace(rng, min_trace=0.1)

@@ -65,7 +65,7 @@ def test_linear_entries_satisfy_constraint():
         if entry.decomposition is None:
             continue
         dec = entry.decomposition
-        assert lyapunov_equation_residual(dec.a, dec.diffusion, dec.gyration) < 1e-10
+        assert lyapunov_equation_residual(dec.a, dec.diffusion, dec.gyration.q) < 1e-10
         # friction + transverse inverts diffusion + gyration
         prod = (dec.friction + dec.transverse.matrix()) @ (
             dec.diffusion.matrix() + dec.gyration.matrix()

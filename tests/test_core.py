@@ -235,24 +235,17 @@ def test_many_returns_a_float64_column_as_is_and_broadcasts_the_rest():
 def test_records_print_like_dataclasses():
     assert repr(Point2(1.0, 2.0)) == "Point2(x1=1.0, x2=2.0)"
     assert repr(Matrix2(1.0, -0.0, 0.5, 4.0)) == "Matrix2(a11=1.0, a12=-0.0, a21=0.5, a22=4.0)"
+    # the stage is read from fn, not a field of the record
     field = VectorField.from_stage("f1, f2 = x2, -x1")
-    assert repr(field) == f"VectorField(fn={field.fn!r}, divergence_fn=None, stage='f1, f2 = x2, -x1')"
+    assert repr(field) == f"VectorField(fn={field.fn!r}, divergence_fn=None)"
 
 
 def test_a_stage_field_rebuilt_from_its_fields_equals_it_and_steps_the_same():
     field = get("hopf_limit_cycle").system.field
-    rebuilt = VectorField(field.fn, field.divergence_fn, field.stage)
-    assert rebuilt == field and repr(rebuilt) == repr(field)
+    rebuilt = VectorField(field.fn, field.divergence_fn)
+    assert rebuilt == field and repr(rebuilt) == repr(field) and rebuilt.stage == field.stage is not None
     runs = [integrate(SystemSpec("hopf", f), Point2(0.5, 0.25), dt=0.01, t_end=5.0) for f in (field, rebuilt)]
     assert np.array_equal(runs[0].x, runs[1].x) and np.array_equal(runs[0].div_f, runs[1].div_f)
-
-
-def test_a_stage_beside_another_stages_fn_is_refused():
-    one, other = VectorField.from_stage("f1, f2 = x2, -x1"), VectorField.from_stage("f1, f2 = -x2, x1")
-    with pytest.raises(TypeError, match="stage"):
-        VectorField(one.fn, one.divergence_fn, other.stage)
-    with pytest.raises(TypeError, match="stage"):
-        VectorField(other.fn, stage=one.stage)
 
 
 def test_records_compare_and_hash_their_field_tuples_within_one_class():

@@ -440,12 +440,16 @@ def test_stage_may_not_bind_loop_names_or_read_globals():
 
 
 def test_only_from_stage_sets_a_stage():
-    # a stage given beside an fn it was not compiled from would step one field and evaluate another
-    with pytest.raises(TypeError):
+    # the stage is read from fn, so a field cannot step one text and evaluate another
+    with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
         VectorField(lambda x1, x2: (0.0, 0.0), None, "f1, f2 = -x1, -x2")
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'stage'"):
         VectorField(lambda x1, x2: (0.0, 0.0), stage="a = 5.0\nf1, f2 = 0.0, 0.0")
     assert VectorField(lambda x1, x2: (0.0, 0.0)).stage is None
+    field = VectorField.from_stage("f1, f2 = -x1, -x2")
+    with pytest.raises(AttributeError):
+        field.stage = "f1, f2 = x1, x2"
+    assert field.stage == field.fn.stage == "f1, f2 = -x1, -x2"
 
 
 def test_integrate_reuses_one_loop_per_stage():

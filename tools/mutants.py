@@ -97,11 +97,6 @@ MUTANTS = [
     ),
     # no unit copy: every product of entries beyond about 1e+-154 leaves the normal floats again
     ("unit_copy_skipped", "src/aodecomp/core.py", "e = math.frexp(max(map(abs, values)))[1]", "e = 0"),
-    # a stage beside an fn it was not compiled from: the stepper would inline one field and evaluate another
-    (
-        "stage_pairing_unchecked", "src/aodecomp/core.py",
-        'if self.stage is not None and getattr(self.fn, "stage", None) != self.stage:', "if False:",
-    ),
     # a refused value past float64 printed as inf, not spelled out as m * 2**e
     (
         "refusal_overflow_prints_inf", "src/aodecomp/core.py",
@@ -109,7 +104,7 @@ MUTANTS = [
         "return repr(back) if math.isinf(back) or math.ldexp(back, -e) == x",
     ),
     # the stepper's folded linear stage reading (-1.0) * x as x: every -1 coefficient loses its sign
-    ("stage_fold_minus_one_as_plus", "src/aodecomp/dynamics.py", '-1.0: f"- {x}"', '-1.0: f"+ {x}"'),
+    ("stage_fold_minus_one_as_plus", "src/aodecomp/core.py", '-1.0: f"- {x}"', '-1.0: f"+ {x}"'),
     # finite differences on arrays only, 1e-12 off: the batch must match the point loop bit for bit
     (
         "batch_central_divergence_scaled", "src/aodecomp/core.py",
