@@ -173,9 +173,6 @@ class Point2:
     def __sub__(self, other: Point2) -> Point2:
         return Point2(self.x1 - other.x1, self.x2 - other.x2)
 
-    def __neg__(self) -> Point2:
-        return Point2(-self.x1, -self.x2)
-
     def scaled(self, c: float) -> Point2:
         return Point2(c * self.x1, c * self.x2)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Matrix2, Point2, SystemSpec, check_finite, record, scaled_repr, semidefinite_det, unit_copy
 from .errors import MissingPotential, NotPSD
-from .field import equilibrium_mask, friction_at
+from .field import equilibrium_mask, friction_at, unit_frame
 from .tolerances import PSD_SLACK, master_tol
 
 CONSERVATIVE = "conservative"
@@ -123,8 +123,9 @@ def power_many(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndar
     """H_P and d(phi)/dt at N points.
 
     H_P is xdot^T S xdot with the system's friction matrix S when it has one,
-    otherwise the pointwise friction scalar times |xdot|^2, with H_P = 0 at
-    equilibria (xdot = 0). The rate is None for a system without a potential.
+    otherwise the pointwise friction scalar times |xdot|^2, taken on
+    ``field.unit_frame``'s copies and scaled back by 2**(e_f + e_g), with H_P = 0
+    at equilibria (xdot = 0). The rate is None for a system without a potential.
     Raises NotFiniteQuantity where either is not finite.
     """
     if sys.friction is None and sys.potential is None:
@@ -137,8 +138,9 @@ def power_many(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndar
         if sys.potential is not None:
             g1, g2 = sys.potential.gradient_many(x1, x2)
             if sys.friction is None:
-                ff = f1 * f1 + f2 * f2
-                h_p = np.where(equilibrium_mask(x1, x2, f1, f2), 0.0, friction_at(f1, f2, g1, g2) * ff)
+                (u1, u2, v1, v2), e_f, e_g = unit_frame(f1, f2, g1, g2)
+                h_p = friction_at(u1, u2, v1, v2) * (u1 * u1 + u2 * u2)
+                h_p = np.where(equilibrium_mask(f1, f2), 0.0, np.ldexp(h_p, e_f + e_g))
             rate = _rate(f1, f2, g1, g2)
     check_finite(POWER, h_p)
     if rate is not None:

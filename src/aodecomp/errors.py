@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class AodecompError(Exception):
-    """Base class for library errors."""
+    """Base class for library errors; a copy or pickle is rebuilt from its class, ``args`` and ``__dict__``."""
+
+    def __reduce__(self):  # Exception's passes ``args`` to __init__, which takes more than the message in subclasses
+        return type(self).__new__, (type(self), *self.args), self.__dict__
 
 
 class SingularMatrix(AodecompError):

@@ -15,10 +15,10 @@ On the isopotential locus where friction and transverse both vanish (the
 limit cycle of the builtin oscillator) the dual pair does not exist and the
 decomposition is marked singular instead.
 
-The frame is computed on N points at once by ``decompose_many``, with the
-equilibria and the singular points as boolean masks; ``point_decomposition``
-is its N = 1 case, so the frame formula, the overflow rescale and the
-equilibrium rule (``equilibrium_mask``) each exist once.
+The frame exists wherever f != 0, so the equilibria are the rows f1 = f2 = 0
+(``equilibrium_mask``). ``decompose_many`` takes it at N points on unit copies
+of f and grad(phi) (``unit_frame``), with equilibria and singular points as
+masks; ``point_decomposition`` is its N = 1 case, so each rule exists once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Point2, SystemSpec, record
 from .errors import EquilibriumPoint, MissingPotential, NotFiniteQuantity
-from .tolerances import EQUILIBRIUM_TOL, SINGULAR_SPLIT_TOL
+from .tolerances import SINGULAR_SPLIT_TOL
 
 
 @record
@@ -66,9 +66,16 @@ class DecompositionColumns:
     singular_on_isopotential: np.ndarray
 
 
-def equilibrium_mask(x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Rows that are equilibria: |f| <= EQUILIBRIUM_TOL * (1 + |x|), with np.hypot norms."""
-    return np.hypot(f1, f2) <= EQUILIBRIUM_TOL * (1.0 + np.hypot(x1, x2))
+def equilibrium_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Rows that are equilibria: f1 == 0 and f2 == 0, where the frame is undefined."""
+    return (f1 == 0.0) & (f2 == 0.0)
+
+
+def unit_frame(f1, f2, g1, g2):
+    """``core.unit_copy`` of f and of grad(phi) as columns: (f * 2**-e_f, g * 2**-e_g), e_f, e_g."""
+    e_f = np.frexp(np.maximum(abs(f1), abs(f2)))[1]
+    e_g = np.frexp(np.maximum(abs(g1), abs(g2)))[1]
+    return (np.ldexp(f1, -e_f), np.ldexp(f2, -e_f), np.ldexp(g1, -e_g), np.ldexp(g2, -e_g)), e_f, e_g
 
 
 def friction_at(f1, f2, g1, g2):
@@ -86,31 +93,25 @@ def decompose_many(sys: SystemSpec, x1: np.ndarray, x2: np.ndarray) -> Decomposi
 
     The potential gradient is evaluated off the equilibria only. Raises
     NotFiniteQuantity where the field, or the gradient there, is not finite;
-    its row indexes x1 and x2.
-    Where f . f, grad(phi) . f or f1 d2(phi) - f2 d1(phi) overflows, s and t
-    (homogeneous of degree -1 in f, 1 in grad(phi)) are computed from both
-    divided by their largest components and scaled back by g_max / f_max.
+    its row indexes x1 and x2. s and t are taken on ``unit_frame``'s copies and
+    scaled back by 2**(e_g - e_f), so they overflow only where they pass float64.
     """
     if sys.potential is None:
         raise MissingPotential(f"system {sys.name!r} has no potential")
     f1, f2 = sys.field.evaluate_many(x1, x2)
-    with np.errstate(all="ignore"):  # an overflowing |f| or product is handled below
-        equilibrium = equilibrium_mask(x1, x2, f1, f2)
-        moving = ~equilibrium
-        g1, g2 = np.full(f1.shape, np.nan), np.full(f1.shape, np.nan)
-        # an equilibrium's g stays NaN, and so does its whole frame
-        try:
-            g1[moving], g2[moving] = sys.potential.gradient_many(x1[moving], x2[moving])
-        except NotFiniteQuantity as exc:  # its row counts the moving rows only
-            exc.row = int(np.flatnonzero(moving)[exc.row])
-            raise
-        overflow = ~(np.isfinite(f1 * f1 + f2 * f2) & np.isfinite(g1 * f1 + g2 * f2) & np.isfinite(f1 * g2 - f2 * g1))
-        f_max = np.where(overflow, np.maximum(abs(f1), abs(f2)), 1.0)
-        g_max = np.where(overflow, np.maximum(abs(g1), abs(g2)), 1.0)
-        g_max[g_max == 0.0] = 1.0
-        frame = (f1 / f_max, f2 / f_max, g1 / g_max, g2 / g_max)
-        s = friction_at(*frame) * (g_max / f_max)
-        t = transverse_at(*frame) * (g_max / f_max)
+    equilibrium = equilibrium_mask(f1, f2)
+    moving = ~equilibrium
+    g1, g2 = np.full(f1.shape, np.nan), np.full(f1.shape, np.nan)
+    # an equilibrium's g stays NaN, and so does its whole frame
+    try:
+        g1[moving], g2[moving] = sys.potential.gradient_many(x1[moving], x2[moving])
+    except NotFiniteQuantity as exc:  # its row counts the moving rows only
+        exc.row = int(np.flatnonzero(moving)[exc.row])
+        raise
+    with np.errstate(all="ignore"):  # a scale-back or s^2 + t^2 past float64, and 0 / 0 on singular rows
+        frame, e_f, e_g = unit_frame(f1, f2, g1, g2)
+        s = np.ldexp(friction_at(*frame), e_g - e_f)
+        t = np.ldexp(transverse_at(*frame), e_g - e_f)
         norm2 = s * s + t * t
         singular = norm2 <= SINGULAR_SPLIT_TOL
         d, q = np.where(singular, np.nan, s / norm2), np.where(singular, np.nan, -t / norm2)

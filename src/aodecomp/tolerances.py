@@ -27,9 +27,6 @@ TRACE_ZERO_TOL = 1e-10
 # Eigenvalue discriminant at most SPECTRUM_TOL * max|A|^2 counts as repeated; both sides are taken on A's unit copy.
 SPECTRUM_TOL = 1e-10
 
-# ||f(x)|| <= EQUILIBRIUM_TOL * (1 + ||x||) marks an equilibrium point.
-EQUILIBRIUM_TOL = 1e-10
-
 # friction^2 + transverse^2 below this cannot be inverted (isopotential locus).
 SINGULAR_SPLIT_TOL = 1e-20
 

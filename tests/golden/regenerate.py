@@ -85,7 +85,7 @@ def corpus() -> list[list[str]]:
         argvs.append(["report", "--system", "hopf_limit_cycle", "--grid", huge, "--format", fmt])
         argvs.append(["report", "--system", "hopf_limit_cycle", "--at", "-0.0,-0.0", "--at", "-0.0,1", "--format", fmt])
     # Points where f.f, grad(phi).f or the transverse product overflows, so
-    # the frame is computed from f and grad(phi) rescaled by their largest components.
+    # only the unit copies of f and grad(phi) keep the frame finite.
     for fmt in FORMATS:
         for source, point in OVERFLOW_FRAME_POINTS:
             argvs.append(["decompose", *source, "--at", point, "--format", fmt])

@@ -36,7 +36,7 @@ from aodecomp import (
 )
 from aodecomp.dissipation import VERDICTS, phi_rate_many, power_many, report_many
 from aodecomp.field import friction_at, transverse_at
-from aodecomp.tolerances import EQUILIBRIUM_TOL, master_tol
+from aodecomp.tolerances import master_tol
 from aodecomp.catalog import HOPF_POLAR
 from aodecomp.cli import main
 from helpers import dot, gradient_flow_system, reversed_system
@@ -59,7 +59,7 @@ SYSTEMS = _systems()
 
 
 def _points() -> tuple[np.ndarray, np.ndarray]:
-    """Seeded random points, the origin (both zero signs), the unit circle, near-equilibria."""
+    """Seeded random points, the origin (both zero signs), the unit circle, points near the origin."""
     rng = np.random.default_rng(20260417)
     x1 = list(rng.uniform(-2.0, 2.0, 300))
     x2 = list(rng.uniform(-2.0, 2.0, 300))
@@ -69,9 +69,9 @@ def _points() -> tuple[np.ndarray, np.ndarray]:
     for theta in np.linspace(-math.pi, math.pi, 40):
         x1.append(math.cos(theta))
         x2.append(math.sin(theta))
-    # Near the origin the oscillator's |f| is about |x|, so radii around
-    # EQUILIBRIUM_TOL straddle the equilibrium threshold.
-    for r in rng.uniform(0.5, 1.5, 60) * EQUILIBRIUM_TOL:
+    # Near the origin the oscillator's |f| is about |x|: small, but not zero,
+    # so none of these points is an equilibrium.
+    for r in rng.uniform(0.5, 1.5, 60) * 1e-10:
         theta = rng.uniform(-math.pi, math.pi)
         x1.append(r * math.cos(theta))
         x2.append(r * math.sin(theta))
@@ -101,7 +101,7 @@ def reference_power(sys: SystemSpec, p: Point2) -> float:
     s = sys.friction
     if s is not None:
         return s.a11 * f.x1 * f.x1 + (s.a12 + s.a21) * f.x1 * f.x2 + s.a22 * f.x2 * f.x2
-    if f.norm() <= EQUILIBRIUM_TOL * (1.0 + p.norm()):
+    if f.x1 == 0.0 and f.x2 == 0.0:  # an equilibrium
         return 0.0
     g = sys.potential.gradient(p)
     return friction_at(f.x1, f.x2, g.x1, g.x2) * dot(f, f)
@@ -136,7 +136,7 @@ def test_field_batches_match_point_loop(name):
     assert_same_bits(g1, [g.x1 for g in grads])
     assert_same_bits(g2, [g.x2 for g in grads])
     # the frame closures off the equilibria, where the frame is defined
-    moving = np.array([f.norm() > EQUILIBRIUM_TOL for f in values])
+    moving = np.array([f.x1 != 0.0 or f.x2 != 0.0 for f in values])
     frame = (f1[moving], f2[moving], g1[moving], g2[moving])
     pairs = [(f.x1, f.x2, g.x1, g.x2) for f, g, m in zip(values, grads, moving.tolist()) if m]
     assert_same_bits(friction_at(*frame), [friction_at(*pair) for pair in pairs])
@@ -213,15 +213,13 @@ def test_linear_divergence_keeps_the_sign_of_a_zero_trace():
     assert_same_bits(sys.field.divergence_many(X1, X2), np.full(len(X1), -0.0))
 
 
-def test_equilibria_at_the_threshold_are_decided_alike_at_one_point_and_at_n():
-    # |f| placed within a few ulps of EQUILIBRIUM_TOL * (1 + |x|), through a
-    # field tabulated at these points
+def test_equilibria_are_decided_alike_at_one_point_and_at_n():
+    # each component of f zero of either sign, subnormal, tiny or of order one,
+    # through a field tabulated at these points: only f = 0 is an equilibrium
     rng = np.random.default_rng(7)
     x1, x2 = rng.uniform(-3.0, 3.0, (2, 20000))
-    angle = rng.uniform(-math.pi, math.pi, 20000)
-    bound = EQUILIBRIUM_TOL * (1.0 + np.hypot(x1, x2))
-    scale = bound * (1.0 + rng.integers(-4, 5, 20000) * np.finfo(float).eps)
-    f1, f2 = scale * np.cos(angle), scale * np.sin(angle)
+    sizes = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0])
+    f1, f2 = sizes[rng.integers(0, 8, (2, 20000))]
     table = dict(zip(zip(x1.tolist(), x2.tolist()), zip(f1.tolist(), f2.tolist())))
 
     def tabulated(a, b):
@@ -236,7 +234,7 @@ def test_equilibria_at_the_threshold_are_decided_alike_at_one_point_and_at_n():
             single.append(False)
         except EquilibriumPoint:
             single.append(True)
-    assert batch == single
+    assert batch == single == ((f1 == 0.0) & (f2 == 0.0)).tolist()
     assert 0 < sum(single) < len(single)
 
 

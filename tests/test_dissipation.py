@@ -113,6 +113,12 @@ def test_phi_rate_requires_potential():
         phi_rate(bare, Point2(0.0, 0.0))
 
 
+def test_power_requires_friction_or_potential():
+    bare = SystemSpec("bare", VectorField(lambda x1, x2: (1.0, 0.0)))
+    with pytest.raises(MissingPotential, match="system 'bare' has no potential"):
+        power_many(bare, np.array([0.0]), np.array([0.0]))
+
+
 def test_report_hopf_on_cycle(hopf):
     rep = report(hopf.system, Point2(1.0, 0.0))
     assert rep.h_p == 0.0

@@ -226,7 +226,7 @@ def test_verdicts_equal_the_exact_verdicts(name):
         x1, x2 = (np.array(column) for column in zip(*drawn))
         rep = report_many(sys, x1, x2, zero_tol=TOL)
         if sys.friction is None:
-            equilibrium = equilibrium_mask(x1, x2, *sys.field.evaluate_many(x1, x2))
+            equilibrium = equilibrium_mask(*sys.field.evaluate_many(x1, x2))
         else:
             equilibrium = np.zeros(len(x1), dtype=bool)
         for i, point in enumerate(drawn):

@@ -20,7 +20,6 @@ from aodecomp import (
     point_decomposition,
 )
 from aodecomp.field import friction_at, transverse_at
-from aodecomp.tolerances import EQUILIBRIUM_TOL
 from helpers import gradient_flow_system, random_point
 
 
@@ -62,9 +61,10 @@ def test_transverse_zero_for_gradient_flow():
     assert transverse_at(0.7, -0.3, -0.7, 0.3) == 0.0
 
 
-def test_equilibrium_rejected():
-    # a field that vanishes everywhere: every point is an equilibrium
-    still = _constant_field(0.0, 0.0)
+@pytest.mark.parametrize("zero", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+def test_equilibrium_rejected(zero):
+    # a field that vanishes everywhere, with either sign of zero: every point is an equilibrium
+    still = _constant_field(*zero)
     with pytest.raises(EquilibriumPoint):
         point_decomposition(still, Point2(0.3, -0.4))
     cols = decompose_many(still, np.array([0.3, 0.0]), np.array([-0.4, 0.0]))
@@ -209,18 +209,13 @@ def test_point_decomposition_overflow_with_zero_gradient():
     assert pd.singular_on_isopotential
 
 
-@pytest.mark.parametrize("steps", range(-3, 4))
+@pytest.mark.parametrize("v", [5e-324, 1e-300, 1e-10, 1.0, 1e300])
 @pytest.mark.parametrize("axis", [0, 1])
-def test_equilibrium_rule_at_the_threshold(axis, steps):
-    # a constant field at the origin with |f| within a few ulps of
-    # EQUILIBRIUM_TOL: at or below it is an equilibrium
-    v = EQUILIBRIUM_TOL
-    for _ in range(abs(steps)):
-        v = math.nextafter(v, math.copysign(math.inf, steps))
-    sys = _constant_field(v, 0.0) if axis == 0 else _constant_field(0.0, -v)
-    if steps <= 0:
-        with pytest.raises(EquilibriumPoint):
-            point_decomposition(sys, Point2(0.0, 0.0))
-    else:
-        pd = point_decomposition(sys, Point2(0.0, 0.0))
-        assert math.isfinite(pd.friction) and math.isfinite(pd.transverse)
+def test_every_nonzero_field_has_a_frame(axis, v):
+    # f = (v, 0) or (0, -v) and grad(phi) = (v, 2v): (s, t) is (-1, 2) or (2, 1)
+    # exactly, whatever the size of v, subnormal included
+    f = (v, 0.0) if axis == 0 else (0.0, -v)
+    phi = ScalarField(lambda x1, x2: v * (x1 + 2.0 * x2), gradient_fn=lambda x1, x2: (v, 2.0 * v))
+    sys = SystemSpec("constant", VectorField(lambda x1, x2: f), potential=phi)
+    pd = point_decomposition(sys, Point2(0.0, 0.0))
+    assert (pd.friction, pd.transverse) == ((-1.0, 2.0) if axis == 0 else (2.0, 1.0))

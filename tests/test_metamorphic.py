@@ -75,9 +75,9 @@ Time reversal. The copy's field is the negation of the original's, value
 for value, and negation is exact, as is rounding to nearest of a negated sum
 or product: fl(-a - b) = -fl(a + b) and fl((-a) b) = -fl(a b). So:
 - ``decompose_many``: f1 and f2 negate; g1 and g2 are the same potential's;
-  f . f, |f| and the rescale's largest components are unchanged, so the
-  equilibrium mask is; grad(phi) . f and f1 d2(phi) - f2 d1(phi) negate,
-  so s and t negate; s^2 + t^2 is unchanged, so the singular mask is, and
+  f = 0 where it was, so the equilibrium mask is unchanged, and so are the
+  exponents of the unit copies; grad(phi) . f and f1 d2(phi) - f2 d1(phi)
+  on those copies negate, so s and t negate; s^2 + t^2 is unchanged, so the singular mask is, and
   d = s / (s^2 + t^2) and q = -t / (s^2 + t^2) negate. Bound 0, as values
   (a 0.0 may come back -0.0), with NaN where the original has NaN.
 - ``report_many``: div_f negates (bound 0), so the conservative points stay
@@ -101,13 +101,15 @@ or product: fl(-a - b) = -fl(a + b) and fl((-a) b) = -fl(a b). So:
   f, g, the rate and its two roundings, and 6 eps mu |f|^2 from S's split
   and the five roundings of f^T S f, doubled:
   B_h = 2 ((40 kappa_M + 30) eps mu |A| |x| |f| + 6 eps mu |f|^2 +
-  2 alpha |x| |f|). Off the equilibria |f| > EQUILIBRIUM_TOL = 1e-10, so
-  |x| |f| > 1e-20 and a product that underflows, off by a few smallest
-  subnormals, stays far inside B_h. At an equilibrium the copy's h_p is 0
-  by rule, and the original's f^T S f is at most 2 mu |f|^2 with five
-  roundings, each off by at most half a smallest subnormal eta where it
-  underflows: B_eq = 2 (2 mu |f|^2 + 4 eta). verdict_power is compared off
-  | |h_p| - zero_tol | <= B_h (B_eq at an equilibrium).
+  2 alpha |x| |f| + 5 eta). The eta term covers underflow, since every f
+  other than 0 is off the equilibria, however small: the original's eight
+  roundings of f^T S f are each off by at most half a smallest subnormal
+  eta where they underflow, 4 eta; the copy forms its product on the unit
+  copies of f and grad(phi), where a rounding is relative, and scales it
+  back once, eta / 2 more; a subnormal f or g, off by eta / 2 a rounding,
+  moves either side by |f| eta or |g| eta, below 1e-307 eta. At an
+  equilibrium (f = 0) both sides are 0. verdict_power is compared off
+  | |h_p| - zero_tol | <= B_h.
 - identity_gap and agree are computed from the columns above (| |phi_rate|
   - h_p | and the two verdicts), so they are not compared again; the copy's
   gap is about 2 |h_p|, since its H_P is negative and the identity
@@ -317,9 +319,8 @@ def test_reversing_time_negates_the_frame_and_the_rates(name, points):
         x, f = np.hypot(x1, x2), np.hypot(frame.f1, frame.f2)
         b_h = 2.0 * (
             (40.0 * kappa_m + 30.0) * EPS * mu * a.max_abs() * x * f + 6.0 * EPS * mu * f * f
-            + 2.0 * exact_asymmetry(a, d, q) * x * f
+            + 2.0 * exact_asymmetry(a, d, q) * x * f + 5.0 * ETA
         )
-        b_h = np.where(frame.equilibrium, 2.0 * (2.0 * mu * f * f + 4.0 * ETA), b_h)
     assert np.all(np.abs(rep_rev.h_p + rep.h_p) <= b_h)
     clear = np.abs(np.abs(rep.h_p) - ZERO_TOL) > b_h
     assert np.array_equal(rep_rev.verdict_power[clear], rep.verdict_power[clear])

@@ -48,7 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = [
     # a power verdict ten times too forgiving, which only the exact verdicts see
     ("power_verdict_loose", "src/aodecomp/dissipation.py", "np.abs(h_p) <= tol", "np.abs(h_p) <= 10 * tol"),
-    # value errors in the friction power, the linear divergence, the stepper and the overflow rescale
+    # value errors in the friction power, the linear divergence, the stepper and the frame's unit-copy scale-back
     (
         "friction_power_sign", "src/aodecomp/dissipation.py",
         "s.a11 * f1 * f1 + (s.a12 + s.a21) * f1 * f2", "s.a11 * f1 * f1 - (s.a12 + s.a21) * f1 * f2",
@@ -63,14 +63,13 @@ MUTANTS = [
     ),
     (
         "overflow_rescale_inverted", "src/aodecomp/field.py",
-        "s = friction_at(*frame) * (g_max / f_max)", "s = friction_at(*frame) * (f_max / g_max)",
+        "s = np.ldexp(friction_at(*frame), e_g - e_f)", "s = np.ldexp(friction_at(*frame), e_f - e_g)",
     ),
     # what time reversal alone caught when it was added
     ("sym_split_off_diagonal", "src/aodecomp/core.py", "off = 0.5 * (m.a12 + m.a21)", "off = m.a12"),
-    (
-        "equilibrium_on_sum", "src/aodecomp/field.py",
-        "np.hypot(f1, f2) <= EQUILIBRIUM_TOL", "abs(f1 + f2) <= EQUILIBRIUM_TOL",
-    ),
+    # an equilibrium read from f1 + f2, or with a tolerance put back into the rule f = 0
+    ("equilibrium_on_sum", "src/aodecomp/field.py", "(f1 == 0.0) & (f2 == 0.0)", "f1 + f2 == 0.0"),
+    ("equilibrium_floor", "src/aodecomp/field.py", "(f1 == 0.0) & (f2 == 0.0)", "abs(f1) + abs(f2) <= 1e-10"),
     ("div_verdict_signed", "src/aodecomp/dissipation.py", "np.where(np.abs(div) <= tol, 0,", "np.where(div <= tol, 0,"),
     # the absolute floors the trace, singular, PSD and gyration tests once had; on the power-of-two unit copies
     # those tests are made on, a floor loosens each bound by a factor of 1.5 to 9
