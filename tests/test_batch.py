@@ -217,9 +217,9 @@ def test_equilibria_are_decided_alike_at_one_point_and_at_n():
     # each component of f zero of either sign, subnormal, tiny or of order one,
     # through a field tabulated at these points: only f = 0 is an equilibrium
     rng = np.random.default_rng(7)
-    x1, x2 = rng.uniform(-3.0, 3.0, (2, 20000))
+    x1, x2 = rng.uniform(-3.0, 3.0, (2, 4000))
     sizes = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0])
-    f1, f2 = sizes[rng.integers(0, 8, (2, 20000))]
+    f1, f2 = sizes[rng.integers(0, 8, (2, 4000))]
     table = dict(zip(zip(x1.tolist(), x2.tolist()), zip(f1.tolist(), f2.tolist())))
 
     def tabulated(a, b):

@@ -19,8 +19,9 @@ s and t are taken on power-of-two unit copies of f and grad(phi)
   smallest subnormals (``test_tiny_oscillator_grid_keeps_the_identity``).
 - Every catalog origin, zero_matrix everywhere and defective_nilpotent on
   x1 = 0 are still equilibria: ``decompose`` exits 1 there.
-- The four golden entries whose bytes moved when s and t went onto unit
-  copies are judged against the exact frame (``test_moved_golden_values_are_within_their_rounding_bounds``).
+- The golden ``decompose`` entries where f . f overflows, stable_spiral at
+  (1e200, -3e199) and --matrix -1,0.5,0.2,-2 at (1e250, 1e250), are judged
+  against the exact frame (``test_overflow_frame_is_within_its_rounding_bounds``).
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ def test_equilibria_exit_one(name, at):
     assert err.startswith("aodecomp: ") and "is an equilibrium of" in err
 
 
-# (decompose argv, A) for the golden entries whose frame values moved, in both formats
-MOVED = [
+# (decompose argv, A) for the golden entries where f . f overflows, in both formats
+OVERFLOW = [
     (("--system", "stable_spiral", "--at", "1e200,-3e199"), (-0.5, 1.0, -1.0, -0.5)),
     (("--matrix", "-1,0.5,0.2,-2", "--at", "1e250,1e250"), (-1.0, 0.5, 0.2, -2.0)),
 ]
@@ -134,14 +135,13 @@ def _document(argv: tuple, fmt: str) -> dict:
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("argv, a", MOVED, ids=["stable_spiral", "matrix"])
-def test_moved_golden_values_are_within_their_rounding_bounds(argv, a, fmt):
+@pytest.mark.parametrize("argv, a", OVERFLOW, ids=["stable_spiral", "matrix"])
+def test_overflow_frame_is_within_its_rounding_bounds(argv, a, fmt):
     """Every frame value of the document against the exact frame of its own f and grad(phi).
 
-    The moved values (friction, transverse, gyration and the frame residual)
-    are functions of the document's drift f and potential gradient g, whose
-    bytes did not move. So the exact frame is taken in ``Fraction`` from those
-    floats: s = -(g . f) / F, t = (f1 g2 - f2 g1) / F with F = f . f,
+    Every frame value, the frame residual included, is a function of the
+    document's drift f and potential gradient g, so the exact frame is taken
+    in ``Fraction`` from those floats: s = -(g . f) / F, t = (f1 g2 - f2 g1) / F with F = f . f,
     N = s^2 + t^2, d = s / N and q = -t / N. f is also checked against the
     exact A x: two products and a sum, within gamma_2 (|a_i1 x1| + |a_i2 x2|)
     with gamma_n = n u / (1 - n u) and u = 2^-53; 3 u is used.
